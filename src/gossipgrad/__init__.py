@@ -8,7 +8,6 @@ gradient-descent rate per gradient evaluation.
 
 from .algorithm import (
     AlgorithmParams,
-    IterationWorkspace,
     algorithm_iteration,
     centralized_gd,
     comm_rounds,
@@ -52,23 +51,18 @@ from .localization import (
     RangeResidualObjective,
     five_agent_gossip_pair,
     gd_contraction_factor,
-    localization_objective,
     optimal_stepsize,
     target_hessian,
 )
 from .netsim import AgentNode, AuditReport, DeliveryRecord, Message, locality_audit, run_netsim
 from .objective import (
     ContractionParams,
-    CountingObjective,
-    LocalObjective,
     Problem,
     QuadraticObjective,
     StrongSmoothParams,
     check_contraction,
     finite_difference_gradient,
     params_from_one_point_convexity,
-    quadratic_objective,
-    random_quadratic_objective,
     random_quadratic_problem,
     sample_ball,
 )

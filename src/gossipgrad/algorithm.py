@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .gossip import GossipSchedule, matrix_at
-from .objective import CountingObjective, Problem
+from .objective import Problem
 from .trace import RunTrace
 
 RHO_FLOOR = 1e-6
@@ -68,8 +68,8 @@ class AlgorithmParams:
     lam: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"stepsize must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"stepsize must be positive and finite, got {self.alpha}")
         if not 0 < self.rho < 1:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if not 0 < self.sigma < 1:
@@ -98,14 +98,6 @@ class AlgorithmParams:
         return cls(alpha=float(alpha), rho=rho, sigma=float(sigma), m=m, lam=math.sqrt(1.0 - rho**2))
 
 
-@dataclass
-class IterationWorkspace:
-    """Intermediate points of one iteration: post-communication v, post-gradient u."""
-
-    v: np.ndarray  # (n, d)
-    u: np.ndarray  # (n, d)
-
-
 def algorithm_iteration(
     problem: Problem,
     schedule: GossipSchedule,
@@ -116,8 +108,8 @@ def algorithm_iteration(
 ):
     """One iteration on stacked states x, y of shape (n, d).
 
-    Returns (x_next, y_next, workspace); evaluates each local gradient exactly
-    once, at the post-communication point.
+    Returns (x_next, y_next, v, u) with v the post-communication and u the
+    post-gradient points; evaluates each local gradient exactly once, at v.
     """
     n, d = x.shape
     if problem.n != n:
@@ -127,11 +119,10 @@ def algorithm_iteration(
     v = x
     for round_index in range(1, params.m + 1):
         v = matrix_at(schedule, iteration, round_index).weights @ v
-    gradients = np.stack([f.gradient(v[i]) for i, f in enumerate(problem.locals)])
-    u = v - params.alpha * gradients
+    u = v - params.alpha * problem.objective.gradient(v)
     y_next = y + x - v
     x_next = u - params.lam * y_next
-    return x_next, y_next, IterationWorkspace(v=v, u=u)
+    return x_next, y_next, v, u
 
 
 def run_algorithm(
@@ -148,42 +139,15 @@ def run_algorithm(
     zero. Gradient evaluations are counted per agent and asserted to be one
     per iteration.
     """
-    x = np.array(x0, dtype=float)
-    if x.ndim != 2:
-        raise ConfigError(f"x0 must have shape (n, d), got {x.shape}")
-    n, d = x.shape
-    y = np.zeros_like(x) if y0 is None else np.array(y0, dtype=float)
-    if y.shape != x.shape:
-        raise ConfigError(f"y0 shape {y.shape} does not match x0 shape {x.shape}")
-    if np.linalg.norm(y.sum(axis=0)) > 1e-12 * max(1.0, np.abs(y).max()):
-        raise ConfigError("initial correction states must sum to zero across agents")
-
-    # optimizer deliberately dropped: its construction-time gradient check
-    # already ran on `problem` and would skew the evaluation counters here.
-    counted = Problem([CountingObjective(f) for f in problem.locals])
-    xs = np.empty((iterations + 1, n, d))
-    ys = np.empty((iterations + 1, n, d))
-    vs = np.empty((iterations, n, d))
-    us = np.empty((iterations, n, d))
-    xs[0], ys[0] = x, y
+    trace = RunTrace.start(x0, y0, iterations, params)
+    calls_before = problem.objective.gradient_calls.copy()
+    x, y = trace.x[0], trace.y[0]
     for k in range(iterations):
-        x, y, work = algorithm_iteration(counted, schedule, params, x, y, k)
-        xs[k + 1], ys[k + 1] = x, y
-        vs[k], us[k] = work.v, work.u
-
-    for f in counted.locals:
-        assert f.gradient_calls == iterations, (
-            f"expected {iterations} gradient evaluations per agent, got {f.gradient_calls}"
-        )
-    return RunTrace(
-        x=xs,
-        y=ys,
-        v=vs,
-        u=us,
-        params=params,
-        gradient_evaluations=sum(f.gradient_calls for f in counted.locals),
-        row_communications=n * params.m * iterations,
-    )
+        x, y, trace.v[k], trace.u[k] = algorithm_iteration(problem, schedule, params, x, y, k)
+        trace.x[k + 1], trace.y[k + 1] = x, y
+    trace.count_gradients(problem.objective.gradient_calls - calls_before)
+    trace.row_communications = trace.n * params.m * iterations
+    return trace
 
 
 def centralized_gd(problem: Problem, alpha: float, x0, iterations: int) -> np.ndarray:
@@ -213,7 +177,6 @@ def dgd_baseline(problem: Problem, schedule: GossipSchedule, alpha: float, x0, i
     trajectory = np.empty((iterations + 1,) + x.shape)
     trajectory[0] = x
     for k in range(iterations):
-        gradients = np.stack([f.gradient(x[i]) for i, f in enumerate(problem.locals)])
-        x = matrix_at(schedule, k, 1).weights @ x - alpha * gradients
+        x = matrix_at(schedule, k, 1).weights @ x - alpha * problem.objective.gradient(x)
         trajectory[k + 1] = x
     return trajectory

@@ -19,12 +19,12 @@ import sys
 import numpy as np
 
 from . import analysis
-from .algorithm import AlgorithmParams, centralized_gd, comm_rounds, run_algorithm, sigma0
+from .algorithm import centralized_gd, comm_rounds, run_algorithm, sigma0
 from .config import build_problem, build_schedule, initial_states, load_run_config, resolve_params
 from .errors import ConfigError, DegenerateCurvatureError, SingularPointError
 from .gossip import spectral_gap, validate_doubly_stochastic
 from .netsim import run_netsim
-from .objective import ContractionParams, Problem, check_contraction, sample_ball
+from .objective import ContractionParams, check_contraction, sample_ball
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -54,9 +54,6 @@ def cmd_run(args) -> int:
     runner = run_netsim if (args.mode or config.mode) == "netsim" else run_algorithm
     trace = runner(problem, schedule, params, x0, config.iterations)
 
-    if problem.optimizer is None:
-        located = analysis.locate_optimizer(problem, params.alpha)
-        problem = Problem(problem.locals, optimizer=located)
     xstar = problem.optimizer
     errors = trace.errors(xstar)
     fp = analysis.fixed_point(problem, params)
@@ -83,24 +80,16 @@ def _grid(low: float, high: float, resolution: int) -> np.ndarray:
 
 
 def cmd_grid(args) -> int:
+    """Round counts m over a (rho, sigma) grid; ``rates`` adds the per-step rate rho**(1/m)."""
+    rates = args.command == "rates"
     rhos = _grid(args.rho_min, args.rho_max, args.resolution)
     sigmas = _grid(args.sigma_min, args.sigma_max, args.resolution)
-    lines = ["rho,sigma,m"]
-    for rho in rhos:
-        for sigma in sigmas:
-            lines.append(f"{_fmt(rho)},{_fmt(sigma)},{comm_rounds(rho, sigma)}")
-    _write_lines(args.output, lines)
-    return EXIT_OK
-
-
-def cmd_rates(args) -> int:
-    rhos = _grid(args.rho_min, args.rho_max, args.resolution)
-    sigmas = _grid(args.sigma_min, args.sigma_max, args.resolution)
-    lines = ["rho,sigma,m,per_step_rate"]
+    lines = ["rho,sigma,m,per_step_rate" if rates else "rho,sigma,m"]
     for rho in rhos:
         for sigma in sigmas:
             m = comm_rounds(rho, sigma)
-            lines.append(f"{_fmt(rho)},{_fmt(sigma)},{m},{_fmt(rho ** (1.0 / m))}")
+            row = f"{_fmt(rho)},{_fmt(sigma)},{m}"
+            lines.append(f"{row},{_fmt(rho ** (1.0 / m))}" if rates else row)
     _write_lines(args.output, lines)
     return EXIT_OK
 
@@ -141,25 +130,17 @@ def cmd_validate(args) -> int:
         )
     )
 
-    xstar = problem.optimizer
-    if xstar is None:
-        xstar = analysis.locate_optimizer(problem, params.alpha)
+    objective, xstar = problem.objective, problem.optimizer
     contraction = ContractionParams(alpha=params.alpha, rho=params.rho)
     samples = sample_ball(xstar, radius=args.radius, count=args.samples, seed=config.seed)
-    worst = 0.0
-    ok = True
-    for f in problem.locals:
-        try:
-            report = check_contraction(f, xstar, contraction, samples)
-        except SingularPointError:
-            ok = False
-            worst = float("inf")
-            break
-        worst = max(worst, report.max_ratio)
-        ok = ok and report.passed
+    try:
+        report = check_contraction(objective, xstar, contraction, samples)
+        ok, worst = report.passed, report.max_ratio
+    except SingularPointError:
+        ok, worst = False, float("inf")
     checks.append(("sampled contraction", ok, f"worst ratio {worst:.6f} vs rho {params.rho:.6f}"))
 
-    gradient_sum = np.linalg.norm(np.sum([f.gradient(xstar) for f in problem.locals], axis=0))
+    gradient_sum = np.linalg.norm(objective.gradient(objective.at(xstar)).sum(axis=0))
     checks.append(
         ("gradient sum zero at optimizer", gradient_sum <= 1e-6 * problem.n, f"norm {gradient_sum:.3e}")
     )
@@ -181,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", choices=("vectorized", "netsim"), default=None)
     p_run.set_defaults(handler=cmd_run)
 
-    for name, handler in (("grid", cmd_grid), ("rates", cmd_rates)):
+    for name in ("grid", "rates"):
         p = sub.add_parser(name, help=f"{name} CSV over a (rho, sigma) grid")
         p.add_argument("--rho-min", type=float, default=0.05)
         p.add_argument("--rho-max", type=float, default=0.95)
@@ -189,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma-max", type=float, default=0.95)
         p.add_argument("--resolution", type=int, default=50)
         p.add_argument("--output", default="-")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_grid)
 
     p_explore = sub.add_parser("explore-m", help="raw round-count expression over (r, s) >= (rho, sigma)")
     p_explore.add_argument("--rho", type=float, required=True)

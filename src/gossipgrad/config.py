@@ -56,10 +56,20 @@ def parse_matrix(text: str) -> GossipMatrix:
     return GossipMatrix(parsed)
 
 
+def parse_number(kind, text: str, key: str):
+    """``kind(text)`` for kind int or float; a malformed value is a config error naming ``key``."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from exc
+
+
 def parse_points(text: str) -> np.ndarray:
     """Points separated by ';', coordinates by ','; returns (count, dim)."""
     rows = [row.strip() for row in text.strip().split(";") if row.strip()]
-    parsed = [[float(value) for value in row.split(",")] for row in rows]
+    if not rows:
+        raise ConfigError("empty point list")
+    parsed = [[parse_number(float, value, "point coordinate") for value in row.split(",")] for row in rows]
     width = len(parsed[0])
     if any(len(row) != width for row in parsed):
         raise ConfigError("points disagree on dimension")
@@ -105,6 +115,13 @@ def _float_or_auto(text: str) -> float | str:
         raise ConfigError(f"expected a number or 'auto', got {text!r}") from exc
 
 
+def _agent_count(sched) -> int:
+    n = parse_number(int, _get(sched, "n"), "n")
+    if n < 1:
+        raise ConfigError(f"schedule needs n >= 1 agents, got {n}")
+    return n
+
+
 def load_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -123,26 +140,28 @@ def load_run_config(path) -> RunConfig:
     localization = None
     if kind == "quadratic":
         quadratic = {
-            "n": int(_get(problem_section, "n", "5")),
-            "d": int(_get(problem_section, "d", "3")),
-            "mu": float(_get(problem_section, "mu", "1.0")),
-            "L": float(_get(problem_section, "L", "3.0")),
-            "seed": int(_get(problem_section, "seed", "0")),
+            "n": parse_number(int, _get(problem_section, "n", "5"), "n"),
+            "d": parse_number(int, _get(problem_section, "d", "3"), "d"),
+            "mu": parse_number(float, _get(problem_section, "mu", "1.0"), "mu"),
+            "L": parse_number(float, _get(problem_section, "L", "3.0"), "L"),
+            "seed": parse_number(int, _get(problem_section, "seed", "0"), "seed"),
         }
         if quadratic["n"] < 1 or quadratic["d"] < 1:
             raise ConfigError("quadratic problem needs n >= 1 and d >= 1")
-        if not 0 < quadratic["mu"] <= quadratic["L"]:
-            raise ConfigError("quadratic problem needs 0 < mu <= L")
+        if not 0 < quadratic["mu"] <= quadratic["L"] < np.inf:
+            raise ConfigError("quadratic problem needs 0 < mu <= L < inf")
     elif kind == "localization":
         if "localization" not in parser:
             raise ConfigError("localization problems need a [localization] section")
         loc = parser["localization"]
-        target = np.array([float(v) for v in _get(loc, "target", "1.0, 1.0").split(",")])
+        target = np.array([parse_number(float, v, "target") for v in _get(loc, "target", "1.0, 1.0").split(",")])
         if "positions" in loc:
             localization = LocalizationConfig.from_positions(parse_points(loc["positions"]), target)
         else:
             localization = LocalizationConfig.sampled(
-                n=int(_get(loc, "n", "5")), seed=int(_get(loc, "seed")), target=target
+                n=parse_number(int, _get(loc, "n", "5"), "n"),
+                seed=parse_number(int, _get(loc, "seed"), "seed"),
+                target=target,
             )
     else:
         raise ConfigError(f"unknown problem kind {kind!r}; expected quadratic or localization")
@@ -155,9 +174,9 @@ def load_run_config(path) -> RunConfig:
     if source == "five-agent-pair":
         matrices = list(five_agent_gossip_pair())
     elif source == "complete":
-        matrices = [complete_matrix(int(_get(sched, "n")))]
+        matrices = [complete_matrix(_agent_count(sched))]
     elif source == "ring":
-        matrices = [ring_matrix(int(_get(sched, "n")))]
+        matrices = [ring_matrix(_agent_count(sched))]
     elif source == "inline":
         matrices = []
         index = 1
@@ -171,10 +190,7 @@ def load_run_config(path) -> RunConfig:
 
     algo = parser["algorithm"] if "algorithm" in parser else {}
     run = parser["run"] if "run" in parser else {}
-    try:
-        m_override = int(algo["m"]) if "m" in algo else None
-    except ValueError as exc:
-        raise ConfigError(f"m override must be an integer: {algo['m']!r}") from exc
+    m_override = parse_number(int, algo["m"], "m") if "m" in algo else None
 
     config = RunConfig(
         problem_kind=kind,
@@ -182,13 +198,13 @@ def load_run_config(path) -> RunConfig:
         localization=localization,
         schedule_kind=schedule_kind,
         schedule_matrices=matrices,
-        schedule_seed=int(sched.get("seed", "0")),
+        schedule_seed=parse_number(int, sched.get("seed", "0"), "seed"),
         alpha=_float_or_auto(algo.get("alpha", "auto")),
         rho=_float_or_auto(algo.get("rho", "auto")),
         sigma=_float_or_auto(algo.get("sigma", "auto")),
         m_override=m_override,
-        iterations=int(run.get("iterations", "100")),
-        seed=int(run.get("seed", "0")),
+        iterations=parse_number(int, run.get("iterations", "100"), "iterations"),
+        seed=parse_number(int, run.get("seed", "0"), "seed"),
         mode=run.get("mode", "vectorized").strip(),
         output=run.get("output", None),
         x0_spec=run.get("x0", "positions" if kind == "localization" else "random").strip(),

@@ -10,7 +10,6 @@ a cycling list, or a seeded random choice from a list.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +17,6 @@ import numpy as np
 from .errors import ConfigError
 
 DOUBLY_STOCHASTIC_TOL = 1e-9
-
-SPECTRAL_TOL = 1e-12
-SPECTRAL_MAX_ITER = 10_000
 
 
 class GossipMatrix:
@@ -114,49 +110,20 @@ def validate_doubly_stochastic(
     )
 
 
-def _largest_singular_value(D: np.ndarray, tol: float, max_iter: int) -> float:
-    # Power iteration on D^T D with a fixed starting vector. The all-ones
-    # start is in the null space whenever D is the deviation of a doubly
-    # stochastic matrix, so a deterministic perturbed restart covers that.
-    n = D.shape[0]
-    M = D.T @ D
-    if not np.any(M):
-        return 0.0
-    x = np.ones(n) / math.sqrt(n)
-    y = M @ x
-    if np.linalg.norm(y) <= 1e-30:
-        x = 1.0 + 0.5 * np.sin(np.arange(1, n + 1, dtype=float))
-        x /= np.linalg.norm(x)
-        y = M @ x
-        if np.linalg.norm(y) <= 1e-30:
-            return 0.0
-    estimate = 0.0
-    for _ in range(max_iter):
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return 0.0
-        x = y / norm_y
-        y = M @ x
-        new_estimate = float(x @ y)
-        if abs(new_estimate - estimate) <= tol * max(1.0, abs(new_estimate)):
-            estimate = new_estimate
-            break
-        estimate = new_estimate
-    return math.sqrt(max(estimate, 0.0))
-
-
-def spectral_gap(matrix, tol: float = SPECTRAL_TOL, max_iter: int = SPECTRAL_MAX_ITER) -> float:
+def spectral_gap(matrix) -> float:
     """Induced 2-norm of W - (1/n) * ones, the per-round disagreement contraction.
 
     Accepts a GossipMatrix or a raw square array. Zero means one round
-    reaches exact consensus; values below 1 mean disagreement shrinks.
+    reaches exact consensus; values below 1 mean disagreement shrinks. A
+    symmetric W takes the symmetric eigensolver, any other the SVD.
     """
     W = matrix.weights if isinstance(matrix, GossipMatrix) else np.asarray(matrix, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ConfigError(f"spectral gap needs a square matrix, got shape {W.shape}")
-    n = W.shape[0]
-    deviation = W - np.full((n, n), 1.0 / n)
-    return _largest_singular_value(deviation, tol, max_iter)
+    deviation = W - 1.0 / W.shape[0]
+    if np.array_equal(deviation, deviation.T):
+        return float(np.abs(np.linalg.eigvalsh(deviation)).max())
+    return float(np.linalg.norm(deviation, 2))
 
 
 def _counter_draw(seed: int, iteration: int, round_index: int, count: int) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateCurvatureError, SingularPointError
 from .gossip import GossipMatrix
-from .objective import LocalObjective, Problem
+from .objective import ObjectiveFamily, Problem
 
 ANCHOR_EXCLUSION = 1e-12
 
@@ -61,59 +61,62 @@ class LocalizationConfig:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    def objective(self, i: int) -> "RangeResidualObjective":
-        return localization_objective(self, i)
+    def objective(self) -> "RangeResidualObjective":
+        return RangeResidualObjective(self.positions, self.ranges)
 
     def problem(self) -> Problem:
-        return Problem([self.objective(i) for i in range(self.n)], optimizer=self.target)
+        return Problem(self.objective(), optimizer=self.target)
 
 
-class RangeResidualObjective(LocalObjective):
-    """Squared residual between the distance to one anchor and its measured range.
+class RangeResidualObjective(ObjectiveFamily):
+    """Squared residuals between the distance to each agent's anchor and its measured range.
 
-    Derivatives are singular at the anchor itself; evaluating them there
-    raises instead of silently patching the point.
+    ``anchors`` has shape (n, 2) and ``ranges`` shape (n,). Derivatives are
+    singular at an anchor itself; evaluating them there raises instead of
+    silently patching the point.
     """
 
-    dimension = 2
+    def __init__(self, anchors, ranges):
+        anchors = np.array(anchors, dtype=float)
+        ranges = np.array(ranges, dtype=float)
+        if anchors.ndim != 2 or anchors.shape[1] != 2 or ranges.shape != anchors.shape[:1]:
+            raise ValueError(f"need anchors (n, 2) and ranges (n,), got {anchors.shape} and {ranges.shape}")
+        super().__init__(anchors.shape[0], 2)
+        anchors.setflags(write=False)
+        ranges.setflags(write=False)
+        self.anchors = anchors
+        self.ranges = ranges
 
-    def __init__(self, anchor, measured_range: float):
-        self.anchor = np.asarray(anchor, dtype=float)
-        self.measured_range = float(measured_range)
+    def _row(self, i):
+        return {"anchors": self.anchors[i], "ranges": self.ranges[i]}
 
-    def _distance(self, x) -> tuple[np.ndarray, float]:
-        offset = np.asarray(x, dtype=float) - self.anchor
-        return offset, float(np.linalg.norm(offset))
+    def _offsets(self, X, what: str = "") -> tuple[np.ndarray, np.ndarray]:
+        """Offsets from the anchors and their lengths; ``what`` names a derivative that needs them nonzero."""
+        offset = np.asarray(X, dtype=float) - self.anchors
+        dist = np.linalg.norm(offset, axis=-1)
+        singular = dist <= ANCHOR_EXCLUSION
+        if what and np.any(singular):
+            raise SingularPointError(f"{what} undefined at the anchor {self.anchors[singular][0]}")
+        return offset, dist
 
-    def value(self, x) -> float:
-        _, dist = self._distance(x)
-        return 0.5 * (dist - self.measured_range) ** 2
+    def value(self, X):
+        _, dist = self._offsets(X)
+        return 0.5 * (dist - self.ranges) ** 2
 
-    def gradient(self, x) -> np.ndarray:
-        offset, dist = self._distance(x)
-        if dist <= ANCHOR_EXCLUSION:
-            raise SingularPointError(f"gradient undefined at the anchor {self.anchor}")
-        return (1.0 - self.measured_range / dist) * offset
+    def gradient(self, X) -> np.ndarray:
+        self.gradient_calls += 1
+        offset, dist = self._offsets(X, "gradient")
+        return (1.0 - self.ranges / dist)[..., None] * offset
 
-    def hessian_trace(self, x) -> float:
-        _, dist = self._distance(x)
-        if dist <= ANCHOR_EXCLUSION:
-            raise SingularPointError(f"curvature undefined at the anchor {self.anchor}")
-        return 2.0 - self.measured_range / dist
+    def hessian_trace(self, X):
+        _, dist = self._offsets(X, "curvature")
+        return 2.0 - self.ranges / dist
 
-    def hessian(self, x) -> np.ndarray:
-        offset, dist = self._distance(x)
-        if dist <= ANCHOR_EXCLUSION:
-            raise SingularPointError(f"curvature undefined at the anchor {self.anchor}")
-        scale = self.measured_range / dist
-        return (1.0 - scale) * np.eye(2) + scale / dist**2 * np.outer(offset, offset)
-
-
-def localization_objective(cfg: LocalizationConfig, i: int) -> RangeResidualObjective:
-    """Residual objective of agent ``i`` (0-based)."""
-    if not 0 <= i < cfg.n:
-        raise ConfigError(f"agent index {i} out of range for {cfg.n} agents")
-    return RangeResidualObjective(cfg.positions[i], cfg.ranges[i])
+    def hessian(self, X) -> np.ndarray:
+        offset, dist = self._offsets(X, "curvature")
+        scale = (self.ranges / dist)[..., None, None]
+        outer = offset[..., :, None] * offset[..., None, :]
+        return (1.0 - scale) * np.eye(2) + scale / dist[..., None, None] ** 2 * outer
 
 
 def optimal_stepsize(problem: Problem, point) -> float:
@@ -125,8 +128,7 @@ def optimal_stepsize(problem: Problem, point) -> float:
     """
     if problem.dimension != 2:
         raise ConfigError("the trace shortcut for the eigenvalue sum only holds in 2-d")
-    point = np.asarray(point, dtype=float)
-    trace_sum = sum(f.hessian_trace(point) for f in problem.locals) / problem.n
+    trace_sum = float(np.mean(problem.objective.hessian_trace(problem.objective.at(point))))
     if trace_sum <= 0:
         raise DegenerateCurvatureError(
             f"average curvature trace {trace_sum:.6g} is not positive; no stepsize can be derived"
@@ -136,7 +138,8 @@ def optimal_stepsize(problem: Problem, point) -> float:
 
 def target_hessian(cfg: LocalizationConfig) -> np.ndarray:
     """Average Hessian of the residuals at the target (a 2x2 matrix with trace 1)."""
-    return np.mean([cfg.objective(i).hessian(cfg.target) for i in range(cfg.n)], axis=0)
+    objective = cfg.objective()
+    return objective.hessian(objective.at(cfg.target)).mean(axis=0)
 
 
 def gd_contraction_factor(cfg: LocalizationConfig, alpha: float | None = None) -> float:

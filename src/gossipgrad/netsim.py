@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ProtocolError
 from .gossip import GossipSchedule, matrix_at
-from .objective import CountingObjective, Problem
+from .objective import Problem
 from .trace import RunTrace
 
 
@@ -42,8 +42,9 @@ class DeliveryRecord:
 class AgentNode:
     """One agent: objective, states (x, y), and an inbox for the current round.
 
-    The node never touches another node; it only reads messages and the row
-    of weights it was handed for the round.
+    The objective is the agent's own view of the family (``agent(i)``). The
+    node never touches another node; it only reads messages and the row of
+    weights it was handed for the round.
     """
 
     def __init__(self, agent_id: int, objective, x0: np.ndarray, y0: np.ndarray):
@@ -109,28 +110,17 @@ def run_netsim(
     ``extra_edges`` forces (sender, receiver) deliveries every round; both are
     tampering hooks for negative tests and default to off.
     """
-    x0 = np.array(x0, dtype=float)
-    if x0.ndim != 2:
-        raise ConfigError(f"x0 must have shape (n, d), got {x0.shape}")
-    n, d = x0.shape
+    trace = RunTrace.start(x0, y0, iterations, params)
+    n = trace.n
     if problem.n != n or schedule.n != n:
         raise ConfigError(
             f"agent count mismatch: states {n}, problem {problem.n}, schedule {schedule.n}"
         )
-    y0 = np.zeros_like(x0) if y0 is None else np.array(y0, dtype=float)
-    if np.linalg.norm(y0.sum(axis=0)) > 1e-12 * max(1.0, np.abs(y0).max()):
-        raise ConfigError("initial correction states must sum to zero across agents")
     row_overrides = row_overrides or {}
     extra_edges = extra_edges or []
 
-    counted = [CountingObjective(f) for f in problem.locals]
-    agents = [AgentNode(i, counted[i], x0[i], y0[i]) for i in range(n)]
-    xs = np.empty((iterations + 1, n, d))
-    ys = np.empty((iterations + 1, n, d))
-    vs = np.empty((iterations, n, d))
-    us = np.empty((iterations, n, d))
-    xs[0] = x0
-    ys[0] = y0
+    calls_before = problem.objective.gradient_calls.copy()
+    agents = [AgentNode(i, problem.objective.agent(i), trace.x[0, i], trace.y[0, i]) for i in range(n)]
     deliveries: list[DeliveryRecord] = []
     row_communications = 0
 
@@ -160,25 +150,15 @@ def run_netsim(
                 agent.fold_inbox(row)
                 row_communications += 1
         for agent in agents:
-            vs[k, agent.id] = agent.v
-            us[k, agent.id] = agent.gradient_update(params.alpha, params.lam)
-            xs[k + 1, agent.id] = agent.x
-            ys[k + 1, agent.id] = agent.y
+            trace.v[k, agent.id] = agent.v
+            trace.u[k, agent.id] = agent.gradient_update(params.alpha, params.lam)
+            trace.x[k + 1, agent.id] = agent.x
+            trace.y[k + 1, agent.id] = agent.y
 
-    for wrapper in counted:
-        assert wrapper.gradient_calls == iterations, (
-            f"expected {iterations} gradient evaluations per agent, got {wrapper.gradient_calls}"
-        )
-    return RunTrace(
-        x=xs,
-        y=ys,
-        v=vs,
-        u=us,
-        params=params,
-        gradient_evaluations=sum(w.gradient_calls for w in counted),
-        row_communications=row_communications,
-        deliveries=deliveries,
-    )
+    trace.count_gradients(problem.objective.gradient_calls - calls_before)
+    trace.row_communications = row_communications
+    trace.deliveries = deliveries
+    return trace
 
 
 @dataclass(frozen=True)

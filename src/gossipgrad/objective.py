@@ -1,4 +1,7 @@
-"""Local objectives, the stepsize/contraction parameterization, and sampled checks.
+"""Stacked local objectives, the stepsize/contraction parameterization, and sampled checks.
+
+A family holds the objectives of all n agents and evaluates every local
+gradient with one formula on an (n, d) array of points.
 
 The convergence theory needs each local gradient map x -> x - alpha * grad f_i(x)
 to contract toward the global optimizer by a factor rho < 1. For quadratics that
@@ -8,47 +11,53 @@ the contraction is checked on sampled points.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ConfigError
 
 CONTRACTION_SLACK = 1e-9
 FD_STEP = 1e-6
 GRADIENT_SUM_TOL = 1e-6
 
 
-class LocalObjective:
-    """Interface for one agent's objective: value, gradient, optional curvature trace."""
+class ObjectiveFamily:
+    """The local objectives of n agents, their data stacked one row per agent.
 
-    dimension: int
+    ``gradient`` maps points X of shape (n, d), row i for agent i, to the
+    (n, d) local gradients and counts one evaluation per agent.
+    ``agent(i)`` is a read-only view holding only row i of the data: the same
+    formulas then take and return single points of shape (d,), and the
+    view's evaluations land in entry i of the family's counter.
+    """
 
-    def value(self, x: np.ndarray) -> float:
+    def __init__(self, n: int, dimension: int):
+        if n < 1:
+            raise ValueError("an objective family needs at least one agent")
+        self.dimension = dimension
+        self.gradient_calls = np.zeros(n, dtype=np.int64)
+
+    @property
+    def n(self) -> int:
+        return self.gradient_calls.shape[0]
+
+    def _row(self, i: int) -> dict:
+        """Attributes of the agent-i view: the row-i slices of the stacked data."""
         raise NotImplementedError
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def agent(self, i: int):
+        if not 0 <= i < self.n:
+            raise ConfigError(f"agent index {i} out of range for {self.n} agents")
+        view = copy.copy(self)
+        view.__dict__.update(self._row(i))
+        view.gradient_calls = self.gradient_calls[i : i + 1]
+        return view
 
-    def hessian_trace(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-
-class CountingObjective(LocalObjective):
-    """Wrapper that counts gradient evaluations of the wrapped objective."""
-
-    def __init__(self, inner: LocalObjective):
-        self.inner = inner
-        self.dimension = inner.dimension
-        self.gradient_calls = 0
-
-    def value(self, x):
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        self.gradient_calls += 1
-        return self.inner.gradient(x)
-
-    def hessian_trace(self, x):
-        return self.inner.hessian_trace(x)
+    def at(self, x) -> np.ndarray:
+        """The common point x as a read-only (n, d) stack, one copy per agent."""
+        return np.broadcast_to(np.asarray(x, dtype=float), (self.n, self.dimension))
 
 
 @dataclass(frozen=True)
@@ -92,57 +101,61 @@ def params_from_one_point_convexity(p: StrongSmoothParams) -> ContractionParams:
     return ContractionParams(alpha=2.0 / (p.L + p.mu), rho=(p.L - p.mu) / (p.L + p.mu))
 
 
-class QuadraticObjective(LocalObjective):
-    """f(x) = 0.5 x'Ax - b'x with symmetric A; gradient Ax - b."""
+class QuadraticObjective(ObjectiveFamily):
+    """f_i(x) = 0.5 x'A_i x - b_i'x with symmetric A_i; gradient A_i x - b_i.
 
-    def __init__(self, A, b):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
-        if not np.allclose(A, A.T, rtol=0, atol=1e-12):
+    ``A`` is one (d, d) matrix shared by every agent or an (n, d, d) stack;
+    ``B`` holds the b_i as rows, shape (n, d).
+    """
+
+    def __init__(self, A, B):
+        A = np.array(A, dtype=float)
+        B = np.array(B, dtype=float)
+        if B.ndim != 2:
+            raise ValueError(f"B must have shape (n, d), got {B.shape}")
+        n, d = B.shape
+        if A.shape not in ((d, d), (n, d, d)):
+            raise ValueError(f"A has shape {A.shape}, expected ({d}, {d}) or ({n}, {d}, {d})")
+        if not np.allclose(A, A.swapaxes(-1, -2), rtol=0, atol=1e-12):
             raise ValueError("A must be symmetric")
-        if b.shape != (A.shape[0],):
-            raise ValueError(f"b has shape {b.shape}, expected ({A.shape[0]},)")
+        super().__init__(n, d)
+        A.setflags(write=False)
+        B.setflags(write=False)
         self.A = A
-        self.b = b
-        self.dimension = A.shape[0]
+        self.B = B
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (self.A @ x) - self.b @ x)
+    def _row(self, i):
+        return {"A": self.A if self.A.ndim == 2 else self.A[i], "B": self.B[i]}
 
-    def gradient(self, x):
-        return self.A @ np.asarray(x, dtype=float) - self.b
+    def _apply_A(self, X) -> np.ndarray:
+        # Rows are points, so the shared symmetric A acts as X @ A.
+        return X @ self.A if self.A.ndim == 2 else np.einsum("nij,nj->ni", self.A, X)
 
-    def hessian_trace(self, x):
-        return float(np.trace(self.A))
+    def value(self, X):
+        X = np.asarray(X, dtype=float)
+        return 0.5 * np.sum(X * self._apply_A(X), axis=-1) - np.sum(self.B * X, axis=-1)
 
+    def gradient(self, X) -> np.ndarray:
+        self.gradient_calls += 1
+        return self._apply_A(np.asarray(X, dtype=float)) - self.B
 
-def quadratic_objective(A, b) -> QuadraticObjective:
-    """Build the quadratic 0.5 x'Ax - b'x; rejects non-symmetric A."""
-    return QuadraticObjective(A, b)
+    def hessian_trace(self, X):
+        # One trace per point; constant in X.
+        return np.trace(self.A, axis1=-2, axis2=-1) + np.zeros(np.shape(X)[:-1])
 
 
 class Problem:
-    """A collection of local objectives sharing one dimension, plus the optional
-    known optimizer of their average."""
+    """An objective family plus the optional known optimizer of its average."""
 
-    def __init__(self, locals, optimizer=None):
-        locals = tuple(locals)
-        if not locals:
-            raise ValueError("problem needs at least one local objective")
-        d = locals[0].dimension
-        for idx, f in enumerate(locals):
-            if f.dimension != d:
-                raise ValueError(f"local {idx} has dimension {f.dimension}, expected {d}")
-        self.locals = locals
+    def __init__(self, objective: ObjectiveFamily, optimizer=None):
+        self.objective = objective
         self.optimizer = None if optimizer is None else np.asarray(optimizer, dtype=float)
         if self.optimizer is not None:
+            d = objective.dimension
             if self.optimizer.shape != (d,):
                 raise ValueError(f"optimizer has shape {self.optimizer.shape}, expected ({d},)")
-            total = np.sum([f.gradient(self.optimizer) for f in self.locals], axis=0)
-            if np.linalg.norm(total) > GRADIENT_SUM_TOL * len(locals):
+            total = objective.gradient(objective.at(self.optimizer)).sum(axis=0)
+            if np.linalg.norm(total) > GRADIENT_SUM_TOL * self.n:
                 raise ValueError(
                     "local gradients do not sum to zero at the declared optimizer "
                     f"(norm {np.linalg.norm(total):.3e})"
@@ -150,17 +163,17 @@ class Problem:
 
     @property
     def n(self) -> int:
-        return len(self.locals)
+        return self.objective.n
 
     @property
     def dimension(self) -> int:
-        return self.locals[0].dimension
+        return self.objective.dimension
 
     def value(self, x) -> float:
-        return sum(f.value(x) for f in self.locals) / self.n
+        return float(np.mean(self.objective.value(self.objective.at(x))))
 
     def gradient(self, x) -> np.ndarray:
-        return np.sum([f.gradient(x) for f in self.locals], axis=0) / self.n
+        return self.objective.gradient(self.objective.at(x)).sum(axis=0) / self.n
 
 
 @dataclass(frozen=True)
@@ -174,14 +187,15 @@ class ContractionReport:
     samples_used: int
 
 
-def check_contraction(objective: LocalObjective, xstar, params: ContractionParams, samples) -> ContractionReport:
-    """Measure ||x - x* - alpha (grad f(x) - grad f(x*))|| / ||x - x*|| on samples.
+def check_contraction(objective: ObjectiveFamily, xstar, params: ContractionParams, samples) -> ContractionReport:
+    """Measure ||x - x* - alpha (grad f_i(x) - grad f_i(x*))|| / ||x - x*|| on samples.
 
-    Passes when the worst ratio stays below rho + 1e-9. Samples exactly at x*
+    The ratio is taken for every agent i at every sample; the report carries
+    the worst. Passes when that stays below rho + 1e-9. Samples exactly at x*
     are skipped (the ratio is 0/0 there).
     """
     xstar = np.asarray(xstar, dtype=float)
-    grad_star = objective.gradient(xstar)
+    grad_star = objective.gradient(objective.at(xstar))
     max_ratio = 0.0
     worst = xstar
     used = 0
@@ -189,8 +203,8 @@ def check_contraction(objective: LocalObjective, xstar, params: ContractionParam
         dist = np.linalg.norm(x - xstar)
         if dist == 0.0:
             continue
-        mapped = x - xstar - params.alpha * (objective.gradient(x) - grad_star)
-        ratio = np.linalg.norm(mapped) / dist
+        mapped = x - xstar - params.alpha * (objective.gradient(objective.at(x)) - grad_star)
+        ratio = np.linalg.norm(mapped, axis=1).max() / dist
         used += 1
         if ratio > max_ratio:
             max_ratio = ratio
@@ -215,8 +229,8 @@ def sample_ball(center, radius: float, count: int, seed: int) -> np.ndarray:
     return center + radii[:, None] * directions
 
 
-def finite_difference_gradient(objective: LocalObjective, x, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient, the model-free oracle for gradient checks."""
+def finite_difference_gradient(objective, x, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient of one agent's view at x (d,), the model-free oracle."""
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
     for j in range(x.shape[0]):
@@ -226,18 +240,11 @@ def finite_difference_gradient(objective: LocalObjective, x, step: float = FD_ST
     return grad
 
 
-def random_quadratic_objective(dimension: int, mu: float, L: float, seed: int) -> QuadraticObjective:
-    """One quadratic with a random orthonormal eigenbasis and spectrum in [mu, L].
-
-    The endpoints mu and L are always included in the spectrum (when d >= 2).
-    """
-    rng = np.random.default_rng(seed)
-    eigs = np.concatenate([[mu, L], rng.uniform(mu, L, size=max(dimension - 2, 0))])[:dimension]
-    Q, _ = np.linalg.qr(rng.standard_normal((dimension, dimension)))
+def _random_symmetric(rng: np.random.Generator, eigs: np.ndarray) -> np.ndarray:
+    """Symmetric matrix with spectrum ``eigs`` in a random orthonormal eigenbasis."""
+    Q, _ = np.linalg.qr(rng.standard_normal((eigs.size, eigs.size)))
     A = Q @ np.diag(eigs) @ Q.T
-    A = 0.5 * (A + A.T)
-    b = rng.standard_normal(dimension)
-    return QuadraticObjective(A, b)
+    return 0.5 * (A + A.T)
 
 
 def random_quadratic_problem(
@@ -257,22 +264,16 @@ def random_quadratic_problem(
     spectrum strictly inside [mu, L].
     """
     rng = np.random.default_rng(seed)
-    locals_ = []
     if shared_hessian:
         eigs = np.concatenate([[mu, L], rng.uniform(mu, L, size=max(dimension - 2, 0))])[:dimension]
-        Q, _ = np.linalg.qr(rng.standard_normal((dimension, dimension)))
-        A = Q @ np.diag(eigs) @ Q.T
-        A = 0.5 * (A + A.T)
-        for _ in range(n):
-            locals_.append(QuadraticObjective(A, rng.standard_normal(dimension)))
+        A = A_bar = _random_symmetric(rng, eigs)
+        B = rng.standard_normal((n, dimension))
     else:
-        for _ in range(n):
-            eigs = rng.uniform(mu, L, size=dimension)
-            Q, _ = np.linalg.qr(rng.standard_normal((dimension, dimension)))
-            A = Q @ np.diag(eigs) @ Q.T
-            A = 0.5 * (A + A.T)
-            locals_.append(QuadraticObjective(A, rng.standard_normal(dimension)))
-    A_bar = np.mean([f.A for f in locals_], axis=0)
-    b_bar = np.mean([f.b for f in locals_], axis=0)
-    xstar = np.linalg.solve(A_bar, b_bar)
-    return Problem(locals_, optimizer=xstar)
+        # Per agent: eigenvalues, eigenbasis, then linear term; this draw order fixes the seeded data.
+        A, B = np.empty((n, dimension, dimension)), np.empty((n, dimension))
+        for i in range(n):
+            A[i] = _random_symmetric(rng, rng.uniform(mu, L, size=dimension))
+            B[i] = rng.standard_normal(dimension)
+        A_bar = A.mean(axis=0)
+    xstar = np.linalg.solve(A_bar, B.mean(axis=0))
+    return Problem(QuadraticObjective(A, B), optimizer=xstar)

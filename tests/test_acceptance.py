@@ -82,8 +82,8 @@ def test_c04_contraction_from_one_point_convexity():
         mu = float(rng.uniform(0.1, 3.0))
         L = float(mu + rng.uniform(0.0, 9.0))
         d = int(rng.integers(1, 11))
-        objective = gg.random_quadratic_objective(d, mu, L, seed=case)
-        xstar = np.linalg.solve(objective.A, objective.b)
+        objective = gg.random_quadratic_problem(1, d, mu, L, seed=case).objective
+        xstar = np.linalg.solve(objective.A, objective.B[0])
         params = gg.params_from_one_point_convexity(gg.StrongSmoothParams(mu, L))
         samples = gg.sample_ball(xstar, radius=10.0, count=1000, seed=1000 + case)
         result = gg.check_contraction(objective, xstar, params, samples)
@@ -148,8 +148,8 @@ def test_c07_conservation_invariants(corpus):
 
 
 def test_c08_single_agent_reduction():
-    objective = gg.quadratic_objective(np.diag([1.0, 3.0]), np.array([0.4, -1.1]))
-    problem = gg.Problem([objective])
+    objective = gg.QuadraticObjective(np.diag([1.0, 3.0]), [[0.4, -1.1]])
+    problem = gg.Problem(objective)
     schedule = gg.GossipSchedule.constant(gg.GossipMatrix([[1.0]]))
     params = gg.AlgorithmParams.derive(0.5, 0.5, 0.5)
     x0 = np.array([[2.5, -3.0]])
@@ -222,14 +222,14 @@ def test_c11_localization_gradient_checks():
         if np.min(np.linalg.norm(cfg.positions - x, axis=1)) < 1e-2:
             continue
         i = int(rng.integers(0, cfg.n))
-        objective = cfg.objective(i)
+        objective = cfg.objective().agent(i)
         exact = objective.gradient(x)
         numeric = gg.finite_difference_gradient(objective, x)
         rel = float(np.linalg.norm(numeric - exact) / max(1.0, np.linalg.norm(exact)))
         worst = max(worst, rel)
         ok = ok and rel <= 1e-5
         checked += 1
-    traces = [cfg.objective(i).hessian_trace(cfg.target) for i in range(cfg.n)]
+    traces = [cfg.objective().agent(i).hessian_trace(cfg.target) for i in range(cfg.n)]
     ok = ok and all(abs(t - 1.0) <= 1e-10 for t in traces)
     report("C11", "localization-gradients", ok, f"worst rel err {worst:.2e}, traces {traces[0]:.1f}")
 

@@ -101,8 +101,8 @@ class TestAlgorithmParams:
 
 class TestIteration:
     def test_single_agent_reduces_to_centralized(self):
-        f = gg.quadratic_objective(np.diag([1.0, 3.0]), np.array([0.5, -0.2]))
-        problem = gg.Problem([f])
+        f = gg.QuadraticObjective(np.diag([1.0, 3.0]), [[0.5, -0.2]])
+        problem = gg.Problem(f)
         schedule = gg.GossipSchedule.constant(gg.GossipMatrix([[1.0]]))
         params = gg.AlgorithmParams.derive(0.5, 0.5, 0.5)
         x0 = np.array([[2.0, -1.0]])
@@ -117,9 +117,9 @@ class TestIteration:
         schedule = gg.GossipSchedule.random_choice(list(pair), seed=8)
         xstar = problem.optimizer
         x = np.tile(xstar, (5, 1))
-        grads = np.stack([f.gradient(xstar) for f in problem.locals])
+        grads = problem.objective.gradient(problem.objective.at(xstar))
         y = -(params.alpha / params.lam) * grads
-        x_next, y_next, _ = gg.algorithm_iteration(problem, schedule, params, x, y, 0)
+        x_next, y_next, _, _ = gg.algorithm_iteration(problem, schedule, params, x, y, 0)
         assert np.abs(x_next - x).max() <= 1e-14
         assert np.abs(y_next - y).max() <= 1e-14
 
@@ -181,8 +181,8 @@ class TestRun:
 
 class TestCentralizedGd:
     def test_exact_one_step_convergence(self):
-        f = gg.quadratic_objective(np.array([[1.0]]), np.zeros(1))
-        problem = gg.Problem([f])
+        f = gg.QuadraticObjective(np.array([[1.0]]), np.zeros((1, 1)))
+        problem = gg.Problem(f)
         trajectory = gg.centralized_gd(problem, 1.0, np.array([5.0]), 3)
         assert trajectory[1, 0] == pytest.approx(0.0, abs=1e-15)
 
@@ -206,16 +206,16 @@ class TestCentralizedGd:
 
 class TestDgdBaseline:
     def test_single_agent_equals_centralized(self):
-        f = gg.quadratic_objective(np.diag([2.0]), np.array([1.0]))
-        problem = gg.Problem([f])
+        f = gg.QuadraticObjective(np.diag([2.0]), [[1.0]])
+        problem = gg.Problem(f)
         schedule = gg.GossipSchedule.constant(gg.GossipMatrix([[1.0]]))
         dgd = gg.dgd_baseline(problem, schedule, 0.3, np.array([[4.0]]), 40)
         central = gg.centralized_gd(problem, 0.3, np.array([4.0]), 40)
         assert np.abs(dgd[:, 0, :] - central).max() <= 1e-15
 
     def test_zero_gradients_give_pure_consensus(self, pair):
-        zero = gg.quadratic_objective(np.zeros((2, 2)), np.zeros(2))
-        problem = gg.Problem([zero] * 5)
+        zero = gg.QuadraticObjective(np.zeros((2, 2)), np.zeros((5, 2)))
+        problem = gg.Problem(zero)
         schedule = gg.GossipSchedule.constant(pair[0])
         sigma = gg.spectral_gap(pair[0])
         x0 = np.random.default_rng(2).standard_normal((5, 2))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from gossipgrad.cli import main
 from gossipgrad.config import load_run_config, parse_entry, parse_matrix
 
 from conftest import fit_tail_rate
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def read_csv(path):
@@ -158,10 +162,32 @@ class TestRunCommand:
         final = [float(r[3]) for r in rows if r[0] == "200" and r[2] != "centralized"]
         assert max(final) < 1e-6
 
-    def test_invalid_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "base,old,new",
+        [
+            (None, None, "[problem]\nkind = nosuch\n"),
+            ("quadratic", "iterations = 60", "iterations = sixty"),
+            ("quadratic", "mu = 1.0", "mu = one"),
+            ("localization", "target = 1.0, 1.0", "target = 1.0, a"),
+            ("quadratic", "alpha = auto", "alpha = nan"),
+            ("quadratic", "alpha = auto", "alpha = inf"),
+            ("quadratic", "L = 3.0", "L = inf"),
+            ("quadratic", "x0 = random", "x0 = 1.0, b, 0.0"),
+            ("quadratic", "x0 = random", "x0 = ;"),
+            ("quadratic", "source = five-agent-pair", "source = ring\nn = -1"),
+        ],
+        ids=["unknown-kind", "iterations", "mu", "target", "alpha-nan", "alpha-inf", "L-inf", "x0", "x0-empty", "ring-n"],
+    )
+    def test_invalid_config_exits_2(self, tmp_path, capsys, base, old, new):
         bad = tmp_path / "bad.ini"
-        bad.write_text("[problem]\nkind = nosuch\n")
+        if base is None:
+            bad.write_text(new)
+        else:
+            text = (CONFIGS / f"{base}.ini").read_text()
+            assert old in text
+            bad.write_text(text.replace(old, new))
         assert main(["run", str(bad), "--output", str(tmp_path / "x.csv")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_singular_run_exits_3(self, tmp_path):
         # All agents start at a consensus point equal to agent 2's anchor;

@@ -60,6 +60,13 @@ class TestSpectralGap:
     def test_single_agent(self):
         assert gg.spectral_gap(gg.GossipMatrix([[1.0]])) == 0.0
 
+    def test_wide_ring_matches_lapack(self):
+        # sigma near 1: an early-stopped iterative estimate undershoots here,
+        # which undercounts the rounds m derived from it.
+        W = gg.ring_matrix(400).weights
+        expected = np.linalg.norm(W - 1.0 / 400, 2)
+        assert gg.spectral_gap(W) == pytest.approx(expected, rel=1e-12, abs=0)
+
 
 class TestValidation:
     def test_builtin_pair_exact(self, pair):

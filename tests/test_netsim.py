@@ -14,8 +14,8 @@ class TestEquivalence:
             assert np.abs(run.trace.u - run.net_trace.u).max() <= 1e-12, run.name
 
     def test_single_agent_sends_nothing(self):
-        f = gg.quadratic_objective(np.diag([2.0]), np.array([1.0]))
-        problem = gg.Problem([f])
+        f = gg.QuadraticObjective(np.diag([2.0]), [[1.0]])
+        problem = gg.Problem(f)
         schedule = gg.GossipSchedule.constant(gg.GossipMatrix([[1.0]]))
         params = gg.AlgorithmParams.derive(0.3, 0.4, 0.5)
         trace = gg.run_netsim(problem, schedule, params, np.array([[4.0]]), 30)
@@ -118,7 +118,7 @@ class TestLocalityAudit:
 
 class TestAgentNode:
     def test_duplicate_message_rejected(self):
-        f = gg.quadratic_objective(np.eye(2), np.zeros(2))
+        f = gg.QuadraticObjective(np.eye(2), np.zeros((1, 2))).agent(0)
         node = gg.AgentNode(0, f, np.zeros(2), np.zeros(2))
         message = gg.Message(round_index=1, sender=2, payload=np.ones(2))
         node.receive(message)
@@ -126,7 +126,7 @@ class TestAgentNode:
             node.receive(message)
 
     def test_fold_uses_ascending_sender_order_with_own_value(self):
-        f = gg.quadratic_objective(np.eye(1), np.zeros(1))
+        f = gg.QuadraticObjective(np.eye(1), np.zeros((1, 1))).agent(0)
         node = gg.AgentNode(1, f, np.array([10.0]), np.zeros(1))
         node.begin_iteration()
         node.receive(gg.Message(round_index=1, sender=0, payload=np.array([1.0])))

@@ -41,7 +41,7 @@ class TestParameterConversion:
 class TestCheckContraction:
     def test_diagonal_quadratic_passes_and_matches_eigen_oracle(self):
         A = np.diag([1.0, 2.0, 3.0])
-        f = gg.quadratic_objective(A, np.zeros(3))
+        f = gg.QuadraticObjective(A, np.zeros((1, 3)))
         xstar = np.zeros(3)
         params = gg.ContractionParams(alpha=0.5, rho=0.5)
         samples = gg.sample_ball(xstar, radius=10.0, count=1000, seed=0)
@@ -52,13 +52,13 @@ class TestCheckContraction:
         assert eigenvalue_contraction(A, 0.5) == pytest.approx(0.5)
 
     def test_identity_quadratic_contracts_to_zero(self):
-        f = gg.quadratic_objective(np.eye(2), np.zeros(2))
+        f = gg.QuadraticObjective(np.eye(2), np.zeros((1, 2)))
         params = gg.ContractionParams(alpha=1.0, rho=0.5)
         report = gg.check_contraction(f, np.zeros(2), params, [[3.0, -4.0]])
         assert report.max_ratio == pytest.approx(0.0, abs=1e-15)
 
     def test_eigenvalue_outside_band_fails(self):
-        f = gg.quadratic_objective(np.diag([4.0, 1.0]), np.zeros(2))
+        f = gg.QuadraticObjective(np.diag([4.0, 1.0]), np.zeros((1, 2)))
         params = gg.ContractionParams(alpha=0.5, rho=0.5)
         samples = gg.sample_ball(np.zeros(2), radius=5.0, count=500, seed=1)
         report = gg.check_contraction(f, np.zeros(2), params, samples)
@@ -66,7 +66,7 @@ class TestCheckContraction:
         assert report.max_ratio == pytest.approx(1.0, abs=2e-2)
 
     def test_samples_at_center_are_skipped(self):
-        f = gg.quadratic_objective(np.eye(2), np.zeros(2))
+        f = gg.QuadraticObjective(np.eye(2), np.zeros((1, 2)))
         params = gg.ContractionParams(alpha=0.5, rho=0.6)
         report = gg.check_contraction(f, np.zeros(2), params, [[0.0, 0.0], [1.0, 0.0]])
         assert report.samples_used == 1
@@ -77,8 +77,8 @@ class TestCheckContraction:
         mu = float(rng.uniform(0.2, 2.0))
         L = float(mu + rng.uniform(0.1, 8.0))
         d = int(rng.integers(2, 8))
-        f = gg.random_quadratic_objective(d, mu, L, seed=seed)
-        xstar = np.linalg.solve(f.A, f.b)
+        f = gg.random_quadratic_problem(1, d, mu, L, seed=seed).objective
+        xstar = np.linalg.solve(f.A, f.B[0])
         params = gg.params_from_one_point_convexity(gg.StrongSmoothParams(mu, L))
         samples = gg.sample_ball(xstar, radius=10.0, count=300, seed=seed + 1)
         report = gg.check_contraction(f, xstar, params, samples)
@@ -87,26 +87,26 @@ class TestCheckContraction:
 
 class TestQuadraticObjective:
     def test_value_and_gradient(self):
-        f = gg.quadratic_objective(np.eye(2), np.zeros(2))
+        f = gg.QuadraticObjective(np.eye(2), np.zeros((1, 2))).agent(0)
         assert f.value(np.array([1.0, 1.0])) == pytest.approx(1.0)
-        g = gg.quadratic_objective(np.diag([1.0, 3.0]), np.zeros(2))
+        g = gg.QuadraticObjective(np.diag([1.0, 3.0]), np.zeros((1, 2))).agent(0)
         assert np.allclose(g.gradient(np.array([1.0, 1.0])), [1.0, 3.0])
 
     def test_hessian_trace(self):
-        f = gg.quadratic_objective(np.diag([1.0, 3.0]), np.zeros(2))
+        f = gg.QuadraticObjective(np.diag([1.0, 3.0]), np.zeros((1, 2))).agent(0)
         assert f.hessian_trace(np.zeros(2)) == pytest.approx(4.0)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
-            gg.quadratic_objective(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+            gg.QuadraticObjective(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((1, 2)))
 
     def test_rejects_bad_b_shape(self):
         with pytest.raises(ValueError):
-            gg.quadratic_objective(np.eye(2), np.zeros(3))
+            gg.QuadraticObjective(np.eye(2), np.zeros((1, 3)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradient_matches_finite_differences(self, seed):
-        f = gg.random_quadratic_objective(4, 1.0, 5.0, seed=seed)
+        f = gg.random_quadratic_problem(1, 4, 1.0, 5.0, seed=seed).objective.agent(0)
         rng = np.random.default_rng(seed + 10)
         for _ in range(5):
             x = rng.standard_normal(4) * 3.0
@@ -121,37 +121,34 @@ class TestProblem:
         xstar = np.array([0.5, -1.5])
         A = np.diag([1.0, 2.0])
         offsets = [np.array([1.0, 0.0]), np.array([-0.5, 2.0]), np.array([-0.5, -2.0])]
-        locals_ = [gg.quadratic_objective(A, A @ xstar + off) for off in offsets]
-        problem = gg.Problem(locals_, optimizer=xstar)
-        total = sum(f.gradient(xstar) for f in problem.locals)
+        objective = gg.QuadraticObjective(A, [A @ xstar + off for off in offsets])
+        problem = gg.Problem(objective, optimizer=xstar)
+        total = objective.gradient(objective.at(xstar)).sum(axis=0)
         assert np.linalg.norm(total) <= 1e-12
 
     def test_bad_optimizer_rejected(self):
-        locals_ = [gg.quadratic_objective(np.eye(2), np.array([1.0, 0.0]))]
+        objective = gg.QuadraticObjective(np.eye(2), [[1.0, 0.0]])
         with pytest.raises(ValueError):
-            gg.Problem(locals_, optimizer=np.zeros(2))
+            gg.Problem(objective, optimizer=np.zeros(2))
 
     def test_dimension_mismatch_rejected(self):
+        # Curvature for d = 3 with linear terms for d = 2.
         with pytest.raises(ValueError):
-            gg.Problem(
-                [
-                    gg.quadratic_objective(np.eye(2), np.zeros(2)),
-                    gg.quadratic_objective(np.eye(3), np.zeros(3)),
-                ]
-            )
+            gg.QuadraticObjective(np.eye(3), np.zeros((2, 2)))
 
     def test_average_value_and_gradient(self):
         problem = gg.random_quadratic_problem(4, 3, 1.0, 2.0, seed=0)
         x = np.ones(3)
-        expected = np.mean([f.gradient(x) for f in problem.locals], axis=0)
+        views = [problem.objective.agent(i) for i in range(problem.n)]
+        expected = np.mean([f.gradient(x) for f in views], axis=0)
         assert np.allclose(problem.gradient(x), expected)
-        assert problem.value(x) == pytest.approx(np.mean([f.value(x) for f in problem.locals]))
+        assert problem.value(x) == pytest.approx(np.mean([f.value(x) for f in views]))
 
     def test_generator_spectrum_inside_band(self):
         for shared in (True, False):
             problem = gg.random_quadratic_problem(5, 4, 1.0, 3.0, seed=2, shared_hessian=shared)
-            for f in problem.locals:
-                eigs = np.linalg.eigvalsh(f.A)
+            for i in range(problem.n):
+                eigs = np.linalg.eigvalsh(problem.objective.agent(i).A)
                 assert eigs.min() >= 1.0 - 1e-9
                 assert eigs.max() <= 3.0 + 1e-9
 
@@ -164,10 +161,13 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert np.all(np.linalg.norm(a - center, axis=1) <= 3.0 + 1e-12)
 
-    def test_counting_wrapper(self):
-        f = gg.CountingObjective(gg.quadratic_objective(np.eye(2), np.zeros(2)))
+    def test_gradient_counter(self):
+        family = gg.QuadraticObjective(np.eye(2), np.zeros((2, 2)))
+        f = family.agent(1)
         assert f.gradient_calls == 0
         f.gradient(np.ones(2))
         f.gradient(np.ones(2))
         f.value(np.ones(2))
         assert f.gradient_calls == 2
+        family.gradient(np.ones((2, 2)))
+        assert family.gradient_calls.tolist() == [1, 3]

@@ -1,0 +1,72 @@
+"""Property tests: spectral gaps against LAPACK, and batched against per-agent gradients."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import gossipgrad as gg
+
+seeds = st.integers(0, 2**32 - 1)
+common = settings(deadline=None)
+
+
+def birkhoff_mixture(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Random convex combination of k permutation matrices: doubly stochastic."""
+    weights = rng.random(k)
+    weights /= weights.sum()
+    W = np.zeros((n, n))
+    for w in weights:
+        W[np.arange(n), rng.permutation(n)] += w
+    return W
+
+
+def lapack_gap(W: np.ndarray) -> float:
+    return float(np.linalg.norm(W - 1.0 / W.shape[0], 2))
+
+
+class TestSpectralGapProperties:
+    @common
+    @given(n=st.integers(2, 12), k=st.integers(1, 4), seed=seeds)
+    def test_symmetrized_mixture_matches_lapack(self, n, k, seed):
+        W = birkhoff_mixture(n, k, np.random.default_rng(seed))
+        W = 0.5 * (W + W.T)
+        assert np.array_equal(W, W.T)
+        assert np.isclose(gg.spectral_gap(W), lapack_gap(W), rtol=1e-12, atol=0)
+
+    @common
+    @given(n=st.integers(3, 12), k=st.integers(1, 4), seed=seeds)
+    def test_nonsymmetric_mixture_matches_lapack(self, n, k, seed):
+        W = birkhoff_mixture(n, k, np.random.default_rng(seed))
+        assume(not np.array_equal(W, W.T))
+        assert np.isclose(gg.spectral_gap(W), lapack_gap(W), rtol=1e-12, atol=0)
+
+
+def assert_rows_match_views(family, X):
+    batched = family.gradient(X)
+    assert batched.shape == X.shape
+    for i in range(family.n):
+        np.testing.assert_allclose(batched[i], family.agent(i).gradient(X[i]), rtol=1e-12, atol=1e-12)
+    assert family.gradient_calls.tolist() == [2] * family.n
+
+
+class TestFamilyRows:
+    @common
+    @given(n=st.integers(1, 8), d=st.integers(1, 6), shared=st.booleans(), seed=seeds)
+    def test_quadratic_rows_match_agent_views(self, n, d, shared, seed):
+        family = gg.random_quadratic_problem(n, d, 1.0, 4.0, seed, shared_hessian=shared).objective
+        assert family.A.ndim == (2 if shared else 3)
+        family.gradient_calls[:] = 0  # the problem's optimizer check evaluated once
+        X = 3.0 * np.random.default_rng(seed).standard_normal((n, d))
+        assert_rows_match_views(family, X)
+
+    @common
+    @given(n=st.integers(1, 8), seed=seeds)
+    def test_range_residual_rows_match_agent_views(self, n, seed):
+        rng = np.random.default_rng(seed)
+        anchors = rng.uniform(-2.0, 2.0, size=(n, 2))
+        family = gg.RangeResidualObjective(anchors, rng.uniform(0.1, 3.0, size=n))
+        # Points at distance 0.05 to 3 from their own anchor.
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        radii = rng.uniform(0.05, 3.0, size=n)
+        X = anchors + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+        assert_rows_match_views(family, X)
