@@ -54,7 +54,7 @@ from .localization import (
     optimal_stepsize,
     target_hessian,
 )
-from .netsim import AgentNode, AuditReport, DeliveryRecord, Message, locality_audit, run_netsim
+from .netsim import AgentNode, AuditReport, locality_audit, run_netsim
 from .objective import (
     ContractionParams,
     Problem,

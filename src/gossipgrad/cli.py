@@ -58,13 +58,17 @@ def cmd_run(args) -> int:
     errors = trace.errors(xstar)
     fp = analysis.fixed_point(problem, params)
     records = analysis.lyapunov_trace(trace, fp, params)
+    central = centralized_gd(problem, params.alpha, x0.mean(axis=0), config.iterations)
+    central_err = np.linalg.norm(central - xstar, axis=1)
+    energies = [record.value for record in records]
+    if not (np.isfinite(errors).all() and np.isfinite(energies).all() and np.isfinite(central_err).all()):
+        print("numerical failure: the run produced non-finite errors or energies", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     lines = ["iter,step,agent,error,lyapunov"]
     for k in range(trace.iterations + 1):
         for i in range(trace.n):
             lines.append(f"{k},{k * params.m},{i},{_fmt(errors[k, i])},{_fmt(records[k].value)}")
-    central = centralized_gd(problem, params.alpha, x0.mean(axis=0), config.iterations)
-    central_err = np.linalg.norm(central - xstar, axis=1)
     for k in range(config.iterations + 1):
         lines.append(f"{k},{k},centralized,{_fmt(central_err[k])},")
     _write_lines(args.output or config.output, lines)

@@ -20,6 +20,7 @@ Matrix entries accept decimals or exact fractions such as 3/8.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -34,13 +35,14 @@ from .objective import Problem, params_from_one_point_convexity, random_quadrati
 
 
 def parse_entry(text: str) -> float:
-    """One matrix entry: a decimal or an exact fraction like 3/8."""
+    """One finite matrix entry: a decimal or an exact fraction like 3/8."""
     text = text.strip()
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = float(Fraction(text)) if "/" in text else float(text)
+        if not math.isfinite(value):
+            raise ValueError(text)
+        return value
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse matrix entry {text!r}") from exc
 
 
@@ -57,11 +59,14 @@ def parse_matrix(text: str) -> GossipMatrix:
 
 
 def parse_number(kind, text: str, key: str):
-    """``kind(text)`` for kind int or float; a malformed value is a config error naming ``key``."""
+    """``kind(text)`` for kind int or float; a malformed or non-finite value is a config error naming ``key``."""
     try:
-        return kind(text)
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(text)
+        return value
     except ValueError as exc:
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from exc
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a finite number'}, got {text!r}") from exc
 
 
 def parse_points(text: str) -> np.ndarray:
@@ -107,12 +112,7 @@ def _get(section, key, default=None):
 
 def _float_or_auto(text: str) -> float | str:
     text = text.strip()
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number or 'auto', got {text!r}") from exc
+    return "auto" if text == "auto" else parse_number(float, text, "alpha, rho and sigma")
 
 
 def _agent_count(sched) -> int:
@@ -230,13 +230,19 @@ def resolve_params(config: RunConfig, problem: Problem) -> AlgorithmParams:
         sigma = max(spectral_gap(W) for W in config.schedule_matrices)
     alpha, rho = config.alpha, config.rho
     if config.problem_kind == "quadratic":
-        derived = params_from_one_point_convexity(
-            StrongSmoothParams(config.quadratic["mu"], config.quadratic["L"])
-        )
+        mu, L = config.quadratic["mu"], config.quadratic["L"]
+        derived = params_from_one_point_convexity(StrongSmoothParams(mu, L))
+        # The gradient map contracts by exactly max |1 - alpha * eig| over [mu, L].
         if alpha == "auto":
-            alpha = derived.alpha
+            alpha, factor = derived.alpha, derived.rho
+        else:
+            factor = max(abs(1.0 - alpha * mu), abs(1.0 - alpha * L))
+        if factor >= 1.0:
+            raise ConfigError(f"stepsize {alpha:.6g} gives contraction factor {factor:.6g} >= 1 on [mu, L]")
         if rho == "auto":
-            rho = derived.rho
+            rho = factor
+        elif rho < factor:
+            raise ConfigError(f"rho = {rho:.6g} is below the contraction factor {factor:.6g} of stepsize {alpha:.6g}")
     else:
         if alpha == "auto":
             alpha = optimal_stepsize(problem, config.localization.target)

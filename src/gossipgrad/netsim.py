@@ -10,7 +10,7 @@ execution: both must produce the same trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,25 +18,6 @@ from .errors import ConfigError, ProtocolError
 from .gossip import GossipSchedule, matrix_at
 from .objective import Problem
 from .trace import RunTrace
-
-
-@dataclass(frozen=True)
-class Message:
-    """One payload in flight: the sender's current mixing value for a round."""
-
-    round_index: int
-    sender: int
-    payload: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """Ledger entry: message from ``sender`` delivered to ``receiver`` in one round."""
-
-    iteration: int
-    round_index: int
-    sender: int
-    receiver: int
 
 
 class AgentNode:
@@ -59,23 +40,16 @@ class AgentNode:
         self.v = self.x.copy()
         self.inbox.clear()
 
-    def outgoing(self, round_index: int) -> Message:
-        return Message(round_index=round_index, sender=self.id, payload=self.v.copy())
-
-    def receive(self, message: Message):
-        if message.sender in self.inbox:
-            raise ProtocolError(
-                f"agent {self.id} received two messages from {message.sender} in round {message.round_index}"
-            )
-        self.inbox[message.sender] = message.payload
+    def receive(self, sender: int, payload: np.ndarray):
+        if sender in self.inbox:
+            raise ProtocolError(f"agent {self.id} received two messages from {sender} in one round")
+        self.inbox[sender] = payload
 
     def fold_inbox(self, row: np.ndarray):
         """Weighted sum of the inbox in ascending sender order; self weight uses own v."""
         total = np.zeros_like(self.v)
-        for j in range(row.shape[0]):
+        for j in np.flatnonzero(row).tolist():
             weight = row[j]
-            if weight == 0.0:
-                continue
             if j == self.id:
                 total += weight * self.v
             else:
@@ -117,11 +91,11 @@ def run_netsim(
             f"agent count mismatch: states {n}, problem {problem.n}, schedule {schedule.n}"
         )
     row_overrides = row_overrides or {}
-    extra_edges = extra_edges or []
+    extra_edges = np.array(extra_edges or [], dtype=np.int64).reshape(-1, 2)
 
     calls_before = problem.objective.gradient_calls.copy()
     agents = [AgentNode(i, problem.objective.agent(i), trace.x[0, i], trace.y[0, i]) for i in range(n)]
-    deliveries: list[DeliveryRecord] = []
+    ledger = [np.empty((0, 4), dtype=np.int32)]
     row_communications = 0
 
     for k in range(iterations):
@@ -130,20 +104,18 @@ def run_netsim(
         for round_index in range(1, params.m + 1):
             W = matrix_at(schedule, k, round_index).weights
             # Delivery phase: all sends use the pre-round values, so agent
-            # order cannot matter (synchronous barrier).
-            outgoing = {agent.id: agent.outgoing(round_index) for agent in agents}
-            for receiver in agents:
-                for sender in range(n):
-                    if sender != receiver.id and W[receiver.id, sender] != 0.0:
-                        receiver.receive(outgoing[sender])
-                        deliveries.append(
-                            DeliveryRecord(iteration=k, round_index=round_index, sender=sender, receiver=receiver.id)
-                        )
-            for sender, receiver_id in extra_edges:
-                agents[receiver_id].receive(outgoing[sender])
-                deliveries.append(
-                    DeliveryRecord(iteration=k, round_index=round_index, sender=sender, receiver=receiver_id)
-                )
+            # order cannot matter (synchronous barrier). Messages ride the
+            # nonzero off-diagonal weights in row-major (receiver, sender)
+            # order, then the forced extra edges.
+            links = W != 0.0
+            np.fill_diagonal(links, False)
+            edges = np.concatenate([np.argwhere(links)[:, ::-1], extra_edges])  # (sender, receiver)
+            outgoing = [agent.v.copy() for agent in agents]
+            for sender, receiver in edges.tolist():
+                agents[receiver].receive(sender, outgoing[sender])
+            chunk = np.empty((len(edges), 4), dtype=np.int32)
+            chunk[:, 0], chunk[:, 1], chunk[:, 2:] = k, round_index, edges
+            ledger.append(chunk)
             # Compute phase.
             for agent in agents:
                 row = row_overrides.get(agent.id, W[agent.id])
@@ -157,8 +129,11 @@ def run_netsim(
 
     trace.count_gradients(problem.objective.gradient_calls - calls_before)
     trace.row_communications = row_communications
-    trace.deliveries = deliveries
+    trace.deliveries = np.concatenate(ledger)
     return trace
+
+
+AUDIT_REASONS = (None, "self-delivery", "delivery across a zero-weight link", "delivery outside the run")
 
 
 @dataclass(frozen=True)
@@ -175,35 +150,40 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     """Check that every delivered message rode a nonzero-weight link.
 
     Also recounts the ledger against the schedule: each round must carry
-    exactly one message per nonzero off-diagonal weight.
+    exactly one message per nonzero off-diagonal weight. The ledger is grouped
+    by (iteration, round) so each round's matrix is fetched once; the expected
+    links are derived from that matrix alone, never from the runner's edges.
     """
     if trace.deliveries is None:
         raise ConfigError("trace carries no delivery ledger; run the message-passing path")
-    violations = []
-    seen: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for record in trace.deliveries:
-        W = matrix_at(schedule, record.iteration, record.round_index).weights
-        if record.sender == record.receiver:
-            violations.append((record, "self-delivery"))
-        elif W[record.receiver, record.sender] == 0.0:
-            violations.append((record, "delivery across a zero-weight link"))
-        seen.setdefault((record.iteration, record.round_index), set()).add((record.sender, record.receiver))
-
+    ledger = trace.deliveries
+    iteration, round_index, sender, receiver = ledger.T
+    n, m, iterations = schedule.n, trace.params.m, trace.iterations
+    # Rows outside the run's iterations, rounds or agents get the last key.
+    inside = (ledger >= [0, 1, 0, 0]).all(axis=1) & (ledger < [iterations, m + 1, n, n]).all(axis=1)
+    key = np.where(inside, iteration * np.int64(m) + round_index - 1, iterations * m)
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(iterations * m + 1))
+    verdict = np.where(inside, 0, 3)  # index into AUDIT_REASONS
+    missing = []
     expected = 0
-    m = trace.params.m
-    for k in range(trace.iterations):
-        for round_index in range(1, m + 1):
-            W = matrix_at(schedule, k, round_index).weights
-            offdiag = int(np.count_nonzero(W)) - int(np.count_nonzero(np.diag(W)))
-            expected += offdiag
-            delivered = seen.get((k, round_index), set())
-            for receiver in range(schedule.n):
-                for sender in range(schedule.n):
-                    if sender != receiver and W[receiver, sender] != 0.0 and (sender, receiver) not in delivered:
-                        violations.append(((k, round_index, sender, receiver), "expected delivery missing"))
+    for k in range(iterations):
+        for l in range(1, m + 1):
+            links = matrix_at(schedule, k, l).weights != 0.0
+            np.fill_diagonal(links, False)
+            expected += int(np.count_nonzero(links))
+            group = order[bounds[k * m + l - 1] : bounds[k * m + l]]
+            s, r = sender[group], receiver[group]
+            verdict[group] = np.where(s == r, 1, np.where(links[r, s], 0, 2))
+            delivered = np.zeros_like(links)
+            delivered[r, s] = True
+            for r_missing, s_missing in np.argwhere(links & ~delivered).tolist():
+                missing.append(((k, l, s_missing, r_missing), "expected delivery missing"))
+    violations = [(tuple(ledger[i].tolist()), AUDIT_REASONS[verdict[i]]) for i in np.flatnonzero(verdict)]
+    violations += missing
     return AuditReport(
         passed=not violations,
         violations=tuple(violations),
-        message_count=len(trace.deliveries),
+        message_count=len(ledger),
         expected_count=expected,
     )

@@ -23,7 +23,7 @@ class RunTrace:
     params: object
     gradient_evaluations: int
     row_communications: int
-    deliveries: list | None = field(default=None, repr=False)
+    deliveries: np.ndarray | None = field(default=None, repr=False)  # int32 rows (iteration, round, sender, receiver)
 
     @classmethod
     def start(cls, x0, y0, iterations: int, params) -> "RunTrace":

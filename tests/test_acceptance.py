@@ -168,15 +168,13 @@ def test_c09_message_passing_oracle(corpus):
         audit = gg.locality_audit(run.net_trace, run.schedule)
         ok = ok and audit.passed and audit.message_count == audit.expected_count
         # per-iteration count: m rounds, one message per off-diagonal weight
-        per_iteration: dict[int, int] = {}
-        for record in run.net_trace.deliveries:
-            per_iteration[record.iteration] = per_iteration.get(record.iteration, 0) + 1
+        per_iteration = np.bincount(run.net_trace.deliveries[:, 0], minlength=run.trace.iterations)
         for k in range(run.trace.iterations):
             expected = 0
             for l in range(1, run.params.m + 1):
                 W = gg.matrix_at(run.schedule, k, l).weights
                 expected += int(np.count_nonzero(W)) - int(np.count_nonzero(np.diag(W)))
-            ok = ok and per_iteration.get(k, 0) == expected
+            ok = ok and per_iteration[k] == expected
     ok = ok and worst <= 1e-12
     report("C09", "message-passing-equivalence", ok, f"max trace gap {worst:.2e}")
 

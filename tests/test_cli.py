@@ -5,7 +5,15 @@ import pytest
 
 import gossipgrad as gg
 from gossipgrad.cli import main
-from gossipgrad.config import load_run_config, parse_entry, parse_matrix
+from gossipgrad.config import (
+    build_problem,
+    build_schedule,
+    initial_states,
+    load_run_config,
+    parse_entry,
+    parse_matrix,
+    resolve_params,
+)
 
 from conftest import fit_tail_rate
 
@@ -175,8 +183,15 @@ class TestRunCommand:
             ("quadratic", "x0 = random", "x0 = 1.0, b, 0.0"),
             ("quadratic", "x0 = random", "x0 = ;"),
             ("quadratic", "source = five-agent-pair", "source = ring\nn = -1"),
+            ("quadratic", "source = five-agent-pair", "source = inline\nmatrix1 = nan, 0.5; 0.5, 0.5"),
+            ("quadratic", "x0 = random", "x0 = nan, 0, 0"),
+            ("quadratic", "alpha = auto", "alpha = 0.9"),
+            ("quadratic", "rho = auto", "rho = 0.4"),
         ],
-        ids=["unknown-kind", "iterations", "mu", "target", "alpha-nan", "alpha-inf", "L-inf", "x0", "x0-empty", "ring-n"],
+        ids=[
+            "unknown-kind", "iterations", "mu", "target", "alpha-nan", "alpha-inf", "L-inf", "x0", "x0-empty",
+            "ring-n", "matrix-nan", "x0-nan", "alpha-expanding", "rho-below-factor",
+        ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, base, old, new):
         bad = tmp_path / "bad.ini"
@@ -188,6 +203,28 @@ class TestRunCommand:
             bad.write_text(text.replace(old, new))
         assert main(["run", str(bad), "--output", str(tmp_path / "x.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_user_stepsize_resolves_its_true_contraction(self, tmp_path):
+        config = tmp_path / "alpha.ini"
+        config.write_text((CONFIGS / "quadratic.ini").read_text().replace("alpha = auto", "alpha = 0.4"))
+        cfg = load_run_config(config)
+        problem = build_problem(cfg)
+        params = resolve_params(cfg, problem)
+        # max(|1 - 0.4 * 1|, |1 - 0.4 * 3|) = 0.6, not the auto (L - mu) / (L + mu) = 0.5
+        assert params.rho == 0.6 and params.m == 5
+        trace = gg.run_algorithm(problem, build_schedule(cfg, params.m), params, initial_states(cfg, problem), 60)
+        records = gg.lyapunov_trace(trace, gg.fixed_point(problem, params), params)
+        assert not any(record.exceeds_tolerance for record in records)
+        assert main(["run", str(config), "--output", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input under test
+    def test_overflowing_run_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "overflow.ini"
+        config.write_text((CONFIGS / "quadratic.ini").read_text().replace("x0 = random", "x0 = 1e308, 1e308, 1e308"))
+        out = tmp_path / "x.csv"
+        assert main(["run", str(config), "--output", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_singular_run_exits_3(self, tmp_path):
         # All agents start at a consensus point equal to agent 2's anchor;

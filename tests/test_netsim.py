@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ class TestEquivalence:
         schedule = gg.GossipSchedule.constant(gg.GossipMatrix([[1.0]]))
         params = gg.AlgorithmParams.derive(0.3, 0.4, 0.5)
         trace = gg.run_netsim(problem, schedule, params, np.array([[4.0]]), 30)
-        assert trace.deliveries == []
+        assert len(trace.deliveries) == 0
         central = gg.centralized_gd(problem, 0.3, np.array([4.0]), 30)
         assert np.abs(trace.x[:, 0, :] - central).max() <= 1e-12
 
@@ -55,7 +57,23 @@ class TestEquivalence:
         a = gg.run_netsim(problem, schedule, params, x0, 15)
         b = gg.run_netsim(problem, schedule, params, x0, 15)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        assert a.deliveries == b.deliveries
+        assert np.array_equal(a.deliveries, b.deliveries)
+
+    def test_large_m_ring_matches_vectorized(self):
+        n = 40
+        ring = gg.ring_matrix(n)
+        problem = gg.random_quadratic_problem(n, 3, 1.0, 3.0, seed=21)
+        schedule = gg.GossipSchedule.constant(ring)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring))
+        assert params.m == 164
+        x0 = np.random.default_rng(6).standard_normal((n, 3))
+        vec = gg.run_algorithm(problem, schedule, params, x0, 4)
+        net = gg.run_netsim(problem, schedule, params, x0, 4)
+        for key in ("x", "y", "v", "u"):
+            assert np.abs(getattr(vec, key) - getattr(net, key)).max() <= 1e-12, key
+        report = gg.locality_audit(net, schedule)
+        assert report.passed
+        assert report.message_count == report.expected_count == 4 * 164 * 2 * n == 52480
 
     def test_agent_count_mismatch(self, pair):
         problem = gg.random_quadratic_problem(4, 2, 1.0, 2.0, seed=0)
@@ -111,6 +129,33 @@ class TestLocalityAudit:
         assert report.passed
         assert report.message_count == 3 * n * (n - 1)
 
+    def test_edited_ledger_is_caught(self, pair):
+        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
+        schedule = gg.GossipSchedule.constant(pair[0])
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
+        trace = gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2)
+        ledger = trace.deliveries
+        assert ledger.dtype == np.int32 and ledger.shape == (2 * params.m * 12, 4)
+
+        dropped = gg.locality_audit(replace(trace, deliveries=np.delete(ledger, 3, axis=0)), schedule)
+        assert not dropped.passed
+        assert dropped.violations == ((tuple(ledger[3].tolist()), "expected delivery missing"),)
+
+        self_row = np.array([[1, 2, 4, 4]], dtype=np.int32)
+        looped = gg.locality_audit(replace(trace, deliveries=np.vstack([ledger, self_row])), schedule)
+        assert not looped.passed
+        assert looped.violations == (((1, 2, 4, 4), "self-delivery"),)
+
+    def test_ledger_row_outside_the_run_is_a_violation(self, pair):
+        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
+        schedule = gg.GossipSchedule.constant(pair[0])
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
+        trace = gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2)
+        stray = np.array([[2, 1, 1, 0], [0, params.m + 1, 1, 0], [0, 1, 1, 5]], dtype=np.int32)
+        report = gg.locality_audit(replace(trace, deliveries=np.vstack([trace.deliveries, stray])), schedule)
+        assert not report.passed
+        assert [reason for _, reason in report.violations] == ["delivery outside the run"] * 3
+
     def test_vectorized_trace_has_no_ledger(self, corpus):
         with pytest.raises(ConfigError):
             gg.locality_audit(corpus[0].trace, corpus[0].schedule)
@@ -120,17 +165,16 @@ class TestAgentNode:
     def test_duplicate_message_rejected(self):
         f = gg.QuadraticObjective(np.eye(2), np.zeros((1, 2))).agent(0)
         node = gg.AgentNode(0, f, np.zeros(2), np.zeros(2))
-        message = gg.Message(round_index=1, sender=2, payload=np.ones(2))
-        node.receive(message)
+        node.receive(2, np.ones(2))
         with pytest.raises(ProtocolError):
-            node.receive(message)
+            node.receive(2, np.ones(2))
 
     def test_fold_uses_ascending_sender_order_with_own_value(self):
         f = gg.QuadraticObjective(np.eye(1), np.zeros((1, 1))).agent(0)
         node = gg.AgentNode(1, f, np.array([10.0]), np.zeros(1))
         node.begin_iteration()
-        node.receive(gg.Message(round_index=1, sender=0, payload=np.array([1.0])))
-        node.receive(gg.Message(round_index=1, sender=2, payload=np.array([2.0])))
+        node.receive(0, np.array([1.0]))
+        node.receive(2, np.array([2.0]))
         node.fold_inbox(np.array([0.25, 0.5, 0.25]))
         assert node.v[0] == pytest.approx(0.25 * 1.0 + 0.5 * 10.0 + 0.25 * 2.0)
         assert node.inbox == {}
