@@ -41,6 +41,7 @@ from .gossip import (
     GossipSchedule,
     complete_matrix,
     matrix_at,
+    mixing_product,
     product_gap,
     ring_matrix,
     spectral_gap,

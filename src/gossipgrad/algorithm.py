@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .gossip import GossipSchedule, matrix_at
+from .gossip import GossipSchedule, matrix_at, mixing_product
 from .objective import Problem
 from .trace import RunTrace
 
@@ -105,20 +105,26 @@ def algorithm_iteration(
     x: np.ndarray,
     y: np.ndarray,
     iteration: int,
+    mixing: np.ndarray | None = None,
 ):
     """One iteration on stacked states x, y of shape (n, d).
 
     Returns (x_next, y_next, v, u) with v the post-communication and u the
     post-gradient points; evaluates each local gradient exactly once, at v.
+    ``mixing``, when given, is this iteration's m-round product (see
+    ``mixing_product``) and replaces the m rounds with one product.
     """
     n, d = x.shape
     if problem.n != n:
         raise ConfigError(f"states have {n} agents but the problem has {problem.n}")
     if schedule.n != n:
         raise ConfigError(f"states have {n} agents but the schedule mixes {schedule.n}")
-    v = x
-    for round_index in range(1, params.m + 1):
-        v = matrix_at(schedule, iteration, round_index).weights @ v
+    if mixing is None:
+        v = x
+        for round_index in range(1, params.m + 1):
+            v = matrix_at(schedule, iteration, round_index).weights @ v
+    else:
+        v = mixing @ x
     u = v - params.alpha * problem.objective.gradient(v)
     y_next = y + x - v
     x_next = u - params.lam * y_next
@@ -137,13 +143,15 @@ def run_algorithm(
 
     x0 has shape (n, d); y0 defaults to zeros and must have blocks summing to
     zero. Gradient evaluations are counted per agent and asserted to be one
-    per iteration.
+    per iteration. A single-matrix schedule mixes with W^m, formed once per
+    run, in place of m rounds per iteration.
     """
     trace = RunTrace.start(x0, y0, iterations, params)
+    mixing = mixing_product(schedule, 0, params.m) if len(schedule.matrices) == 1 else None
     calls_before = problem.objective.gradient_calls.copy()
     x, y = trace.x[0], trace.y[0]
     for k in range(iterations):
-        x, y, trace.v[k], trace.u[k] = algorithm_iteration(problem, schedule, params, x, y, k)
+        x, y, trace.v[k], trace.u[k] = algorithm_iteration(problem, schedule, params, x, y, k, mixing)
         trace.x[k + 1], trace.y[k + 1] = x, y
     trace.count_gradients(problem.objective.gradient_calls - calls_before)
     trace.row_communications = trace.n * params.m * iterations

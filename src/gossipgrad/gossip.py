@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError
 
 DOUBLY_STOCHASTIC_TOL = 1e-9
+GAP_ROUNDOFF = 16 * np.finfo(float).eps  # per agent
 
 
 class GossipMatrix:
@@ -115,15 +116,20 @@ def spectral_gap(matrix) -> float:
 
     Accepts a GossipMatrix or a raw square array. Zero means one round
     reaches exact consensus; values below 1 mean disagreement shrinks. A
-    symmetric W takes the symmetric eigensolver, any other the SVD.
+    symmetric W takes the symmetric eigensolver, any other the SVD. Both
+    err by a small multiple of n * eps, so a gap that close to 1 is
+    reported as exactly 1: a disconnected or periodic mixture never mixes,
+    and no round count can be derived from its roundoff.
     """
     W = matrix.weights if isinstance(matrix, GossipMatrix) else np.asarray(matrix, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ConfigError(f"spectral gap needs a square matrix, got shape {W.shape}")
     deviation = W - 1.0 / W.shape[0]
     if np.array_equal(deviation, deviation.T):
-        return float(np.abs(np.linalg.eigvalsh(deviation)).max())
-    return float(np.linalg.norm(deviation, 2))
+        gap = float(np.abs(np.linalg.eigvalsh(deviation)).max())
+    else:
+        gap = float(np.linalg.norm(deviation, 2))
+    return 1.0 if abs(1.0 - gap) <= GAP_ROUNDOFF * W.shape[0] else gap
 
 
 def _counter_draw(seed: int, iteration: int, round_index: int, count: int) -> int:
@@ -211,14 +217,32 @@ def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> Gos
     return schedule.matrices[idx]
 
 
-def product_gap(schedule: GossipSchedule, iteration: int, rounds: int) -> float:
-    """Spectral gap of the ordered product of the ``rounds`` matrices at one iteration.
+def mixing_product(schedule: GossipSchedule, iteration: int, rounds: int) -> np.ndarray:
+    """Ordered product W(k, rounds) @ ... @ W(k, 1) of one iteration's rounds.
 
-    The product applies round 1 first, i.e. W(k, rounds) @ ... @ W(k, 1).
+    A schedule with a single matrix gives W^rounds by left-to-right binary
+    powering, O(n^3 log rounds) in two alternating n x n buffers; at
+    rounds = 1 that is W's own read-only values. Any other schedule
+    multiplies its rounds in order, round 1 first.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    product = np.eye(schedule.n)
-    for round_index in range(1, rounds + 1):
-        product = matrix_at(schedule, iteration, round_index).weights @ product
-    return spectral_gap(product)
+    if len(schedule.matrices) > 1:
+        product = np.eye(schedule.n)
+        for round_index in range(1, rounds + 1):
+            product = matrix_at(schedule, iteration, round_index).weights @ product
+        return product
+    W = schedule.matrices[0].weights
+    buffers = (np.empty_like(W), np.empty_like(W))
+    power = W
+    for bit in bin(rounds)[3:]:
+        # Write into the buffer that ``power`` does not occupy.
+        power = np.matmul(power, power, out=buffers[power is buffers[0]])
+        if bit == "1":
+            power = np.matmul(power, W, out=buffers[power is buffers[0]])
+    return power
+
+
+def product_gap(schedule: GossipSchedule, iteration: int, rounds: int) -> float:
+    """Spectral gap of the ordered product of the ``rounds`` matrices at one iteration."""
+    return spectral_gap(mixing_product(schedule, iteration, rounds))

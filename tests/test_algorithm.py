@@ -179,6 +179,42 @@ class TestRun:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
+def per_round_reference(problem, schedule, params, x0, iterations):
+    """x, y, v, u of a run that mixes with m explicit rounds per iteration."""
+    x, y = x0, np.zeros_like(x0)
+    xs, ys, vs, us = [x], [y], [], []
+    for k in range(iterations):
+        v = x
+        for round_index in range(1, params.m + 1):
+            v = gg.matrix_at(schedule, k, round_index).weights @ v
+        u = v - params.alpha * problem.objective.gradient(v)
+        y = y + x - v
+        x = u - params.lam * y
+        xs.append(x)
+        ys.append(y)
+        vs.append(v)
+        us.append(u)
+    return np.array(xs), np.array(ys), np.array(vs), np.array(us)
+
+
+class TestLargeM:
+    """A single-matrix schedule mixes with W^m formed once per run; it must match m explicit rounds."""
+
+    def test_ring_100_matches_per_round_loop(self):
+        ring = gg.ring_matrix(100)
+        problem = gg.random_quadratic_problem(ring.n, 10, 1.0, 3.0, seed=9)
+        schedule = gg.GossipSchedule.constant(ring)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring))
+        assert params.m == 1027
+        x0 = np.random.default_rng(4).standard_normal((ring.n, 10))
+        trace = gg.run_algorithm(problem, schedule, params, x0, 5)
+        reference = per_round_reference(problem, schedule, params, x0, 5)
+        for got, want in zip((trace.x, trace.y, trace.v, trace.u), reference):
+            assert np.abs(got - want).max() <= 1e-12
+        assert trace.gradient_evaluations == ring.n * 5
+        assert trace.row_communications == ring.n * params.m * 5
+
+
 class TestCentralizedGd:
     def test_exact_one_step_convergence(self):
         f = gg.QuadraticObjective(np.array([[1.0]]), np.zeros((1, 1)))

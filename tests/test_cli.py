@@ -18,6 +18,8 @@ from gossipgrad.config import (
 from conftest import fit_tail_rate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# Two blocks that never exchange values; LAPACK puts its gap at 0.9999999999999998.
+DISCONNECTED = "1/2, 1/2, 0, 0, 0; 1/2, 1/2, 0, 0, 0; 0, 0, 1/3, 1/3, 1/3; 0, 0, 1/3, 1/3, 1/3; 0, 0, 1/3, 1/3, 1/3"
 
 
 def read_csv(path):
@@ -187,10 +189,11 @@ class TestRunCommand:
             ("quadratic", "x0 = random", "x0 = nan, 0, 0"),
             ("quadratic", "alpha = auto", "alpha = 0.9"),
             ("quadratic", "rho = auto", "rho = 0.4"),
+            ("quadratic", "source = five-agent-pair", f"source = inline\nmatrix1 = {DISCONNECTED}"),
         ],
         ids=[
             "unknown-kind", "iterations", "mu", "target", "alpha-nan", "alpha-inf", "L-inf", "x0", "x0-empty",
-            "ring-n", "matrix-nan", "x0-nan", "alpha-expanding", "rho-below-factor",
+            "ring-n", "matrix-nan", "x0-nan", "alpha-expanding", "rho-below-factor", "disconnected",
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, base, old, new):

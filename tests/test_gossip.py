@@ -57,6 +57,16 @@ class TestSpectralGap:
         with pytest.raises(ConfigError):
             gg.spectral_gap(np.ones((2, 3)))
 
+    def test_gap_within_roundoff_of_one_is_one(self):
+        # Disconnected blocks: LAPACK gives 0.9999999999999998, which would
+        # derive m near 1e16 rounds for a network that never mixes.
+        half, third = np.full((2, 2), 1 / 2), np.full((3, 3), 1 / 3)
+        W = np.block([[half, np.zeros((2, 3))], [np.zeros((3, 2)), third]])
+        assert np.abs(np.linalg.eigvalsh(W - 1 / 5)).max() < 1.0
+        assert gg.spectral_gap(W) == 1.0
+        with pytest.raises(ValueError):
+            gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(W))
+
     def test_single_agent(self):
         assert gg.spectral_gap(gg.GossipMatrix([[1.0]])) == 0.0
 
@@ -191,6 +201,42 @@ class TestProductGap:
     def test_rounds_must_be_positive(self, pair):
         with pytest.raises(ValueError):
             gg.product_gap(gg.GossipSchedule.constant(pair[0]), 0, 0)
+
+
+def written_out_product(schedule, iteration, rounds):
+    product = np.eye(schedule.n)
+    for round_index in range(1, rounds + 1):
+        product = gg.matrix_at(schedule, iteration, round_index).weights @ product
+    return product
+
+
+MIXING_SCHEDULES = {
+    "constant-ring": lambda: gg.GossipSchedule.constant(gg.ring_matrix(40)),
+    "constant-birkhoff": lambda: gg.GossipSchedule.constant(random_doubly_stochastic(6, 3, seed=4)),
+    "cyclic": lambda: gg.GossipSchedule.cyclic([random_doubly_stochastic(6, 3, seed=s) for s in (5, 6, 7)], 4),
+    "random": lambda: gg.GossipSchedule.random_choice([random_doubly_stochastic(6, 2, seed=s) for s in (8, 9)], 13),
+}
+
+
+class TestMixingProduct:
+    @pytest.mark.parametrize("kind", sorted(MIXING_SCHEDULES))
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 6, 164])
+    def test_matches_written_out_product(self, kind, rounds):
+        schedule = MIXING_SCHEDULES[kind]()
+        for k in (0, 2):
+            product = gg.mixing_product(schedule, k, rounds)
+            assert np.abs(product - written_out_product(schedule, k, rounds)).max() <= 1e-12
+            assert np.abs(product.sum(axis=0) - 1.0).max() <= 1e-12
+            assert np.abs(product.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_one_round_is_the_matrix(self, pair):
+        assert np.array_equal(gg.mixing_product(gg.GossipSchedule.constant(pair[0]), 3, 1), pair[0].weights)
+
+    @pytest.mark.parametrize("kind", sorted(MIXING_SCHEDULES))
+    def test_rounds_must_be_positive(self, kind):
+        for rounds in (0, -1):
+            with pytest.raises(ValueError):
+                gg.mixing_product(MIXING_SCHEDULES[kind](), 0, rounds)
 
 
 class TestBuiltins:

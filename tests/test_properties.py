@@ -1,6 +1,8 @@
-"""Property tests: spectral gaps against LAPACK, and batched against per-agent gradients."""
+"""Property tests: spectral and product gaps against LAPACK and the round-count
+formula, and batched against per-agent gradients."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +41,39 @@ class TestSpectralGapProperties:
         W = birkhoff_mixture(n, k, np.random.default_rng(seed))
         assume(not np.array_equal(W, W.T))
         assert np.isclose(gg.spectral_gap(W), lapack_gap(W), rtol=1e-12, atol=0)
+
+
+class TestProductGapProperties:
+    """The guarantee rests on the gap of the whole m-round product, not on sigma^m alone."""
+
+    @staticmethod
+    def symmetric_schedule(n, k, seed):
+        W = birkhoff_mixture(n, k, np.random.default_rng(seed))
+        return gg.GossipSchedule.constant(gg.GossipMatrix(0.5 * (W + W.T)))
+
+    @common
+    @given(n=st.integers(2, 12), k=st.integers(1, 4), m=st.integers(1, 300), seed=seeds)
+    def test_constant_product_gap_is_gap_to_the_m(self, n, k, m, seed):
+        schedule = self.symmetric_schedule(n, k, seed)
+        sigma = gg.spectral_gap(schedule.matrices[0])
+        assert abs(gg.product_gap(schedule, 0, m) - sigma**m) <= 1e-12
+
+    @common
+    @given(n=st.integers(2, 12), k=st.integers(1, 4), rho=st.floats(0.01, 0.99), seed=seeds)
+    def test_derived_rounds_bring_the_product_below_sigma0(self, n, k, rho, seed):
+        schedule = self.symmetric_schedule(n, k, seed)
+        W = schedule.matrices[0].weights
+        sigma = gg.spectral_gap(W)
+        # A second eigenvalue of modulus 1 marks a disconnected or periodic
+        # mixture: it never mixes, so no round count may be derived.
+        if np.sort(np.abs(np.linalg.eigvalsh(W)))[-2] > 1 - 1e-9:
+            assert sigma == 1.0
+            with pytest.raises(ValueError):
+                gg.comm_rounds(rho, sigma)
+            return
+        assume(sigma > 0)
+        m = gg.comm_rounds(rho, sigma)
+        assert gg.product_gap(schedule, 0, m) <= gg.sigma0(rho)
 
 
 def assert_rows_match_views(family, X):
