@@ -55,7 +55,7 @@ from .localization import (
     optimal_stepsize,
     target_hessian,
 )
-from .netsim import AgentNode, AuditReport, locality_audit, run_netsim
+from .netsim import AuditReport, locality_audit, run_netsim
 from .objective import (
     ContractionParams,
     Problem,

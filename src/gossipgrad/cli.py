@@ -52,14 +52,15 @@ def cmd_run(args) -> int:
     schedule = build_schedule(config, params.m)
     x0 = initial_states(config, problem)
     runner = run_netsim if (args.mode or config.mode) == "netsim" else run_algorithm
-    trace = runner(problem, schedule, params, x0, config.iterations)
-
     xstar = problem.optimizer
-    errors = trace.errors(xstar)
-    fp = analysis.fixed_point(problem, params)
-    records = analysis.lyapunov_trace(trace, fp, params)
-    central = centralized_gd(problem, params.alpha, x0.mean(axis=0), config.iterations)
-    central_err = np.linalg.norm(central - xstar, axis=1)
+    # Overflow is caught by the finiteness check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        trace = runner(problem, schedule, params, x0, config.iterations)
+        errors = trace.errors(xstar)
+        fp = analysis.fixed_point(problem, params)
+        records = analysis.lyapunov_trace(trace, fp, params)
+        central = centralized_gd(problem, params.alpha, x0.mean(axis=0), config.iterations)
+        central_err = np.linalg.norm(central - xstar, axis=1)
     energies = [record.value for record in records]
     if not (np.isfinite(errors).all() and np.isfinite(energies).all() and np.isfinite(central_err).all()):
         print("numerical failure: the run produced non-finite errors or energies", file=sys.stderr)

@@ -1,11 +1,17 @@
 """Synchronous message-passing execution of the algorithm.
 
-Every agent is an isolated state machine holding only its objective, its own
-states, and its own row of the current mixing matrix; all cross-agent data
-arrives as explicit messages. A round has two phases: deliver every message,
-then let every agent fold its inbox. This path exists to prove the algorithm
-is decentralized and to serve as an independent oracle for the vectorized
-execution: both must produce the same trace.
+Agent states are stacked one row per agent, and each row is owned by its
+agent: agent i reads only its own states, its own row of the current mixing
+matrix, and the payloads addressed to it; it evaluates only its own
+objective, through the family's ``agent(i)`` view. A round has two phases:
+deliver every message, copied from the senders' pre-round values, then let
+every agent fold what it received, in ascending sender order with its own
+value at its own index. A round plan, built once per run for each schedule
+matrix, fixes the messages and every agent's fold, so a round costs
+``O(|E| d + n * width * d)`` with ``|E|`` the round's messages and ``width``
+the longest row. This path exists to prove the algorithm is decentralized
+and to serve as an independent oracle for the vectorized execution: both
+must produce the same trace.
 """
 
 from __future__ import annotations
@@ -20,52 +26,64 @@ from .objective import Problem
 from .trace import RunTrace
 
 
-class AgentNode:
-    """One agent: objective, states (x, y), and an inbox for the current round.
+@dataclass(frozen=True)
+class RoundPlan:
+    """The messages of one schedule matrix's rounds and every agent's fold of them.
 
-    The objective is the agent's own view of the family (``agent(i)``). The
-    node never touches another node; it only reads messages and the row of
-    weights it was handed for the round.
+    A round copies each sender's value into ``pool`` (own values in rows
+    ``0..n-1``, then one payload per edge, then a zero row). Step ``p`` of
+    the fold adds ``weights[p, i] * pool[sources[p, i]]`` to agent i's total:
+    its p-th nonzero row entry, in ascending sender order, read from its own
+    value or from the payload addressed to it. Shorter rows are padded with
+    the zero row at weight 0.
     """
 
-    def __init__(self, agent_id: int, objective, x0: np.ndarray, y0: np.ndarray):
-        self.id = agent_id
-        self.objective = objective
-        self.x = np.array(x0, dtype=float)
-        self.y = np.array(y0, dtype=float)
-        self.v = self.x.copy()
-        self.inbox: dict[int, np.ndarray] = {}
+    edges: np.ndarray  # (|E|, 2) sender, receiver, in delivery order
+    sources: np.ndarray  # (width, n) pool row per fold step
+    weights: np.ndarray  # (width, n, 1) row weight per fold step
+    pool: np.ndarray  # (n + |E| + 1, d) round buffer
 
-    def begin_iteration(self):
-        self.v = self.x.copy()
-        self.inbox.clear()
 
-    def receive(self, sender: int, payload: np.ndarray):
-        if sender in self.inbox:
-            raise ProtocolError(f"agent {self.id} received two messages from {sender} in one round")
-        self.inbox[sender] = payload
+def round_plan(W: np.ndarray, row_overrides: dict, extra_edges: np.ndarray, d: int) -> RoundPlan:
+    """Plan the rounds of one mixing matrix, checking every delivery and fold once.
 
-    def fold_inbox(self, row: np.ndarray):
-        """Weighted sum of the inbox in ascending sender order; self weight uses own v."""
-        total = np.zeros_like(self.v)
-        for j in np.flatnonzero(row).tolist():
-            weight = row[j]
-            if j == self.id:
-                total += weight * self.v
-            else:
-                if j not in self.inbox:
-                    raise ProtocolError(
-                        f"agent {self.id} expected a message from {j} (weight {weight}) but none arrived"
-                    )
-                total += weight * self.inbox[j]
-        self.v = total
-        self.inbox.clear()
+    Messages ride the nonzero off-diagonal weights in row-major (receiver,
+    sender) order, then the forced extra edges. Raises ``ProtocolError`` on
+    the first repeated (sender, receiver) pair in delivery order, else on
+    the first row entry, by agent and then sender, whose message never
+    arrives.
+    """
+    n = W.shape[0]
+    links = W != 0.0
+    np.fill_diagonal(links, False)
+    edges = np.concatenate([np.argwhere(links)[:, ::-1], extra_edges])
+    senders, receivers = edges.T
+    _, first = np.unique(receivers * n + senders, return_index=True)
+    if len(first) < len(edges):
+        repeated = np.ones(len(edges), dtype=bool)
+        repeated[first] = False
+        e = np.flatnonzero(repeated)[0]
+        raise ProtocolError(f"agent {receivers[e]} received two messages from {senders[e]} in one round")
+    slot = np.full((n, n), -1)
+    slot[receivers, senders] = np.arange(len(edges))
 
-    def gradient_update(self, alpha: float, lam: float):
-        u = self.v - alpha * self.objective.gradient(self.v)
-        self.y = self.y + self.x - self.v
-        self.x = u - lam * self.y
-        return u
+    rows = np.array([row_overrides.get(i, W[i]) for i in range(n)], dtype=float)
+    agent, sender = np.nonzero(rows)  # row-major: by agent, then ascending sender
+    own = agent == sender
+    delivered = slot[agent, sender]
+    missing = np.flatnonzero(~own & (delivered < 0))
+    if len(missing):
+        i, j = agent[missing[0]], sender[missing[0]]
+        raise ProtocolError(f"agent {i} expected a message from {j} (weight {rows[i, j]}) but none arrived")
+
+    counts = np.bincount(agent, minlength=n)
+    step = np.arange(len(agent)) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = int(counts.max())
+    sources = np.full((width, n), n + len(edges))
+    weights = np.zeros((width, n, 1))
+    sources[step, agent] = np.where(own, agent, n + delivered)
+    weights[step, agent, 0] = rows[agent, sender]
+    return RoundPlan(edges, sources, weights, np.zeros((n + len(edges) + 1, d)))
 
 
 def run_netsim(
@@ -85,50 +103,50 @@ def run_netsim(
     tampering hooks for negative tests and default to off.
     """
     trace = RunTrace.start(x0, y0, iterations, params)
-    n = trace.n
+    n, d = trace.n, trace.dimension
     if problem.n != n or schedule.n != n:
         raise ConfigError(
             f"agent count mismatch: states {n}, problem {problem.n}, schedule {schedule.n}"
         )
     row_overrides = row_overrides or {}
     extra_edges = np.array(extra_edges or [], dtype=np.int64).reshape(-1, 2)
+    if not ((extra_edges >= 0) & (extra_edges < n)).all():
+        raise ConfigError(f"extra edges must join agents 0..{n - 1}")
 
     calls_before = problem.objective.gradient_calls.copy()
-    agents = [AgentNode(i, problem.objective.agent(i), trace.x[0, i], trace.y[0, i]) for i in range(n)]
+    views = [problem.objective.agent(i) for i in range(n)]
+    plans: dict = {}  # GossipMatrix -> RoundPlan, for this run only
     ledger = [np.empty((0, 4), dtype=np.int32)]
-    row_communications = 0
+    x, y = trace.x[0], trace.y[0]
 
     for k in range(iterations):
-        for agent in agents:
-            agent.begin_iteration()
+        v = x
         for round_index in range(1, params.m + 1):
-            W = matrix_at(schedule, k, round_index).weights
-            # Delivery phase: all sends use the pre-round values, so agent
-            # order cannot matter (synchronous barrier). Messages ride the
-            # nonzero off-diagonal weights in row-major (receiver, sender)
-            # order, then the forced extra edges.
-            links = W != 0.0
-            np.fill_diagonal(links, False)
-            edges = np.concatenate([np.argwhere(links)[:, ::-1], extra_edges])  # (sender, receiver)
-            outgoing = [agent.v.copy() for agent in agents]
-            for sender, receiver in edges.tolist():
-                agents[receiver].receive(sender, outgoing[sender])
-            chunk = np.empty((len(edges), 4), dtype=np.int32)
-            chunk[:, 0], chunk[:, 1], chunk[:, 2:] = k, round_index, edges
+            matrix = matrix_at(schedule, k, round_index)
+            plan = plans.get(matrix)
+            if plan is None:
+                plan = plans[matrix] = round_plan(matrix.weights, row_overrides, extra_edges, d)
+            # Delivery: every payload is a copy of the sender's pre-round
+            # value (synchronous barrier), so agent order cannot matter.
+            senders = plan.edges[:, 0]
+            plan.pool[:n] = v
+            np.take(v, senders, axis=0, out=plan.pool[n:-1])
+            chunk = np.empty((len(senders), 4), dtype=np.int32)
+            chunk[:, 0], chunk[:, 1], chunk[:, 2:] = k, round_index, plan.edges
             ledger.append(chunk)
-            # Compute phase.
-            for agent in agents:
-                row = row_overrides.get(agent.id, W[agent.id])
-                agent.fold_inbox(row)
-                row_communications += 1
-        for agent in agents:
-            trace.v[k, agent.id] = agent.v
-            trace.u[k, agent.id] = agent.gradient_update(params.alpha, params.lam)
-            trace.x[k + 1, agent.id] = agent.x
-            trace.y[k + 1, agent.id] = agent.y
+            # Fold: every agent sums its row in ascending sender order.
+            terms = plan.weights * plan.pool[plan.sources]
+            v = np.zeros((n, d))
+            for term in terms:
+                v += term
+        gradients = np.array([view.gradient(point) for view, point in zip(views, v)])
+        trace.v[k] = v
+        trace.u[k] = u = v - params.alpha * gradients
+        trace.y[k + 1] = y = y + x - v
+        trace.x[k + 1] = x = u - params.lam * y
 
     trace.count_gradients(problem.objective.gradient_calls - calls_before)
-    trace.row_communications = row_communications
+    trace.row_communications = n * params.m * iterations
     trace.deliveries = np.concatenate(ledger)
     return trace
 

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,13 +221,18 @@ class TestRunCommand:
         assert not any(record.exceeds_tolerance for record in records)
         assert main(["run", str(config), "--output", str(tmp_path / "x.csv")]) == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input under test
-    def test_overflowing_run_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["vectorized", "netsim"])
+    def test_overflowing_run_exits_3(self, tmp_path, capsys, mode):
         config = tmp_path / "overflow.ini"
         config.write_text((CONFIGS / "quadratic.ini").read_text().replace("x0 = random", "x0 = 1e308, 1e308, 1e308"))
         out = tmp_path / "x.csv"
-        assert main(["run", str(config), "--output", str(out)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(config), "--mode", mode, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     def test_singular_run_exits_3(self, tmp_path):

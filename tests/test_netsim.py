@@ -161,20 +161,109 @@ class TestLocalityAudit:
             gg.locality_audit(corpus[0].trace, corpus[0].schedule)
 
 
-class TestAgentNode:
-    def test_duplicate_message_rejected(self):
-        f = gg.QuadraticObjective(np.eye(2), np.zeros((1, 2))).agent(0)
-        node = gg.AgentNode(0, f, np.zeros(2), np.zeros(2))
-        node.receive(2, np.ones(2))
-        with pytest.raises(ProtocolError):
-            node.receive(2, np.ones(2))
+def sequential_reference(problem, schedule, params, x0, iterations, row_overrides=None):
+    """Message passing written out per agent, independent of the runner's round plans.
 
-    def test_fold_uses_ascending_sender_order_with_own_value(self):
-        f = gg.QuadraticObjective(np.eye(1), np.zeros((1, 1))).agent(0)
-        node = gg.AgentNode(1, f, np.array([10.0]), np.zeros(1))
-        node.begin_iteration()
-        node.receive(0, np.array([1.0]))
-        node.receive(2, np.array([2.0]))
-        node.fold_inbox(np.array([0.25, 0.5, 0.25]))
-        assert node.v[0] == pytest.approx(0.25 * 1.0 + 0.5 * 10.0 + 0.25 * 2.0)
-        assert node.inbox == {}
+    Every round each agent copies out its value, then folds its row in
+    ascending sender order: its own value at its own index, the copy sent by
+    j elsewhere, ``total += w * value``. Returns the stacked x, y, v and u.
+    """
+    row_overrides = row_overrides or {}
+    n, d = x0.shape
+    views = [problem.objective.agent(i) for i in range(n)]
+    x, y = [row.copy() for row in x0], [np.zeros(d) for _ in range(n)]
+    xs, ys, vs, us = [np.array(x)], [np.array(y)], [], []
+    for k in range(iterations):
+        v = [xi.copy() for xi in x]
+        for round_index in range(1, params.m + 1):
+            W = gg.matrix_at(schedule, k, round_index).weights
+            sent = [vi.copy() for vi in v]
+            folded = []
+            for i in range(n):
+                row = row_overrides.get(i, W[i])
+                total = np.zeros(d)
+                for j in np.flatnonzero(row):
+                    total += row[j] * (v[i] if j == i else sent[j])
+                folded.append(total)
+            v = folded
+        u = [v[i] - params.alpha * views[i].gradient(v[i]) for i in range(n)]
+        y = [y[i] + x[i] - v[i] for i in range(n)]
+        x = [u[i] - params.lam * y[i] for i in range(n)]
+        for states, value in ((xs, x), (ys, y), (vs, v), (us, u)):
+            states.append(np.array(value))
+    return {"x": np.array(xs), "y": np.array(ys), "v": np.array(vs), "u": np.array(us)}
+
+
+def random_mixtures(n, count, rng):
+    """``count`` random convex combinations of 1-3 permutation matrices: doubly stochastic."""
+    matrices = []
+    for _ in range(count):
+        W = np.zeros((n, n))
+        for w in rng.dirichlet(np.ones(rng.integers(1, 4))):
+            W[np.arange(n), rng.permutation(n)] += w
+        matrices.append(gg.GossipMatrix(W))
+    return matrices
+
+
+class TestProtocol:
+    @staticmethod
+    def tampered_run(pair, **tampering):
+        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
+        schedule = gg.GossipSchedule.constant(pair[0])
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
+        return gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2, **tampering)
+
+    def test_duplicate_of_an_existing_link_is_rejected(self, pair):
+        # Row 0 of the first matrix already takes a message from sender 1.
+        with pytest.raises(ProtocolError, match="received two messages") as caught:
+            self.tampered_run(pair, extra_edges=[(1, 0)])
+        assert str(caught.value) == "agent 0 received two messages from 1 in one round"
+
+    def test_extra_edge_listed_twice_is_rejected(self, pair):
+        with pytest.raises(ProtocolError, match="received two messages") as caught:
+            self.tampered_run(pair, extra_edges=[(1, 3), (2, 4), (1, 3)])
+        assert str(caught.value) == "agent 3 received two messages from 1 in one round"
+
+    def test_missing_message_names_lowest_agent_then_lowest_sender(self, pair):
+        W = pair[0].weights
+        undelivered = {i: [j for j in range(5) if j != i and W[i, j] == 0.0] for i in range(5)}
+        assert undelivered[2] == [0, 4] and undelivered[4] == [1, 2]
+        # Agents 4 and 2 each claim weight from every sender, delivered or not;
+        # the higher agent comes first in the dict so its order cannot decide.
+        rows = {4: np.full(5, 0.2), 2: np.full(5, 0.2)}
+        rows[2][0] = 0.125
+        with pytest.raises(ProtocolError) as caught:
+            self.tampered_run(pair, row_overrides=rows)
+        assert str(caught.value) == "agent 2 expected a message from 0 (weight 0.125) but none arrived"
+
+    def test_extra_edge_outside_the_agents_is_rejected(self, pair):
+        for edge in ((0, 5), (-1, 2)):
+            with pytest.raises(ConfigError):
+                self.tampered_run(pair, extra_edges=[edge])
+
+
+class TestFoldOrder:
+    """The runner must equal, bit for bit, every agent folding its own row in ascending sender order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("overrides", [False, True], ids=["own-rows", "overridden-rows"])
+    def test_matches_sequential_reference(self, seed, overrides):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        matrices = random_mixtures(n, int(rng.integers(1, 4)), rng)
+        schedule = gg.GossipSchedule.random_choice(matrices, seed=seed)
+        problem = gg.random_quadratic_problem(n, d, 1.0, 3.0, seed=seed, shared_hessian=bool(seed % 2))
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.01, m_override=int(rng.integers(1, 5)))
+        rows = {}
+        if overrides:
+            # Signed weights on the links every matrix delivers, plus the agent's own index.
+            common = np.logical_and.reduce([W.weights != 0.0 for W in matrices])
+            for i in rng.choice(n, size=min(n, 2), replace=False).tolist():
+                support = common[i].copy()
+                support[i] = True
+                rows[i] = np.where(support, rng.standard_normal(n), 0.0)
+        x0 = rng.standard_normal((n, d))
+        net = gg.run_netsim(problem, schedule, params, x0, 5, row_overrides=rows)
+        reference = sequential_reference(problem, schedule, params, x0, 5, rows)
+        for key in ("x", "y", "v", "u"):
+            assert np.array_equal(getattr(net, key), reference[key]), key

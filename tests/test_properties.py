@@ -1,5 +1,6 @@
 """Property tests: spectral and product gaps against LAPACK and the round-count
-formula, and batched against per-agent gradients."""
+formula, message passing against the vectorized path, and batched against
+per-agent gradients."""
 
 import numpy as np
 import pytest
@@ -75,6 +76,40 @@ class TestProductGapProperties:
         m = gg.comm_rounds(rho, sigma)
         assert gg.product_gap(schedule, 0, m) <= gg.sigma0(rho)
 
+
+
+class TestNetsimProperties:
+    """The message-passing path against the vectorized one on random time-varying schedules."""
+
+    @common
+    @given(
+        n=st.integers(2, 12),
+        count=st.integers(1, 3),
+        k=st.integers(1, 4),
+        m=st.integers(1, 8),
+        iterations=st.integers(1, 4),
+        seed=seeds,
+    )
+    def test_netsim_matches_vectorized_and_passes_the_audit(self, n, count, k, m, iterations, seed):
+        rng = np.random.default_rng(seed)
+        matrices = []
+        for _ in range(count):
+            W = birkhoff_mixture(n, k, rng)
+            matrices.append(gg.GossipMatrix(0.5 * (W + W.T)))
+        schedule = gg.GossipSchedule.random_choice(matrices, seed=seed)
+        problem = gg.random_quadratic_problem(n, 3, 1.0, 3.0, seed)
+        # Equivalence does not depend on the gap, so m is drawn freely; the
+        # declared sigma only has to admit it.
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 1e-3, m_override=m)
+        x0 = rng.standard_normal((n, 3))
+        vec = gg.run_algorithm(problem, schedule, params, x0, iterations)
+        net = gg.run_netsim(problem, schedule, params, x0, iterations)
+        for key in ("x", "y", "v", "u"):
+            assert np.abs(getattr(vec, key) - getattr(net, key)).max() <= 1e-12, key
+        report = gg.locality_audit(net, schedule)
+        assert report.passed
+        assert report.message_count == report.expected_count
+        assert net.row_communications == n * m * iterations
 
 def assert_rows_match_views(family, X):
     batched = family.gradient(X)
