@@ -11,7 +11,6 @@ from .algorithm import (
     algorithm_iteration,
     centralized_gd,
     comm_rounds,
-    dgd_baseline,
     run_algorithm,
     sigma0,
 )
@@ -24,7 +23,6 @@ from .analysis import (
     error_bound_constant,
     fit_rate,
     fixed_point,
-    locate_optimizer,
     lyapunov,
     lyapunov_trace,
 )
@@ -42,7 +40,6 @@ from .gossip import (
     complete_matrix,
     matrix_at,
     mixing_product,
-    product_gap,
     ring_matrix,
     spectral_gap,
     validate_doubly_stochastic,

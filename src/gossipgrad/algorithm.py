@@ -1,4 +1,4 @@
-"""The multi-round-gossip gradient method and its baselines.
+"""The multi-round-gossip gradient method and the centralized reference.
 
 One iteration runs m rounds of gossip on the agent estimates, evaluates each
 local gradient once at the mixed point, and applies a correction state y that
@@ -58,27 +58,23 @@ def comm_rounds(rho: float, sigma: float) -> int:
 
 @dataclass(frozen=True)
 class AlgorithmParams:
-    """Validated parameter bundle: stepsize, contraction factor, gap bound,
-    rounds per iteration m, and the correction gain lam = sqrt(1 - rho^2)."""
+    """Validated parameter bundle: stepsize, contraction factor, gap bound and
+    rounds per iteration m. A gap of 0 means one round reaches consensus."""
 
     alpha: float
     rho: float
     sigma: float
     m: int
-    lam: float
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"stepsize must be positive and finite, got {self.alpha}")
         if not 0 < self.rho < 1:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if not 0 < self.sigma < 1:
-            raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
+        if not 0 <= self.sigma < 1:
+            raise ValueError(f"sigma must be in [0, 1), got {self.sigma}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        expected_lam = math.sqrt(1.0 - self.rho**2)
-        if abs(self.lam - expected_lam) > 4.0 * np.finfo(float).eps:
-            raise ValueError(f"lam={self.lam!r} inconsistent with rho={self.rho!r}")
         if self.sigma**self.m > sigma0(self.rho):
             raise ValueError(
                 f"m={self.m} leaves sigma^m = {self.sigma**self.m:.6g} above the "
@@ -86,16 +82,25 @@ class AlgorithmParams:
                 f"{comm_rounds(self.rho, self.sigma)}"
             )
 
+    @property
+    def lam(self) -> float:
+        """Correction gain sqrt(1 - rho^2)."""
+        return math.sqrt(1.0 - self.rho**2)
+
     @classmethod
     def derive(cls, alpha: float, rho: float, sigma: float, m_override: int | None = None) -> "AlgorithmParams":
         """Build params from (alpha, rho, sigma), deriving m unless overridden.
 
         rho is clamped to at least 1e-6 so lam stays below 1 and the log in
-        the round count is well defined at the rho = 0 boundary.
+        the round count is well defined at the rho = 0 boundary. A gap of 0
+        derives m = 1.
         """
         rho = max(float(rho), RHO_FLOOR)
-        m = comm_rounds(rho, sigma) if m_override is None else int(m_override)
-        return cls(alpha=float(alpha), rho=rho, sigma=float(sigma), m=m, lam=math.sqrt(1.0 - rho**2))
+        if m_override is not None:
+            m = int(m_override)
+        else:
+            m = 1 if sigma == 0 else comm_rounds(rho, sigma)
+        return cls(alpha=float(alpha), rho=rho, sigma=float(sigma), m=m)
 
 
 def algorithm_iteration(
@@ -167,24 +172,5 @@ def centralized_gd(problem: Problem, alpha: float, x0, iterations: int) -> np.nd
     trajectory[0] = x
     for k in range(iterations):
         x = x - alpha * problem.gradient(x)
-        trajectory[k + 1] = x
-    return trajectory
-
-
-def dgd_baseline(problem: Problem, schedule: GossipSchedule, alpha: float, x0, iterations: int) -> np.ndarray:
-    """Decentralized gradient descent: one round of gossip and one gradient per step.
-
-    x(i, k+1) = sum_j W[i, j] x(j, k) - alpha * grad f_i(x(i, k)). Kept as a
-    baseline only; it converges to a neighborhood, not to the optimizer.
-    """
-    x = np.array(x0, dtype=float)
-    if x.ndim != 2 or x.shape[0] != problem.n:
-        raise ConfigError(f"x0 must have shape ({problem.n}, d), got {x.shape}")
-    if schedule.n != problem.n:
-        raise ConfigError(f"schedule mixes {schedule.n} agents but the problem has {problem.n}")
-    trajectory = np.empty((iterations + 1,) + x.shape)
-    trajectory[0] = x
-    for k in range(iterations):
-        x = matrix_at(schedule, k, 1).weights @ x - alpha * problem.objective.gradient(x)
         trajectory[k + 1] = x
     return trajectory

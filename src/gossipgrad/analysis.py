@@ -187,19 +187,3 @@ def fit_rate(errors, tail_fraction: float = 0.5) -> float:
         )
     slope = np.polyfit(usable, np.log(errors[usable]), 1)[0]
     return float(math.exp(slope))
-
-
-def locate_optimizer(problem: Problem, alpha: float, tol: float = 1e-12, max_iterations: int = 200_000) -> np.ndarray:
-    """High-accuracy centralized solve for problems without a declared optimizer.
-
-    Runs gradient descent until the average gradient norm falls below ``tol``.
-    """
-    x = np.zeros(problem.dimension)
-    for _ in range(max_iterations):
-        g = problem.gradient(x)
-        if np.linalg.norm(g) <= tol:
-            return x
-        x = x - alpha * g
-    raise AnalysisError(
-        f"centralized solve did not reach gradient norm {tol} in {max_iterations} iterations"
-    )

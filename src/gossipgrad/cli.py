@@ -112,6 +112,11 @@ def cmd_explore_m(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    for flag, value in (("--tol", args.tol), ("--radius", args.radius)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     config = load_run_config(args.config)
     problem = build_problem(config)
     params = resolve_params(config, problem)

@@ -248,8 +248,8 @@ def resolve_params(config: RunConfig, problem: Problem) -> AlgorithmParams:
             alpha = optimal_stepsize(problem, config.localization.target)
         if rho == "auto":
             rho = gd_contraction_factor(config.localization, alpha)
-    if not 0 < sigma < 1:
-        raise ConfigError(f"schedule spectral gap {sigma:.6g} is not in (0, 1); the network never mixes")
+    if not 0 <= sigma < 1:
+        raise ConfigError(f"schedule spectral gap {sigma:.6g} is not in [0, 1); the network never mixes")
     try:
         return AlgorithmParams.derive(alpha, rho, sigma, m_override=config.m_override)
     except ValueError as exc:
@@ -257,15 +257,7 @@ def resolve_params(config: RunConfig, problem: Problem) -> AlgorithmParams:
 
 
 def build_schedule(config: RunConfig, rounds_per_iteration: int) -> GossipSchedule:
-    if config.schedule_kind == "constant":
-        if len(config.schedule_matrices) != 1:
-            raise ConfigError("constant schedule takes exactly one matrix")
-        return GossipSchedule.constant(config.schedule_matrices[0])
-    if config.schedule_kind == "cyclic":
-        return GossipSchedule.cyclic(config.schedule_matrices, rounds_per_iteration)
-    if config.schedule_kind == "random":
-        return GossipSchedule.random_choice(config.schedule_matrices, config.schedule_seed)
-    raise ConfigError(f"unknown schedule kind {config.schedule_kind!r}")
+    return GossipSchedule(config.schedule_kind, config.schedule_matrices, config.schedule_seed, rounds_per_iteration)
 
 
 def initial_states(config: RunConfig, problem: Problem) -> np.ndarray:

@@ -10,7 +10,7 @@ a cycling list, or a seeded random choice from a list.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +40,6 @@ class GossipMatrix:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
-        """Weights agent i applies to incoming messages (its own row)."""
-        return self.weights[i]
-
     def __repr__(self):
         return f"GossipMatrix(n={self.n})"
 
@@ -69,45 +65,22 @@ def ring_matrix(n: int) -> GossipMatrix:
 
 @dataclass(frozen=True)
 class StochasticityReport:
-    """Per-row/column deviation of the sums from 1, and the verdict."""
+    """Largest deviation of the row and column sums from 1, and the verdict."""
 
     passed: bool
-    tol: float
-    row_deviations: np.ndarray = field(repr=False)
-    col_deviations: np.ndarray = field(repr=False)
     max_row_deviation: float
     max_col_deviation: float
-    min_entry: float
-    nonnegative: bool
 
 
-def validate_doubly_stochastic(
-    matrix: GossipMatrix, tol: float = DOUBLY_STOCHASTIC_TOL, require_nonnegative: bool = False
-) -> StochasticityReport:
-    """Check that all row sums and column sums equal 1 within ``tol``.
-
-    With ``require_nonnegative`` the report additionally fails when any
-    entry is below ``-tol``.
-    """
+def validate_doubly_stochastic(matrix: GossipMatrix, tol: float = DOUBLY_STOCHASTIC_TOL) -> StochasticityReport:
+    """Check that all row sums and column sums equal 1 within ``tol``."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     W = matrix.weights
-    row_dev = np.abs(W.sum(axis=1) - 1.0)
-    col_dev = np.abs(W.sum(axis=0) - 1.0)
-    min_entry = float(W.min())
-    nonnegative = min_entry >= -tol
-    passed = bool(row_dev.max() <= tol and col_dev.max() <= tol)
-    if require_nonnegative:
-        passed = passed and nonnegative
+    row_dev = float(np.abs(W.sum(axis=1) - 1.0).max())
+    col_dev = float(np.abs(W.sum(axis=0) - 1.0).max())
     return StochasticityReport(
-        passed=passed,
-        tol=tol,
-        row_deviations=row_dev,
-        col_deviations=col_dev,
-        max_row_deviation=float(row_dev.max()),
-        max_col_deviation=float(col_dev.max()),
-        min_entry=min_entry,
-        nonnegative=nonnegative,
+        passed=row_dev <= tol and col_dev <= tol, max_row_deviation=row_dev, max_col_deviation=col_dev
     )
 
 
@@ -149,12 +122,13 @@ class GossipSchedule:
         ``k * rounds_per_iteration + (l - 1)``.
       - "random": uniform seeded choice from the list, keyed on (seed, k, l).
 
-    All matrices are validated as doubly stochastic at construction.
+    All matrices are validated as doubly stochastic at construction;
+    negative weights are allowed.
     """
 
     KINDS = ("constant", "cyclic", "random")
 
-    def __init__(self, kind, matrices, seed=0, rounds_per_iteration=None, require_nonnegative=False):
+    def __init__(self, kind, matrices, seed=0, rounds_per_iteration=None):
         if kind not in self.KINDS:
             raise ConfigError(f"unknown schedule kind {kind!r}, expected one of {self.KINDS}")
         matrices = tuple(matrices)
@@ -164,7 +138,7 @@ class GossipSchedule:
         for idx, W in enumerate(matrices):
             if W.n != n:
                 raise ConfigError(f"schedule matrices disagree on size: {n} vs {W.n} at index {idx}")
-            report = validate_doubly_stochastic(W, require_nonnegative=require_nonnegative)
+            report = validate_doubly_stochastic(W)
             if not report.passed:
                 raise ConfigError(
                     f"schedule matrix {idx} is not doubly stochastic "
@@ -196,10 +170,6 @@ class GossipSchedule:
     @property
     def n(self) -> int:
         return self.matrices[0].n
-
-    def max_spectral_gap(self) -> float:
-        """Largest one-round spectral gap over the matrix list."""
-        return max(spectral_gap(W) for W in self.matrices)
 
 
 def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> GossipMatrix:
@@ -241,8 +211,3 @@ def mixing_product(schedule: GossipSchedule, iteration: int, rounds: int) -> np.
         if bit == "1":
             power = np.matmul(power, W, out=buffers[power is buffers[0]])
     return power
-
-
-def product_gap(schedule: GossipSchedule, iteration: int, rounds: int) -> float:
-    """Spectral gap of the ordered product of the ``rounds`` matrices at one iteration."""
-    return spectral_gap(mixing_product(schedule, iteration, rounds))

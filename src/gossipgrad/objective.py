@@ -12,7 +12,7 @@ the contraction is checked on sampled points.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,7 +183,6 @@ class ContractionReport:
     passed: bool
     rho: float
     max_ratio: float
-    worst_sample: np.ndarray = field(repr=False)
     samples_used: int
 
 
@@ -197,7 +196,6 @@ def check_contraction(objective: ObjectiveFamily, xstar, params: ContractionPara
     xstar = np.asarray(xstar, dtype=float)
     grad_star = objective.gradient(objective.at(xstar))
     max_ratio = 0.0
-    worst = xstar
     used = 0
     for x in np.asarray(samples, dtype=float):
         dist = np.linalg.norm(x - xstar)
@@ -206,14 +204,11 @@ def check_contraction(objective: ObjectiveFamily, xstar, params: ContractionPara
         mapped = x - xstar - params.alpha * (objective.gradient(objective.at(x)) - grad_star)
         ratio = np.linalg.norm(mapped, axis=1).max() / dist
         used += 1
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = x
+        max_ratio = max(max_ratio, ratio)
     return ContractionReport(
         passed=max_ratio <= params.rho + CONTRACTION_SLACK,
         rho=params.rho,
         max_ratio=float(max_ratio),
-        worst_sample=np.array(worst),
         samples_used=used,
     )
 

@@ -86,6 +86,12 @@ class TestAlgorithmParams:
         assert params.lam < 1.0
         assert params.m >= 1
 
+    def test_zero_gap_derives_one_round(self):
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.0)
+        assert params.m == 1 and params.sigma == 0.0
+        with pytest.raises(ValueError):
+            gg.AlgorithmParams.derive(0.5, 0.5, -0.1)
+
     def test_override_above_formula_is_valid(self):
         params = gg.AlgorithmParams.derive(2.0, 0.75, 0.7853, m_override=6)
         assert params.m == 6
@@ -93,10 +99,6 @@ class TestAlgorithmParams:
     def test_override_below_formula_is_rejected(self):
         with pytest.raises(ValueError):
             gg.AlgorithmParams.derive(0.5, 0.5, 0.7853, m_override=2)
-
-    def test_inconsistent_lam_rejected(self):
-        with pytest.raises(ValueError):
-            gg.AlgorithmParams(alpha=1.0, rho=0.5, sigma=0.5, m=2, lam=0.5)
 
 
 class TestIteration:
@@ -238,34 +240,3 @@ class TestCentralizedGd:
         problem = gg.random_quadratic_problem(2, 3, 1.0, 2.0, seed=0)
         with pytest.raises(ConfigError):
             gg.centralized_gd(problem, 0.5, np.zeros(2), 5)
-
-
-class TestDgdBaseline:
-    def test_single_agent_equals_centralized(self):
-        f = gg.QuadraticObjective(np.diag([2.0]), [[1.0]])
-        problem = gg.Problem(f)
-        schedule = gg.GossipSchedule.constant(gg.GossipMatrix([[1.0]]))
-        dgd = gg.dgd_baseline(problem, schedule, 0.3, np.array([[4.0]]), 40)
-        central = gg.centralized_gd(problem, 0.3, np.array([4.0]), 40)
-        assert np.abs(dgd[:, 0, :] - central).max() <= 1e-15
-
-    def test_zero_gradients_give_pure_consensus(self, pair):
-        zero = gg.QuadraticObjective(np.zeros((2, 2)), np.zeros((5, 2)))
-        problem = gg.Problem(zero)
-        schedule = gg.GossipSchedule.constant(pair[0])
-        sigma = gg.spectral_gap(pair[0])
-        x0 = np.random.default_rng(2).standard_normal((5, 2))
-        trajectory = gg.dgd_baseline(problem, schedule, 0.1, x0, 20)
-        for k in range(20):
-            before = np.linalg.norm(gg.disagreement_part(trajectory[k]))
-            after = np.linalg.norm(gg.disagreement_part(trajectory[k + 1]))
-            assert after <= sigma * before + 1e-9
-
-    def test_exhibits_bias_at_consensus_optimum(self, pair):
-        # Individual gradients nonzero at the optimizer push iterates off it.
-        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=4)
-        schedule = gg.GossipSchedule.constant(pair[0])
-        x0 = np.tile(problem.optimizer, (5, 1))
-        trajectory = gg.dgd_baseline(problem, schedule, 0.4, x0, 1)
-        moved = np.linalg.norm(trajectory[1] - x0, axis=1)
-        assert moved.max() > 1e-3

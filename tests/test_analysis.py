@@ -194,10 +194,3 @@ class TestFitRate:
         trajectory = gg.centralized_gd(problem, 0.5, problem.optimizer + 2.0, 60)
         errors = np.linalg.norm(trajectory - problem.optimizer, axis=1)
         assert gg.fit_rate(errors, 0.5) == pytest.approx(0.5, abs=0.01)
-
-
-class TestLocateOptimizer:
-    def test_matches_direct_solve(self):
-        problem = gg.random_quadratic_problem(3, 4, 1.0, 4.0, seed=2)
-        located = gg.locate_optimizer(problem, alpha=0.4)
-        assert np.linalg.norm(located - problem.optimizer) <= 1e-9

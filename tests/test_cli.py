@@ -191,10 +191,13 @@ class TestRunCommand:
             ("quadratic", "alpha = auto", "alpha = 0.9"),
             ("quadratic", "rho = auto", "rho = 0.4"),
             ("quadratic", "source = five-agent-pair", f"source = inline\nmatrix1 = {DISCONNECTED}"),
+            ("quadratic", "kind = random", "kind = nosuch"),
+            ("quadratic", "kind = random", "kind = constant"),
         ],
         ids=[
             "unknown-kind", "iterations", "mu", "target", "alpha-nan", "alpha-inf", "L-inf", "x0", "x0-empty",
             "ring-n", "matrix-nan", "x0-nan", "alpha-expanding", "rho-below-factor", "disconnected",
+            "schedule-kind", "constant-pair",
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, base, old, new):
@@ -207,6 +210,26 @@ class TestRunCommand:
             bad.write_text(text.replace(old, new))
         assert main(["run", str(bad), "--output", str(tmp_path / "x.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_complete_graph_mixes_in_one_round(self, tmp_path):
+        # Uniform averaging has gap exactly 0: one round reaches consensus, so m = 1.
+        config = tmp_path / "complete.ini"
+        text = (CONFIGS / "quadratic.ini").read_text().replace("n = 5", "n = 6")
+        pair = "kind = random\nsource = five-agent-pair"
+        assert pair in text
+        config.write_text(text.replace(pair, "kind = constant\nsource = complete\nn = 6"))
+        tables = {}
+        for mode in ("vectorized", "netsim"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["run", str(config), "--mode", mode, "--output", str(out)]) == 0
+            _, rows = read_csv(out)
+            tables[mode] = [r for r in rows if r[2] != "centralized"]
+        vec, net = tables["vectorized"], tables["netsim"]
+        assert len(vec) == 61 * 6
+        assert [int(r[1]) for r in vec[::6]] == list(range(61))
+        assert [r[:3] for r in vec] == [r[:3] for r in net]
+        assert max(abs(float(a[3]) - float(b[3])) for a, b in zip(vec, net)) <= 1e-12
+        assert float(vec[-1][3]) < 1e-6 * float(vec[0][3])
 
     def test_user_stepsize_resolves_its_true_contraction(self, tmp_path):
         config = tmp_path / "alpha.ini"
@@ -395,6 +418,19 @@ iterations = 5
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "spectral gap" in out
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--samples", "0"), ("--samples", "-1"),
+            ("--radius", "nan"), ("--radius", "0"), ("--radius", "-1"),
+        ],
+    )
+    def test_bad_numeric_flag_exits_2(self, capsys, quadratic_config_path, flag, value):
+        assert main(["validate", str(quadratic_config_path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "PASS" not in captured.out
 
     def test_localization_contraction_reported_not_certified(self, capsys, localization_config_path):
         # The residual objectives are nonconvex: the sampled check reports the
