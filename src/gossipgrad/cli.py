@@ -120,9 +120,10 @@ def cmd_validate(args) -> int:
     config = load_run_config(args.config)
     problem = build_problem(config)
     params = resolve_params(config, problem)
+    schedule = build_schedule(config, params.m)
 
     checks: list[tuple[str, bool, str]] = []
-    for idx, W in enumerate(config.schedule_matrices):
+    for idx, W in enumerate(schedule.matrices):
         report = validate_doubly_stochastic(W, tol=args.tol)
         checks.append(
             (
@@ -131,7 +132,7 @@ def cmd_validate(args) -> int:
                 f"max row dev {report.max_row_deviation:.3e}, max col dev {report.max_col_deviation:.3e}",
             )
         )
-    actual_gap = max(spectral_gap(W) for W in config.schedule_matrices)
+    actual_gap = max(spectral_gap(W) for W in schedule.matrices)
     checks.append(
         (
             "spectral gap within bound",

@@ -2,16 +2,27 @@
 
 Agent states are stacked one row per agent, and each row is owned by its
 agent: agent i reads only its own states, its own row of the current mixing
-matrix, and the payloads addressed to it; it evaluates only its own
-objective, through the family's ``agent(i)`` view. A round has two phases:
-deliver every message, copied from the senders' pre-round values, then let
-every agent fold what it received, in ascending sender order with its own
-value at its own index. A round plan, built once per run for each schedule
-matrix, fixes the messages and every agent's fold, so a round costs
+matrix, and the payloads addressed to it. A round has two phases: deliver
+every message, copied from the senders' pre-round values, then let every
+agent fold what it received, in ascending sender order with its own value at
+its own index. A round plan, built once per run for each schedule matrix,
+fixes the messages and every agent's fold, so a round costs
 ``O(|E| d + n * width * d)`` with ``|E|`` the round's messages and ``width``
-the longest row. This path exists to prove the algorithm is decentralized
-and to serve as an independent oracle for the vectorized execution: both
-must produce the same trace.
+the longest row. After its m rounds, each iteration makes one call to the
+family's gradient; row i of that call reads only agent i's data and point,
+and equals agent i's own ``agent(i)`` view bit for bit.
+
+Every round that uses one matrix delivers that matrix's edge set, so the
+delivery ledger is kept compact: one int32 edge-set id per round, an
+``(iterations, m)`` array of ``4 * iterations * m`` bytes, plus the distinct
+``(|E|, 2)`` edge sets, one per round plan. ``RunTrace.deliveries`` expands
+it on demand into the ``(messages, 4)`` rows. The locality audit judges each
+distinct (matrix, edge set) pair once, so it costs one ``matrix_at`` and one
+lookup per round, however many messages the round carries.
+
+This path exists to prove the algorithm is decentralized and to serve as an
+independent oracle for the vectorized execution: both must produce the same
+trace.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ class RoundPlan:
     the zero row at weight 0.
     """
 
-    edges: np.ndarray  # (|E|, 2) sender, receiver, in delivery order
+    edges: np.ndarray  # (|E|, 2) int32 sender, receiver, in delivery order
     sources: np.ndarray  # (width, n) pool row per fold step
     weights: np.ndarray  # (width, n, 1) row weight per fold step
     pool: np.ndarray  # (n + |E| + 1, d) round buffer
@@ -83,7 +94,7 @@ def round_plan(W: np.ndarray, row_overrides: dict, extra_edges: np.ndarray, d: i
     weights = np.zeros((width, n, 1))
     sources[step, agent] = np.where(own, agent, n + delivered)
     weights[step, agent, 0] = rows[agent, sender]
-    return RoundPlan(edges, sources, weights, np.zeros((n + len(edges) + 1, d)))
+    return RoundPlan(edges.astype(np.int32), sources, weights, np.zeros((n + len(edges) + 1, d)))
 
 
 def run_netsim(
@@ -114,32 +125,29 @@ def run_netsim(
         raise ConfigError(f"extra edges must join agents 0..{n - 1}")
 
     calls_before = problem.objective.gradient_calls.copy()
-    views = [problem.objective.agent(i) for i in range(n)]
-    plans: dict = {}  # GossipMatrix -> RoundPlan, for this run only
-    ledger = [np.empty((0, 4), dtype=np.int32)]
+    plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only
+    edge_set_ids = np.empty((iterations, params.m), dtype=np.int32)
     x, y = trace.x[0], trace.y[0]
 
     for k in range(iterations):
         v = x
         for round_index in range(1, params.m + 1):
             matrix = matrix_at(schedule, k, round_index)
-            plan = plans.get(matrix)
-            if plan is None:
-                plan = plans[matrix] = round_plan(matrix.weights, row_overrides, extra_edges, d)
+            entry = plans.get(matrix)
+            if entry is None:
+                entry = plans[matrix] = (len(plans), round_plan(matrix.weights, row_overrides, extra_edges, d))
+            edge_set_ids[k, round_index - 1], plan = entry
             # Delivery: every payload is a copy of the sender's pre-round
             # value (synchronous barrier), so agent order cannot matter.
-            senders = plan.edges[:, 0]
             plan.pool[:n] = v
-            np.take(v, senders, axis=0, out=plan.pool[n:-1])
-            chunk = np.empty((len(senders), 4), dtype=np.int32)
-            chunk[:, 0], chunk[:, 1], chunk[:, 2:] = k, round_index, plan.edges
-            ledger.append(chunk)
+            np.take(v, plan.edges[:, 0], axis=0, out=plan.pool[n:-1])
             # Fold: every agent sums its row in ascending sender order.
             terms = plan.weights * plan.pool[plan.sources]
             v = np.zeros((n, d))
             for term in terms:
                 v += term
-        gradients = np.array([view.gradient(point) for view, point in zip(views, v)])
+        # Row i of the family's gradient reads only agent i's data and point.
+        gradients = problem.objective.gradient(v)
         trace.v[k] = v
         trace.u[k] = u = v - params.alpha * gradients
         trace.y[k + 1] = y = y + x - v
@@ -147,7 +155,8 @@ def run_netsim(
 
     trace.count_gradients(problem.objective.gradient_calls - calls_before)
     trace.row_communications = n * params.m * iterations
-    trace.deliveries = np.concatenate(ledger)
+    trace.edge_set_ids = edge_set_ids
+    trace.edge_sets = tuple(plan.edges for _, plan in plans.values())
     return trace
 
 
@@ -164,44 +173,91 @@ class AuditReport:
     expected_count: int
 
 
-def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
-    """Check that every delivered message rode a nonzero-weight link.
+def _compact_ledger(ledger: np.ndarray, n: int, m: int, iterations: int):
+    """Group an expanded ledger by round and intern each round's rows.
 
-    Also recounts the ledger against the schedule: each round must carry
-    exactly one message per nonzero off-diagonal weight. The ledger is grouped
-    by (iteration, round) so each round's matrix is fetched once; the expected
-    links are derived from that matrix alone, never from the runner's edges.
+    Returns the (iterations, m) edge-set ids and the distinct edge sets, as
+    ``run_netsim`` stores them; the ledger index of every row inside the run,
+    in round order; and the ledger indices of the rows outside the run's
+    iterations, rounds or agents, ascending.
     """
-    if trace.deliveries is None:
-        raise ConfigError("trace carries no delivery ledger; run the message-passing path")
-    ledger = trace.deliveries
-    iteration, round_index, sender, receiver = ledger.T
-    n, m, iterations = schedule.n, trace.params.m, trace.iterations
+    iteration, round_index = ledger[:, 0], ledger[:, 1]
     # Rows outside the run's iterations, rounds or agents get the last key.
     inside = (ledger >= [0, 1, 0, 0]).all(axis=1) & (ledger < [iterations, m + 1, n, n]).all(axis=1)
     key = np.where(inside, iteration * np.int64(m) + round_index - 1, iterations * m)
     order = np.argsort(key, kind="stable")
     bounds = np.searchsorted(key[order], np.arange(iterations * m + 1))
-    verdict = np.where(inside, 0, 3)  # index into AUDIT_REASONS
+    rows = ledger[order[: bounds[-1]], 2:]
+    interned: dict = {}  # row bytes -> (edge-set id, rows)
+    ids = np.empty(iterations * m, dtype=np.int32)
+    for r in range(iterations * m):
+        edges = rows[bounds[r] : bounds[r + 1]]
+        ids[r] = interned.setdefault(edges.tobytes(), (len(interned), edges))[0]
+    edge_sets = tuple(edges for _, edges in interned.values())
+    return ids.reshape(iterations, m), edge_sets, order[: bounds[-1]], order[bounds[-1] :].tolist()
+
+
+def _judge(W: np.ndarray, edges: np.ndarray):
+    """One matrix's verdict on one edge set: its link count, the flagged rows and the missing links.
+
+    Flagged rows are (row, (sender, receiver), reason) in edge-set order;
+    missing links are (sender, receiver) by receiver, then sender.
+    """
+    links = W != 0.0
+    np.fill_diagonal(links, False)
+    s, r = edges[:, 0], edges[:, 1]
+    codes = np.where(s == r, 1, np.where(links[r, s], 0, 2))
+    delivered = np.zeros_like(links)
+    delivered[r, s] = True
+    flagged = [(p, tuple(edges[p].tolist()), AUDIT_REASONS[codes[p]]) for p in np.flatnonzero(codes).tolist()]
+    missing = [tuple(pair) for pair in np.argwhere(links & ~delivered)[:, ::-1].tolist()]
+    return int(np.count_nonzero(links)), flagged, missing
+
+
+def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
+    """Check that every delivered message rode a nonzero-weight link.
+
+    Also recounts the ledger against the schedule: each round must carry
+    exactly one message per nonzero off-diagonal weight. The expected links
+    are derived from ``matrix_at`` alone, never from the runner's edges. Each
+    distinct (matrix, edge set) pair is judged once, so a round costs one
+    ``matrix_at`` and one lookup. An expanded ledger is compacted first.
+    Violations list the offending ledger rows in ledger order, then the
+    missing deliveries in round order.
+    """
+    n, m, iterations = schedule.n, trace.params.m, trace.iterations
+    if trace.edge_set_ids is not None:
+        ids, edge_sets, positions, stray = trace.edge_set_ids, trace.edge_sets, None, []
+    elif trace.deliveries is not None:
+        ledger = trace.deliveries
+        ids, edge_sets, positions, stray = _compact_ledger(ledger, n, m, iterations)
+    else:
+        raise ConfigError("trace carries no delivery ledger; run the message-passing path")
+    sizes = np.array([len(edges) for edges in edge_sets], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes[ids.ravel()])]).tolist()
+
+    verdicts: dict = {}  # (GossipMatrix, edge-set id) -> _judge's verdict, for this audit only
+    flagged = []  # (ledger index, row, reason)
     missing = []
     expected = 0
-    for k in range(iterations):
-        for l in range(1, m + 1):
-            links = matrix_at(schedule, k, l).weights != 0.0
-            np.fill_diagonal(links, False)
-            expected += int(np.count_nonzero(links))
-            group = order[bounds[k * m + l - 1] : bounds[k * m + l]]
-            s, r = sender[group], receiver[group]
-            verdict[group] = np.where(s == r, 1, np.where(links[r, s], 0, 2))
-            delivered = np.zeros_like(links)
-            delivered[r, s] = True
-            for r_missing, s_missing in np.argwhere(links & ~delivered).tolist():
-                missing.append(((k, l, s_missing, r_missing), "expected delivery missing"))
-    violations = [(tuple(ledger[i].tolist()), AUDIT_REASONS[verdict[i]]) for i in np.flatnonzero(verdict)]
-    violations += missing
+    for r, e in enumerate(ids.ravel().tolist()):
+        k, l = divmod(r, m)
+        matrix = matrix_at(schedule, k, l + 1)
+        verdict = verdicts.get((matrix, e))
+        if verdict is None:
+            verdict = verdicts[matrix, e] = _judge(matrix.weights, edge_sets[e])
+        links, bad_rows, absent = verdict
+        expected += links
+        for p, (s, t), reason in bad_rows:
+            index = offsets[r] + p if positions is None else int(positions[offsets[r] + p])
+            flagged.append((index, (k, l + 1, s, t), reason))
+        missing += [((k, l + 1, s, t), "expected delivery missing") for s, t in absent]
+    flagged += [(i, tuple(ledger[i].tolist()), AUDIT_REASONS[3]) for i in stray]
+    flagged.sort(key=lambda item: item[0])
+    violations = [(row, reason) for _, row, reason in flagged] + missing
     return AuditReport(
         passed=not violations,
         violations=tuple(violations),
-        message_count=len(ledger),
+        message_count=offsets[-1] + len(stray),
         expected_count=expected,
     )

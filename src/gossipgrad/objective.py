@@ -128,8 +128,10 @@ class QuadraticObjective(ObjectiveFamily):
         return {"A": self.A if self.A.ndim == 2 else self.A[i], "B": self.B[i]}
 
     def _apply_A(self, X) -> np.ndarray:
-        # Rows are points, so the shared symmetric A acts as X @ A.
-        return X @ self.A if self.A.ndim == 2 else np.einsum("nij,nj->ni", self.A, X)
+        # Rows are points and A is symmetric, so each point x becomes x @ A_i:
+        # one BLAS matrix-vector product per row, the same call an agent view
+        # makes on its own point, so every row is bit-identical to its view's.
+        return np.matmul(X[..., None, :], self.A)[..., 0, :]
 
     def value(self, X):
         X = np.asarray(X, dtype=float)

@@ -432,6 +432,18 @@ iterations = 5
         assert "Traceback" not in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("kind", ["nosuch", "constant"], ids=["schedule-kind", "constant-pair"])
+    def test_unbuildable_schedule_exits_2(self, tmp_path, capsys, kind):
+        # Neither schedule can be built over the five-agent pair, so run exits 2; validate must agree.
+        text = (CONFIGS / "quadratic.ini").read_text()
+        assert text.count("kind = random") == 1
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace("kind = random", f"kind = {kind}"))
+        assert main(["validate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "PASS" not in captured.out
+
     def test_localization_contraction_reported_not_certified(self, capsys, localization_config_path):
         # The residual objectives are nonconvex: the sampled check reports the
         # honest failure and the command exits nonzero.

@@ -161,6 +161,93 @@ class TestLocalityAudit:
             gg.locality_audit(corpus[0].trace, corpus[0].schedule)
 
 
+def audits_of_both_forms(trace, schedule):
+    """The audit of a compact trace, and of the same trace carrying its expanded ledger."""
+    assert trace.edge_set_ids is not None
+    expanded = replace(trace, deliveries=trace.deliveries)
+    assert expanded.edge_set_ids is None  # an explicit ledger replaces the compact one
+    return gg.locality_audit(trace, schedule), gg.locality_audit(expanded, schedule)
+
+
+def with_round(trace, iteration, round_index, edges):
+    """A copy of a compact trace whose round (iteration, round_index) delivers ``edges`` instead."""
+    ids = trace.edge_set_ids.copy()
+    ids[iteration, round_index - 1] = len(trace.edge_sets)
+    edge_sets = trace.edge_sets + (np.asarray(edges, dtype=np.int32),)
+    return replace(trace, deliveries=None, edge_set_ids=ids, edge_sets=edge_sets)
+
+
+class TestLedgerForms:
+    """The compact ledger and its expansion must audit to the same report, violation order included."""
+
+    def test_corpus(self, corpus):
+        for run in corpus:
+            compact, expanded = audits_of_both_forms(run.net_trace, run.schedule)
+            assert compact == expanded, run.name
+            assert compact.passed, run.name
+
+    def test_extra_edges_run(self, pair):
+        schedule = gg.GossipSchedule.constant(pair[0])
+        trace = TestProtocol.tampered_run(pair, extra_edges=[(1, 3), (4, 2)])
+        compact, expanded = audits_of_both_forms(trace, schedule)
+        assert compact == expanded
+        assert [row for row, _ in compact.violations] == [
+            (k, l, s, r) for k in range(2) for l in range(1, trace.params.m + 1) for s, r in ((1, 3), (4, 2))
+        ]
+
+    def test_row_overrides_run(self, pair, pair_sigma):
+        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=6)
+        schedule = gg.GossipSchedule.random_choice(list(pair), seed=13)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, pair_sigma)
+        x0 = np.random.default_rng(4).standard_normal((5, 2))
+        tampered_row = np.array([0.0, 0.25, 0.375, 0.0, 0.375])
+        trace = gg.run_netsim(problem, schedule, params, x0, 10, row_overrides={0: tampered_row})
+        compact, expanded = audits_of_both_forms(trace, schedule)
+        assert compact == expanded and compact.passed
+
+    def test_edited_ledgers(self, pair):
+        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
+        schedule = gg.GossipSchedule.constant(pair[0])
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
+        trace = gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2)
+        ledger = trace.deliveries
+        edges = trace.edge_sets[trace.edge_set_ids[0, 0]]
+
+        dropped = with_round(trace, 0, 1, np.delete(edges, 3, axis=0))
+        assert np.array_equal(dropped.deliveries, np.delete(ledger, 3, axis=0))
+        compact, expanded = audits_of_both_forms(dropped, schedule)
+        assert compact == expanded
+        assert compact.violations == ((tuple(ledger[3].tolist()), "expected delivery missing"),)
+
+        looped = with_round(trace, 1, 2, np.vstack([edges, [[4, 4]]]))
+        compact, expanded = audits_of_both_forms(looped, schedule)
+        appended = gg.locality_audit(replace(trace, deliveries=np.vstack([ledger, [[1, 2, 4, 4]]])), schedule)
+        assert compact == expanded == appended
+        assert compact.violations == (((1, 2, 4, 4), "self-delivery"),)
+
+    def test_ring_100_at_its_derived_m_keeps_a_small_ledger(self):
+        n, iterations = 100, 2
+        ring = gg.ring_matrix(n)
+        schedule = gg.GossipSchedule.constant(ring)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring))
+        assert params.m == 1027
+        problem = gg.random_quadratic_problem(n, 2, 1.0, 3.0, seed=3)
+        x0 = np.random.default_rng(2).standard_normal((n, 2))
+        trace = gg.run_netsim(problem, schedule, params, x0, iterations)
+        rounds, per_round = iterations * params.m, 2 * n
+
+        report = gg.locality_audit(trace, schedule)
+        assert report.passed
+        assert report.message_count == report.expected_count == rounds * per_round
+        stored = trace.edge_set_ids.nbytes + sum(edges.nbytes for edges in trace.edge_sets)
+        assert stored < 64 * 1024
+
+        ledger = trace.deliveries
+        assert ledger.dtype == np.int32 and ledger.shape == (rounds * per_round, 4)
+        round_of_row = ledger[:, 0].astype(np.int64) * params.m + ledger[:, 1] - 1
+        assert np.array_equal(round_of_row, np.repeat(np.arange(rounds), per_round))
+
+
 def sequential_reference(problem, schedule, params, x0, iterations, row_overrides=None):
     """Message passing written out per agent, independent of the runner's round plans.
 

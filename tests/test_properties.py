@@ -112,16 +112,18 @@ class TestNetsimProperties:
         assert net.row_communications == n * m * iterations
 
 def assert_rows_match_views(family, X):
+    # Bit for bit: the message-passing path takes one family call per
+    # iteration where agent i alone would call its view.
     batched = family.gradient(X)
     assert batched.shape == X.shape
     for i in range(family.n):
-        np.testing.assert_allclose(batched[i], family.agent(i).gradient(X[i]), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(batched[i], family.agent(i).gradient(X[i])), i
     assert family.gradient_calls.tolist() == [2] * family.n
 
 
 class TestFamilyRows:
     @common
-    @given(n=st.integers(1, 8), d=st.integers(1, 6), shared=st.booleans(), seed=seeds)
+    @given(n=st.integers(1, 128), d=st.integers(1, 12), shared=st.booleans(), seed=seeds)
     def test_quadratic_rows_match_agent_views(self, n, d, shared, seed):
         family = gg.random_quadratic_problem(n, d, 1.0, 4.0, seed, shared_hessian=shared).objective
         assert family.A.ndim == (2 if shared else 3)
