@@ -10,7 +10,7 @@ the fixed point, the energy
 
 is positive definite for lam in (0, 1) and contracts by rho^2 on every
 iteration of a compliant run, which yields the per-agent error bound
-||x_i(k) - x*|| <= c * rho^k.
+||x_i(k) - x*|| <= c * rho^k. Energies and decrease terms take whole (K, n, d) stacks.
 """
 
 from __future__ import annotations
@@ -29,33 +29,42 @@ DECREASE_TOL = 1e-9
 YSTAR_MEAN_TOL = 1e-10
 
 
+def _mean_row(z: np.ndarray) -> np.ndarray:
+    """The mean row of each stacked (n, d) slice, as (..., 1, d); a BLAS product, unlike ``mean(axis=-2)``."""
+    return (np.matmul(np.ones(z.shape[-2]), z) / z.shape[-2])[..., None, :]
+
+
 def average_part(z: np.ndarray) -> np.ndarray:
-    """Every row replaced by the mean row."""
+    """Every row replaced by the mean row, per stacked (n, d) slice."""
     z = np.asarray(z, dtype=float)
-    return np.broadcast_to(z.mean(axis=0), z.shape)
+    return np.broadcast_to(_mean_row(z), z.shape)
 
 
 def disagreement_part(z: np.ndarray) -> np.ndarray:
-    """Deviation of each row from the mean row; rows sum to zero."""
+    """Deviation of each row from the mean row, per stacked (n, d) slice; rows sum to zero."""
     z = np.asarray(z, dtype=float)
-    return z - z.mean(axis=0)
+    return z - _mean_row(z)
 
 
-def _sq(z: np.ndarray) -> float:
-    return float(np.sum(z * z))
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each stacked (n, d) slice: one BLAS row dot per slice."""
+    lead, size = a.shape[:-2], a.shape[-2] * a.shape[-1]
+    return np.matmul(a.reshape(lead + (1, size)), b.reshape(lead + (size, 1)))[..., 0, 0]
 
 
-def lyapunov(xbar: np.ndarray, ybar: np.ndarray, lam: float) -> float:
-    """Energy of the error state (xbar, ybar); requires lam in (0, 1)."""
+def lyapunov(x: np.ndarray, y: np.ndarray, lam: float, xstar=0.0, ystar=0.0):
+    """Energy of the error state (x - xstar, y - ystar), per stacked (n, d) slice; lam in (0, 1)."""
     if not 0 < lam < 1:
         raise ValueError(f"lam must be in (0, 1) for positive definiteness, got {lam}")
-    xbar = np.asarray(xbar, dtype=float)
-    ybar = np.asarray(ybar, dtype=float)
+    xbar, ybar = np.subtract(x, xstar, dtype=float), np.subtract(y, ystar, dtype=float)
     if xbar.shape != ybar.shape:
         raise ValueError(f"shape mismatch: {xbar.shape} vs {ybar.shape}")
-    dx = disagreement_part(xbar)
-    dy = disagreement_part(ybar)
-    return _sq(average_part(xbar)) + _sq(dx) + 2.0 * lam * float(np.sum(dx * dy)) + lam * _sq(dy)
+    mean = _mean_row(xbar)
+    xbar -= mean  # both error states become their disagreement parts in place
+    ybar -= _mean_row(ybar)
+    value = xbar.shape[-2] * _dot(mean, mean) + _dot(xbar, xbar)
+    value += 2.0 * lam * _dot(xbar, ybar) + lam * _dot(ybar, ybar)
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -104,23 +113,10 @@ def lyapunov_trace(trace: RunTrace, fp: FixedPoint, params) -> list[LyapunovReco
     Record k carries value(k) and, for k >= 1, delta = value(k) - rho^2 *
     value(k - 1); a compliant run keeps every delta below the tolerance.
     """
-    records = []
-    previous = None
-    for k in range(trace.iterations + 1):
-        xbar = trace.x[k] - fp.xstar
-        ybar = trace.y[k] - fp.ystar
-        value = lyapunov(xbar, ybar, params.lam)
-        delta = None if previous is None else value - params.rho**2 * previous
-        records.append(
-            LyapunovRecord(
-                k=k,
-                value=value,
-                delta=delta,
-                exceeds_tolerance=delta is not None and delta > DECREASE_TOL,
-            )
-        )
-        previous = value
-    return records
+    values = lyapunov(trace.x, trace.y, params.lam, fp.xstar, fp.ystar)
+    deltas = [None] + (values[1:] - params.rho**2 * values[:-1]).tolist()
+    rows = enumerate(zip(values.tolist(), deltas))
+    return [LyapunovRecord(k, value, delta, delta is not None and delta > DECREASE_TOL) for k, (value, delta) in rows]
 
 
 def decrease_terms(trace: RunTrace, fp: FixedPoint, params) -> np.ndarray:
@@ -134,17 +130,18 @@ def decrease_terms(trace: RunTrace, fp: FixedPoint, params) -> np.ndarray:
     Each must be >= 0 up to roundoff on a compliant run; a negative entry
     localizes which assumption failed.
     """
-    s0_sq = sigma0(params.rho) ** 2
-    terms = np.empty((trace.iterations, 3))
-    for k in range(trace.iterations):
-        xb = trace.x[k] - fp.xstar
-        yb = trace.y[k] - fp.ystar
-        vb = trace.v[k] - fp.xstar
-        ub = trace.u[k] - fp.ustar
-        terms[k, 0] = params.rho**2 * _sq(vb) - _sq(ub)
-        terms[k, 1] = s0_sq * _sq(disagreement_part(xb)) - _sq(disagreement_part(vb))
-        terms[k, 2] = _sq(disagreement_part(vb + params.lam * (xb + yb)))
-    return terms
+    vb = trace.v - fp.xstar
+    xb = trace.u - fp.ustar  # ub until the first term is taken
+    gradient_map = params.rho**2 * _dot(vb, vb) - _dot(xb, xb)
+    np.subtract(trace.x[:-1], fp.xstar, out=xb)
+    square = trace.y[:-1] - fp.ystar  # yb, then vb + lam (xb + yb), built in that order
+    square += xb
+    square *= params.lam
+    square += vb
+    for z in (square, xb, vb):
+        z -= _mean_row(z)
+    consensus = sigma0(params.rho) ** 2 * _dot(xb, xb) - _dot(vb, vb)
+    return np.column_stack([gradient_map, consensus, _dot(square, square)])
 
 
 def error_bound_constant(initial_value: float, lam: float) -> float:
@@ -164,11 +161,14 @@ def error_bound_constant(initial_value: float, lam: float) -> float:
 
 
 def fit_rate(errors, tail_fraction: float = 0.5) -> float:
-    """Per-iteration geometric decay fitted to the tail of an error sequence.
+    """Per-iteration geometric decay fitted to the tail of an error sequence's fall.
 
-    Least-squares slope of log(error) against the index over the last
-    ``tail_fraction`` of the sequence, exponentiated. Values that have decayed
-    below 100 * eps * initial error are discarded as floating-point floor.
+    The fall ends at the first value that no later value undercuts by a
+    factor of 10, if the sequence falls that far at all; this
+    cuts off a converged run's roundoff plateau. The rate is the exponentiated
+    least-squares slope of log(error) against the index over the last
+    ``tail_fraction`` of the fall, or all of it if that leaves under 10
+    points. Values below 100 * eps * initial error are discarded as floor.
     """
     errors = np.asarray(errors, dtype=float)
     if errors.ndim != 1 or errors.size < 2:
@@ -178,12 +178,11 @@ def fit_rate(errors, tail_fraction: float = 0.5) -> float:
     if not 0 < tail_fraction <= 1:
         raise ValueError(f"tail fraction must be in (0, 1], got {tail_fraction}")
     floor = 100.0 * np.finfo(float).eps * errors[0]
-    start = int(math.floor(errors.size * (1.0 - tail_fraction)))
-    tail_idx = np.arange(start, errors.size)
-    usable = tail_idx[errors[tail_idx] > floor]
+    settled = errors <= 10.0 * np.minimum.accumulate(errors[::-1])[::-1]
+    end = errors.size if settled[0] else int(np.argmax(settled))
+    start = int(math.floor(end * (1.0 - tail_fraction))) if end * tail_fraction >= 10 else 0
+    usable = np.arange(start, end)[errors[start:end] > floor]
     if usable.size < 10:
-        raise DegenerateFitError(
-            f"only {usable.size} tail points above the floating-point floor; need at least 10"
-        )
+        raise DegenerateFitError(f"only {usable.size} tail points above the floating-point floor; need at least 10")
     slope = np.polyfit(usable, np.log(errors[usable]), 1)[0]
     return float(math.exp(slope))

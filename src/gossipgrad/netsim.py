@@ -6,11 +6,14 @@ matrix, and the payloads addressed to it. A round has two phases: deliver
 every message, copied from the senders' pre-round values, then let every
 agent fold what it received, in ascending sender order with its own value at
 its own index. A round plan, built once per run for each schedule matrix,
-fixes the messages and every agent's fold, so a round costs
-``O(|E| d + n * width * d)`` with ``|E|`` the round's messages and ``width``
-the longest row. After its m rounds, each iteration makes one call to the
-family's gradient; row i of that call reads only agent i's data and point,
-and equals agent i's own ``agent(i)`` view bit for bit.
+fixes the messages and every agent's fold. A round is a fixed number of
+numpy calls, with no Python loop over its fold steps: deliver into the
+plan's pool, take every fold term from the pool, multiply by the weights,
+reduce over the steps. It costs ``O(|E| d + n * width * d)`` with ``|E|``
+the round's messages and ``width`` the longest row. After its m rounds, each
+iteration makes one call to the family's gradient; row i of that call reads
+only agent i's data and point, and equals agent i's own ``agent(i)`` view
+bit for bit.
 
 Every round that uses one matrix delivers that matrix's edge set, so the
 delivery ledger is kept compact: one int32 edge-set id per round, an
@@ -46,12 +49,14 @@ class RoundPlan:
     the fold adds ``weights[p, i] * pool[sources[p, i]]`` to agent i's total:
     its p-th nonzero row entry, in ascending sender order, read from its own
     value or from the payload addressed to it. Shorter rows are padded with
-    the zero row at weight 0.
+    the zero row at weight 0. The whole fold is one take of the
+    ``(width, n, d)`` terms, one multiply by ``weights`` and one sum over
+    the steps.
     """
 
     edges: np.ndarray  # (|E|, 2) int32 sender, receiver, in delivery order
     sources: np.ndarray  # (width, n) pool row per fold step
-    weights: np.ndarray  # (width, n, 1) row weight per fold step
+    weights: np.ndarray  # (width, n, d) row weight per fold step, repeated over d
     pool: np.ndarray  # (n + |E| + 1, d) round buffer
 
 
@@ -91,9 +96,11 @@ def round_plan(W: np.ndarray, row_overrides: dict, extra_edges: np.ndarray, d: i
     step = np.arange(len(agent)) - np.repeat(np.cumsum(counts) - counts, counts)
     width = int(counts.max())
     sources = np.full((width, n), n + len(edges))
-    weights = np.zeros((width, n, 1))
+    # Weights repeat over d: a same-shape multiply runs about twice as fast
+    # as one that broadcasts a (width, n, 1) table.
+    weights = np.zeros((width, n, d))
     sources[step, agent] = np.where(own, agent, n + delivered)
-    weights[step, agent, 0] = rows[agent, sender]
+    weights[step, agent] = rows[agent, sender][:, None]
     return RoundPlan(edges.astype(np.int32), sources, weights, np.zeros((n + len(edges) + 1, d)))
 
 
@@ -127,6 +134,7 @@ def run_netsim(
     calls_before = problem.objective.gradient_calls.copy()
     plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only
     edge_set_ids = np.empty((iterations, params.m), dtype=np.int32)
+    fold = np.empty((0, n, d))  # the run's fold terms, grown to the widest plan
     x, y = trace.x[0], trace.y[0]
 
     for k in range(iterations):
@@ -139,13 +147,22 @@ def run_netsim(
             edge_set_ids[k, round_index - 1], plan = entry
             # Delivery: every payload is a copy of the sender's pre-round
             # value (synchronous barrier), so agent order cannot matter.
+            # Every index below is in range by construction: "clip" writes
+            # straight into ``out``, where "raise" would buffer.
             plan.pool[:n] = v
-            np.take(v, plan.edges[:, 0], axis=0, out=plan.pool[n:-1])
-            # Fold: every agent sums its row in ascending sender order.
-            terms = plan.weights * plan.pool[plan.sources]
-            v = np.zeros((n, d))
-            for term in terms:
-                v += term
+            np.take(v, plan.edges[:, 0], axis=0, out=plan.pool[n:-1], mode="clip")
+            # Fold: every agent sums its row in ascending sender order. numpy
+            # reduces an outer axis one step after another, so the sum equals
+            # the sequential fold bit for bit. Only a (width, 1, 1) block
+            # would be summed pairwise, and that needs n = 1, whose row has
+            # width 1.
+            width = len(plan.sources)
+            if width > len(fold):
+                fold = np.empty((width, n, d))
+            terms = fold[:width]
+            np.take(plan.pool, plan.sources, axis=0, out=terms, mode="clip")
+            np.multiply(terms, plan.weights, out=terms)
+            v = np.add.reduce(terms, axis=0)
         # Row i of the family's gradient reads only agent i's data and point.
         gradients = problem.objective.gradient(v)
         trace.v[k] = v

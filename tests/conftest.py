@@ -44,20 +44,6 @@ def iterations_for(rho: float, decades: float = 12.5, floor: int = 24, cap: int 
     return min(cap, max(floor, int(decades * math.log(10) / -math.log(rho))))
 
 
-def fit_tail_rate(errors) -> float:
-    """Rate fit on the part of the sequence that has not hit the float floor.
-
-    Runs that converge faster than their guaranteed rate bottom out early;
-    cutting at the first sub-floor value keeps the tail fit well posed.
-    """
-    errors = np.asarray(errors, dtype=float)
-    above = errors > 100 * np.finfo(float).eps * errors[0]
-    cut = len(errors) if above.all() else int(np.argmin(above))
-    # Very fast runs leave few resolvable points; widen the tail to all of them.
-    tail_fraction = 0.5 if cut >= 20 else 1.0
-    return gg.fit_rate(errors[:cut], tail_fraction=tail_fraction)
-
-
 def make_run(problem, schedule, alpha, rho, sigma, seed, iterations=None, m_override=None) -> CorpusRun:
     params = gg.AlgorithmParams.derive(alpha, rho, sigma, m_override=m_override)
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ import gossipgrad as gg
 from gossipgrad.cli import main
 from gossipgrad.config import build_problem, build_schedule, initial_states, load_run_config, resolve_params
 
-from conftest import fit_tail_rate, iterations_for
+from conftest import iterations_for
 
 
 def report(cid: str, name: str, ok: bool, detail: str = ""):
@@ -106,9 +106,9 @@ def test_c05_rate_matches_centralized(pair, pair_sigma):
         x0 = np.random.default_rng(seed + 2).standard_normal((5, 3))
         K = iterations_for(params.rho)
         trace = gg.run_algorithm(problem, schedule, params, x0, K)
-        rate = fit_tail_rate(trace.max_errors(problem.optimizer))
+        rate = gg.fit_rate(trace.max_errors(problem.optimizer))
         central = gg.centralized_gd(problem, params.alpha, x0.mean(axis=0), K)
-        central_rate = fit_tail_rate(np.linalg.norm(central - problem.optimizer, axis=1))
+        central_rate = gg.fit_rate(np.linalg.norm(central - problem.optimizer, axis=1))
         ok = ok and rate <= params.rho + 0.02 and abs(rate - central_rate) <= 0.05
         details.append(f"rho={params.rho:.2f}: {rate:.4f}|{central_rate:.4f}")
     elapsed = time.perf_counter() - start
@@ -195,8 +195,8 @@ def test_c10_localization_desk_scale(localization_config_path):
     central = gg.centralized_gd(problem, params.alpha, x0.mean(axis=0), config.iterations)
     central_errors = np.linalg.norm(central - target, axis=1)
     ok = ok and float(central_errors[-1]) < 1e-6
-    rate = fit_tail_rate(errors.max(axis=1))
-    central_rate = fit_tail_rate(central_errors)
+    rate = gg.fit_rate(errors.max(axis=1))
+    central_rate = gg.fit_rate(central_errors)
     ok = ok and abs(rate - central_rate) <= 0.05
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0

@@ -6,8 +6,6 @@ import pytest
 import gossipgrad as gg
 from gossipgrad.errors import ConfigError
 
-from conftest import fit_tail_rate
-
 
 def brute_force_rounds(rho: float, sigma: float, cap: int = 10_000) -> int:
     threshold = gg.sigma0(rho)
@@ -151,7 +149,7 @@ class TestRun:
     def test_rate_at_most_rho(self, corpus):
         for run in corpus:
             errors = run.trace.max_errors(run.problem.optimizer)
-            rate = fit_tail_rate(errors)
+            rate = gg.fit_rate(errors)
             assert rate <= run.params.rho + 0.02, f"{run.name}: rate {rate} vs rho {run.params.rho}"
 
     def test_nonzero_sum_y0_rejected(self, pair):

@@ -194,3 +194,20 @@ class TestFitRate:
         trajectory = gg.centralized_gd(problem, 0.5, problem.optimizer + 2.0, 60)
         errors = np.linalg.norm(trajectory - problem.optimizer, axis=1)
         assert gg.fit_rate(errors, 0.5) == pytest.approx(0.5, abs=0.01)
+
+    def test_roundoff_plateau_is_cut(self):
+        # A converged ring-100 run sits on a roundoff plateau far above
+        # 100 * eps * errors[0] for most of its iterations; fitting the
+        # plateau would report a rate near 1.
+        ring = gg.ring_matrix(100)
+        problem = gg.random_quadratic_problem(100, 3, 1.0, 3.0, seed=5)
+        cp = gg.params_from_one_point_convexity(gg.StrongSmoothParams(1.0, 3.0))
+        params = gg.AlgorithmParams.derive(cp.alpha, cp.rho, gg.spectral_gap(ring))
+        assert params.m == 1027
+        x0 = problem.optimizer + 0.05 * np.random.default_rng(1).standard_normal((100, 3))
+        trace = gg.run_algorithm(problem, gg.GossipSchedule.constant(ring), params, x0, 120)
+        errors = trace.max_errors(problem.optimizer)
+        assert errors[60:].min() > 100 * np.finfo(float).eps * errors[0]
+        rate = gg.fit_rate(errors, 0.5)
+        assert rate <= params.rho + 0.02
+        assert rate == pytest.approx(gg.fit_rate(errors[:40], 0.5), abs=0.01)

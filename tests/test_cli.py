@@ -16,7 +16,6 @@ from gossipgrad.config import (
     resolve_params,
 )
 
-from conftest import fit_tail_rate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # Two blocks that never exchange values; LAPACK puts its gap at 0.9999999999999998.
@@ -152,7 +151,7 @@ class TestRunCommand:
                 agent_max[k] = max(agent_max.get(k, 0.0), float(r[3]))
         dec = np.array([agent_max[k] for k in sorted(agent_max)])
         cen = np.array([central[k] for k in sorted(central)])
-        assert abs(fit_tail_rate(dec) - fit_tail_rate(cen)) <= 0.05
+        assert abs(gg.fit_rate(dec) - gg.fit_rate(cen)) <= 0.05
 
     def test_localization_without_override_uses_derived_rounds(self, tmp_path, localization_config_path):
         # The checked-in config pins m = 6; the derived value for its

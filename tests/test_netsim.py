@@ -281,6 +281,18 @@ def sequential_reference(problem, schedule, params, x0, iterations, row_override
     return {"x": np.array(xs), "y": np.array(ys), "v": np.array(vs), "u": np.array(us)}
 
 
+def metropolis_matrix(n, p, rng):
+    """Metropolis weights of a connected Erdos-Renyi graph: symmetric and doubly stochastic."""
+    while True:
+        upper = np.triu(rng.random((n, n)) < p, 1)
+        adjacency = upper | upper.T
+        degree = adjacency.sum(axis=1)
+        W = np.where(adjacency, 1.0 / (1.0 + np.maximum(degree[:, None], degree[None, :])), 0.0)
+        W[np.diag_indices(n)] = 1.0 - W.sum(axis=1)
+        if gg.spectral_gap(W) < 1.0:
+            return gg.GossipMatrix(W)
+
+
 def random_mixtures(n, count, rng):
     """``count`` random convex combinations of 1-3 permutation matrices: doubly stochastic."""
     matrices = []
@@ -352,5 +364,34 @@ class TestFoldOrder:
         x0 = rng.standard_normal((n, d))
         net = gg.run_netsim(problem, schedule, params, x0, 5, row_overrides=rows)
         reference = sequential_reference(problem, schedule, params, x0, 5, rows)
+        for key in ("x", "y", "v", "u"):
+            assert np.array_equal(getattr(net, key), reference[key]), key
+
+    # Rows of width 9 to about 130: the fold is one numpy sum over the fold
+    # steps, which must add them in order, not pairwise.
+    @pytest.mark.parametrize("d", [1, 10])
+    @pytest.mark.parametrize("n, p", [(20, 0.5), (100, 0.3), (150, 0.85)])
+    def test_wide_rows_match_sequential_reference(self, n, p, d):
+        rng = np.random.default_rng(n + d)
+        matrices = [metropolis_matrix(n, p, rng) for _ in range(2)]
+        widths = [int(np.count_nonzero(W.weights, axis=1).max()) for W in matrices]
+        assert min(widths) >= 9 and (p < 0.8 or max(widths) >= 120), widths
+        schedule = gg.GossipSchedule.random_choice(matrices, seed=n)
+        problem = gg.random_quadratic_problem(n, d, 1.0, 3.0, seed=n, shared_hessian=False)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.01, m_override=2)
+        x0 = rng.standard_normal((n, d))
+        net = gg.run_netsim(problem, schedule, params, x0, 2)
+        reference = sequential_reference(problem, schedule, params, x0, 2)
+        for key in ("x", "y", "v", "u"):
+            assert np.array_equal(getattr(net, key), reference[key]), key
+
+    @pytest.mark.parametrize("d", [1, 10])
+    def test_single_agent_matches_sequential_reference(self, d):
+        problem = gg.random_quadratic_problem(1, d, 1.0, 3.0, seed=d)
+        schedule = gg.GossipSchedule.constant(gg.GossipMatrix([[1.0]]))
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.01, m_override=3)
+        x0 = np.random.default_rng(d).standard_normal((1, d))
+        net = gg.run_netsim(problem, schedule, params, x0, 4)
+        reference = sequential_reference(problem, schedule, params, x0, 4)
         for key in ("x", "y", "v", "u"):
             assert np.array_equal(getattr(net, key), reference[key]), key

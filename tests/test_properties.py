@@ -1,13 +1,17 @@
 """Property tests: spectral and product gaps against LAPACK and the round-count
-formula, message passing against the vectorized path, and batched against
-per-agent gradients."""
+formula, message passing against the vectorized path, batched against
+per-agent gradients, and the stacked certificate against its per-iteration
+formula."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gossipgrad as gg
+from gossipgrad.analysis import DECREASE_TOL
 
 seeds = st.integers(0, 2**32 - 1)
 common = settings(deadline=None)
@@ -142,3 +146,66 @@ class TestFamilyRows:
         radii = rng.uniform(0.05, 3.0, size=n)
         X = anchors + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
         assert_rows_match_views(family, X)
+
+
+class TestStackedCertificate:
+    """The certificate over whole (K, n, d) stacks against the formula applied one iteration at a time."""
+
+    @common
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(1, 5),
+        iterations=st.integers(0, 6),
+        lam=st.floats(0.01, 0.99),
+        rho=st.floats(0.05, 0.95),
+        seed=seeds,
+    )
+    @example(n=1, d=1, iterations=0, lam=0.5, rho=0.5, seed=0)  # empty v and u stacks
+    @example(n=1, d=4, iterations=3, lam=0.9, rho=0.3, seed=1)
+    def test_matches_per_iteration_formula(self, n, d, iterations, lam, rho, seed):
+        rng = np.random.default_rng(seed)
+        K = iterations
+        trace = gg.RunTrace(
+            x=rng.standard_normal((K + 1, n, d)),
+            y=rng.standard_normal((K + 1, n, d)),
+            v=rng.standard_normal((K, n, d)),
+            u=rng.standard_normal((K, n, d)),
+            params=None,
+            gradient_evaluations=0,
+            row_communications=0,
+        )
+        fp = gg.FixedPoint(
+            xstar=rng.standard_normal(d), ystar=rng.standard_normal((n, d)), ustar=rng.standard_normal((n, d))
+        )
+        params = SimpleNamespace(rho=rho, lam=lam)
+
+        dis, s0_sq = gg.disagreement_part, gg.sigma0(rho) ** 2
+        records = gg.lyapunov_trace(trace, fp, params)
+        values = [gg.lyapunov(trace.x[k] - fp.xstar, trace.y[k] - fp.ystar, lam) for k in range(K + 1)]
+        for k in range(K + 1):
+            # The 2-D energy against its formula written out with plain sums.
+            xb, yb = trace.x[k] - fp.xstar, trace.y[k] - fp.ystar
+            dx, dy = dis(xb), dis(yb)
+            squares = (n * np.sum(xb.mean(axis=0) ** 2), np.sum(dx**2), 2 * lam * np.sum(dx * dy), lam * np.sum(dy**2))
+            assert abs(values[k] - sum(squares)) <= 1e-12 * sum(map(abs, squares)), k
+        assert [r.k for r in records] == list(range(K + 1))
+        assert np.allclose([r.value for r in records], values, rtol=1e-12, atol=0)
+        assert records[0].delta is None and not records[0].exceeds_tolerance
+        for k in range(1, K + 1):
+            delta = values[k] - rho**2 * values[k - 1]
+            assert abs(records[k].delta - delta) <= 1e-12 * (values[k] + rho**2 * values[k - 1])
+            assert records[k].exceeds_tolerance == (delta > DECREASE_TOL)
+
+        terms = gg.decrease_terms(trace, fp, params)
+        assert terms.shape == (K, 3)
+        for k in range(K):
+            xb, yb = trace.x[k] - fp.xstar, trace.y[k] - fp.ystar
+            vb, ub = trace.v[k] - fp.xstar, trace.u[k] - fp.ustar
+            # Each term against the scale of the squares it combines.
+            parts = [
+                (rho**2 * np.sum(vb**2), np.sum(ub**2)),
+                (s0_sq * np.sum(dis(xb) ** 2), np.sum(dis(vb) ** 2)),
+                (np.sum(dis(vb + lam * (xb + yb)) ** 2), 0.0),
+            ]
+            for j, (plus, minus) in enumerate(parts):
+                assert abs(terms[k, j] - (plus - minus)) <= 1e-12 * (plus + minus), (k, j)
