@@ -18,10 +18,11 @@ bit for bit.
 Every round that uses one matrix delivers that matrix's edge set, so the
 delivery ledger is kept compact: one int32 edge-set id per round, an
 ``(iterations, m)`` array of ``4 * iterations * m`` bytes, plus the distinct
-``(|E|, 2)`` edge sets, one per round plan. ``RunTrace.deliveries`` expands
-it on demand into the ``(messages, 4)`` rows. The locality audit judges each
-distinct (matrix, edge set) pair once, so it costs one ``matrix_at`` and one
-lookup per round, however many messages the round carries.
+``(|E|, 2)`` edge sets, one per round plan. That compact ledger is the one
+the locality audit reads; ``RunTrace.deliveries`` is a read-only expansion of
+it into ``(messages, 4)`` rows. The audit judges each distinct (matrix, edge
+set) pair once, so it costs one ``matrix_at`` and one lookup per round,
+however many messages the round carries.
 
 This path exists to prove the algorithm is decentralized and to serve as an
 independent oracle for the vectorized execution: both must produce the same
@@ -60,28 +61,19 @@ class RoundPlan:
     pool: np.ndarray  # (n + |E| + 1, d) round buffer
 
 
-def round_plan(W: np.ndarray, row_overrides: dict, extra_edges: np.ndarray, d: int) -> RoundPlan:
-    """Plan the rounds of one mixing matrix, checking every delivery and fold once.
+def round_plan(W: np.ndarray, row_overrides: dict, d: int) -> RoundPlan:
+    """Plan the rounds of one mixing matrix, checking every fold once.
 
     Messages ride the nonzero off-diagonal weights in row-major (receiver,
-    sender) order, then the forced extra edges. Raises ``ProtocolError`` on
-    the first repeated (sender, receiver) pair in delivery order, else on
-    the first row entry, by agent and then sender, whose message never
-    arrives.
+    sender) order. Raises ``ProtocolError`` on the first row entry, by agent
+    and then sender, whose message never arrives.
     """
     n = W.shape[0]
     links = W != 0.0
     np.fill_diagonal(links, False)
-    edges = np.concatenate([np.argwhere(links)[:, ::-1], extra_edges])
-    senders, receivers = edges.T
-    _, first = np.unique(receivers * n + senders, return_index=True)
-    if len(first) < len(edges):
-        repeated = np.ones(len(edges), dtype=bool)
-        repeated[first] = False
-        e = np.flatnonzero(repeated)[0]
-        raise ProtocolError(f"agent {receivers[e]} received two messages from {senders[e]} in one round")
+    edges = np.argwhere(links)[:, ::-1]
     slot = np.full((n, n), -1)
-    slot[receivers, senders] = np.arange(len(edges))
+    slot[edges[:, 1], edges[:, 0]] = np.arange(len(edges))
 
     rows = np.array([row_overrides.get(i, W[i]) for i in range(n)], dtype=float)
     agent, sender = np.nonzero(rows)  # row-major: by agent, then ascending sender
@@ -112,13 +104,11 @@ def run_netsim(
     iterations: int,
     y0: np.ndarray | None = None,
     row_overrides: dict[int, np.ndarray] | None = None,
-    extra_edges: list[tuple[int, int]] | None = None,
 ) -> RunTrace:
     """Message-passing execution; trace schema identical to the vectorized path.
 
-    ``row_overrides`` hands selected agents a wrong weight row and
-    ``extra_edges`` forces (sender, receiver) deliveries every round; both are
-    tampering hooks for negative tests and default to off.
+    ``row_overrides`` hands selected agents a wrong weight row: a tampering
+    hook for negative tests, off by default.
     """
     trace = RunTrace.start(x0, y0, iterations, params)
     n, d = trace.n, trace.dimension
@@ -127,9 +117,6 @@ def run_netsim(
             f"agent count mismatch: states {n}, problem {problem.n}, schedule {schedule.n}"
         )
     row_overrides = row_overrides or {}
-    extra_edges = np.array(extra_edges or [], dtype=np.int64).reshape(-1, 2)
-    if not ((extra_edges >= 0) & (extra_edges < n)).all():
-        raise ConfigError(f"extra edges must join agents 0..{n - 1}")
 
     calls_before = problem.objective.gradient_calls.copy()
     plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only
@@ -143,7 +130,7 @@ def run_netsim(
             matrix = matrix_at(schedule, k, round_index)
             entry = plans.get(matrix)
             if entry is None:
-                entry = plans[matrix] = (len(plans), round_plan(matrix.weights, row_overrides, extra_edges, d))
+                entry = plans[matrix] = (len(plans), round_plan(matrix.weights, row_overrides, d))
             edge_set_ids[k, round_index - 1], plan = entry
             # Delivery: every payload is a copy of the sender's pre-round
             # value (synchronous barrier), so agent order cannot matter.
@@ -177,7 +164,13 @@ def run_netsim(
     return trace
 
 
-AUDIT_REASONS = (None, "self-delivery", "delivery across a zero-weight link", "delivery outside the run")
+AUDIT_REASONS = (
+    None,
+    "self-delivery",
+    "delivery across a zero-weight link",
+    "delivery outside the run",
+    "duplicate delivery",
+)
 
 
 @dataclass(frozen=True)
@@ -190,43 +183,28 @@ class AuditReport:
     expected_count: int
 
 
-def _compact_ledger(ledger: np.ndarray, n: int, m: int, iterations: int):
-    """Group an expanded ledger by round and intern each round's rows.
-
-    Returns the (iterations, m) edge-set ids and the distinct edge sets, as
-    ``run_netsim`` stores them; the ledger index of every row inside the run,
-    in round order; and the ledger indices of the rows outside the run's
-    iterations, rounds or agents, ascending.
-    """
-    iteration, round_index = ledger[:, 0], ledger[:, 1]
-    # Rows outside the run's iterations, rounds or agents get the last key.
-    inside = (ledger >= [0, 1, 0, 0]).all(axis=1) & (ledger < [iterations, m + 1, n, n]).all(axis=1)
-    key = np.where(inside, iteration * np.int64(m) + round_index - 1, iterations * m)
-    order = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[order], np.arange(iterations * m + 1))
-    rows = ledger[order[: bounds[-1]], 2:]
-    interned: dict = {}  # row bytes -> (edge-set id, rows)
-    ids = np.empty(iterations * m, dtype=np.int32)
-    for r in range(iterations * m):
-        edges = rows[bounds[r] : bounds[r + 1]]
-        ids[r] = interned.setdefault(edges.tobytes(), (len(interned), edges))[0]
-    edge_sets = tuple(edges for _, edges in interned.values())
-    return ids.reshape(iterations, m), edge_sets, order[: bounds[-1]], order[bounds[-1] :].tolist()
-
-
 def _judge(W: np.ndarray, edges: np.ndarray):
     """One matrix's verdict on one edge set: its link count, the flagged rows and the missing links.
 
-    Flagged rows are (row, (sender, receiver), reason) in edge-set order;
-    missing links are (sender, receiver) by receiver, then sender.
+    Flagged rows are (sender, receiver, reason) in edge-set order. A row
+    naming an agent outside the run is flagged as such; else a self-delivery
+    or a zero-weight link as such; else a pair that already came earlier in
+    the set is a duplicate. Missing links are (sender, receiver) by receiver,
+    then sender.
     """
+    n = W.shape[0]
     links = W != 0.0
     np.fill_diagonal(links, False)
-    s, r = edges[:, 0], edges[:, 1]
-    codes = np.where(s == r, 1, np.where(links[r, s], 0, 2))
+    inside = ((edges >= 0) & (edges < n)).all(axis=1)
+    s, r = np.where(inside[:, None], edges, 0).astype(np.int64).T
+    # Rows outside the run get distinct negative keys, so none is a duplicate.
+    _, first = np.unique(np.where(inside, r * n + s, -1 - np.arange(len(edges))), return_index=True)
+    repeated = np.ones(len(edges), dtype=bool)
+    repeated[first] = False
+    codes = np.select([~inside, s == r, ~links[r, s], repeated], [3, 1, 2, 4], 0)
     delivered = np.zeros_like(links)
-    delivered[r, s] = True
-    flagged = [(p, tuple(edges[p].tolist()), AUDIT_REASONS[codes[p]]) for p in np.flatnonzero(codes).tolist()]
+    delivered[r[inside], s[inside]] = True
+    flagged = [(*edges[p].tolist(), AUDIT_REASONS[codes[p]]) for p in np.flatnonzero(codes).tolist()]
     missing = [tuple(pair) for pair in np.argwhere(links & ~delivered)[:, ::-1].tolist()]
     return int(np.count_nonzero(links)), flagged, missing
 
@@ -234,27 +212,30 @@ def _judge(W: np.ndarray, edges: np.ndarray):
 def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     """Check that every delivered message rode a nonzero-weight link.
 
-    Also recounts the ledger against the schedule: each round must carry
-    exactly one message per nonzero off-diagonal weight. The expected links
-    are derived from ``matrix_at`` alone, never from the runner's edges. Each
-    distinct (matrix, edge set) pair is judged once, so a round costs one
-    ``matrix_at`` and one lookup. An expanded ledger is compacted first.
-    Violations list the offending ledger rows in ledger order, then the
-    missing deliveries in round order.
+    Reads the compact ledger the run stored, ``trace.edge_set_ids`` and
+    ``trace.edge_sets``, and recounts it against the schedule: each round
+    must carry exactly one message per nonzero off-diagonal weight. The
+    expected links are derived from ``matrix_at`` alone, never from the
+    runner's edges. Each distinct (matrix, edge set) pair is judged once, so
+    a round costs one ``matrix_at`` and one lookup. Violations list the
+    offending deliveries in ledger order, then the missing deliveries in
+    round order. Raises ``ConfigError`` on a trace without a ledger, whose
+    edge-set ids are not one valid id per round, or whose edge sets are not
+    integer (sender, receiver) rows.
     """
-    n, m, iterations = schedule.n, trace.params.m, trace.iterations
-    if trace.edge_set_ids is not None:
-        ids, edge_sets, positions, stray = trace.edge_set_ids, trace.edge_sets, None, []
-    elif trace.deliveries is not None:
-        ledger = trace.deliveries
-        ids, edge_sets, positions, stray = _compact_ledger(ledger, n, m, iterations)
-    else:
+    m, iterations = trace.params.m, trace.iterations
+    ids, edge_sets = trace.edge_set_ids, trace.edge_sets
+    if ids is None:
         raise ConfigError("trace carries no delivery ledger; run the message-passing path")
-    sizes = np.array([len(edges) for edges in edge_sets], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes[ids.ravel()])]).tolist()
+    if ids.shape != (iterations, m):
+        raise ConfigError(f"edge_set_ids has shape {ids.shape}, expected one id per round {(iterations, m)}")
+    if ids.size and not (ids.min() >= 0 and ids.max() < len(edge_sets)):
+        raise ConfigError(f"edge_set_ids must name edge sets 0..{len(edge_sets) - 1}")
+    if not all(edges.ndim == 2 and edges.shape[1] == 2 and edges.dtype.kind in "iu" for edges in edge_sets):
+        raise ConfigError("every edge set must be an integer (|E|, 2) array of (sender, receiver) rows")
 
     verdicts: dict = {}  # (GossipMatrix, edge-set id) -> _judge's verdict, for this audit only
-    flagged = []  # (ledger index, row, reason)
+    flagged = []
     missing = []
     expected = 0
     for r, e in enumerate(ids.ravel().tolist()):
@@ -265,16 +246,13 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
             verdict = verdicts[matrix, e] = _judge(matrix.weights, edge_sets[e])
         links, bad_rows, absent = verdict
         expected += links
-        for p, (s, t), reason in bad_rows:
-            index = offsets[r] + p if positions is None else int(positions[offsets[r] + p])
-            flagged.append((index, (k, l + 1, s, t), reason))
+        flagged += [((k, l + 1, s, t), reason) for s, t, reason in bad_rows]
         missing += [((k, l + 1, s, t), "expected delivery missing") for s, t in absent]
-    flagged += [(i, tuple(ledger[i].tolist()), AUDIT_REASONS[3]) for i in stray]
-    flagged.sort(key=lambda item: item[0])
-    violations = [(row, reason) for _, row, reason in flagged] + missing
+    sizes = np.array([len(edges) for edges in edge_sets], dtype=np.int64)
+    violations = flagged + missing
     return AuditReport(
         passed=not violations,
         violations=tuple(violations),
-        message_count=offsets[-1] + len(stray),
+        message_count=int(sizes[ids].sum()),
         expected_count=expected,
     )

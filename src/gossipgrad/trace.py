@@ -4,7 +4,8 @@ Both execution paths (vectorized and message-passing) fill the same trace:
 agent states x and y after every iteration, the post-communication points v
 and post-gradient points u inside every iteration, and the resource counters.
 The message-passing path also keeps its delivery ledger, compactly: one
-edge-set id per round and the distinct edge sets.
+edge-set id per round and the distinct edge sets. ``deliveries`` is a
+read-only expansion of that ledger, one row per message.
 """
 
 from __future__ import annotations
@@ -16,42 +17,6 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _expand_ledger(edge_set_ids: np.ndarray, edge_sets: tuple) -> np.ndarray:
-    """The int32 (messages, 4) rows (iteration, round, sender, receiver) of a compact ledger.
-
-    Round l of iteration k delivers ``edge_sets[edge_set_ids[k, l - 1]]``,
-    (sender, receiver) rows in delivery order; rounds come in run order.
-    """
-    iterations, m = edge_set_ids.shape
-    rounds = edge_set_ids.ravel()
-    sizes = np.array([len(edges) for edges in edge_sets], dtype=np.int64)[rounds]
-    ledger = np.empty((int(sizes.sum()), 4), dtype=np.int32)
-    ledger[:, 0] = np.repeat(np.arange(iterations).repeat(m), sizes)
-    ledger[:, 1] = np.repeat(np.tile(np.arange(1, m + 1), iterations), sizes)
-    if len(rounds):
-        np.concatenate([edge_sets[e] for e in rounds.tolist()], out=ledger[:, 2:])
-    return ledger
-
-
-class _Deliveries:
-    """The ``RunTrace.deliveries`` field: the expanded ledger, built on demand.
-
-    Reading gives the ledger set explicitly, else the expansion of the
-    compact one, else None. As a descriptor-typed dataclass field it is
-    still set through the constructor and ``dataclasses.replace``.
-    """
-
-    def __get__(self, trace, owner=None):
-        if trace is None:
-            return None  # the field's default
-        if trace.edge_set_ids is None:
-            return trace._deliveries
-        return _expand_ledger(trace.edge_set_ids, trace.edge_sets)
-
-    def __set__(self, trace, value):
-        trace._deliveries = value
-
-
 @dataclass(repr=False)
 class RunTrace:
     x: np.ndarray  # (iterations + 1, n, d) agent estimates
@@ -61,14 +26,27 @@ class RunTrace:
     params: object
     gradient_evaluations: int
     row_communications: int
-    deliveries: np.ndarray | None = _Deliveries()  # int32 rows (iteration, round, sender, receiver)
     edge_set_ids: np.ndarray | None = None  # (iterations, m) int32: the edge set each round delivered
     edge_sets: tuple = ()  # distinct (|E|, 2) int32 (sender, receiver) rows, in delivery order
 
-    def __post_init__(self):
-        # An explicit expanded ledger replaces the compact one.
-        if self._deliveries is not None:
-            self.edge_set_ids, self.edge_sets = None, ()
+    @property
+    def deliveries(self) -> np.ndarray | None:
+        """The ledger expanded into int32 rows (iteration, round, sender, receiver), in run order.
+
+        Round l of iteration k delivers ``edge_sets[edge_set_ids[k, l - 1]]``.
+        Built on each read from the compact ledger; None on a trace without one.
+        """
+        if self.edge_set_ids is None:
+            return None
+        iterations, m = self.edge_set_ids.shape
+        rounds = self.edge_set_ids.ravel()
+        sizes = np.array([len(edges) for edges in self.edge_sets], dtype=np.int64)[rounds]
+        ledger = np.empty((int(sizes.sum()), 4), dtype=np.int32)
+        ledger[:, 0] = np.repeat(np.arange(iterations).repeat(m), sizes)
+        ledger[:, 1] = np.repeat(np.tile(np.arange(1, m + 1), iterations), sizes)
+        if len(rounds):
+            np.concatenate([self.edge_sets[e] for e in rounds.tolist()], out=ledger[:, 2:])
+        return ledger
 
     @classmethod
     def start(cls, x0, y0, iterations: int, params) -> "RunTrace":

@@ -75,6 +75,26 @@ class TestEquivalence:
         assert report.passed
         assert report.message_count == report.expected_count == 4 * 164 * 2 * n == 52480
 
+    def test_ring_400_at_its_derived_m_matches_vectorized(self):
+        n = 400
+        ring = gg.ring_matrix(n)
+        problem = gg.random_quadratic_problem(n, 2, 1.0, 3.0, seed=4)
+        schedule = gg.GossipSchedule.constant(ring)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring))
+        assert params.m == 16434
+        x0 = np.random.default_rng(5).standard_normal((n, 2))
+        vec = gg.run_algorithm(problem, schedule, params, x0, 1)
+        net = gg.run_netsim(problem, schedule, params, x0, 1)
+        for key in ("x", "y", "v", "u"):
+            assert np.abs(getattr(vec, key) - getattr(net, key)).max() <= 1e-12, key
+        report = gg.locality_audit(net, schedule)
+        assert report.passed
+        assert report.message_count == report.expected_count == params.m * 2 * n == 13_147_200
+        # One int32 id per round plus the ring's single edge set: 72,136 bytes
+        # stored for 13.1 M messages, which expand to 210 MB.
+        assert net.edge_set_ids.nbytes == 4 * params.m and len(net.edge_sets) == 1
+        assert net.edge_set_ids.nbytes + net.edge_sets[0].nbytes == 72_136
+
     def test_agent_count_mismatch(self, pair):
         problem = gg.random_quadratic_problem(4, 2, 1.0, 2.0, seed=0)
         schedule = gg.GossipSchedule.constant(pair[0])
@@ -107,16 +127,13 @@ class TestLocalityAudit:
         assert counts == [12, 11]
 
     def test_forced_extra_delivery_fails(self, pair):
-        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
-        schedule = gg.GossipSchedule.constant(pair[0])
-        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
+        trace, schedule = pair_run(pair)
         # Sender 1 -> receiver 3 is a zero-weight link in the first matrix.
-        trace = gg.run_netsim(
-            problem, schedule, params, np.zeros((5, 2)), 2, extra_edges=[(1, 3)]
-        )
-        report = gg.locality_audit(trace, schedule)
+        edges = trace.edge_sets[0]
+        report = gg.locality_audit(with_round(trace, 1, 2, np.vstack([edges, [[1, 3]]])), schedule)
         assert not report.passed
-        assert any("zero-weight" in reason for _, reason in report.violations)
+        assert report.violations == (((1, 2, 1, 3), "delivery across a zero-weight link"),)
+        assert report.message_count == report.expected_count + 1 == 121
 
     def test_complete_graph_message_count(self):
         n = 5
@@ -130,43 +147,57 @@ class TestLocalityAudit:
         assert report.message_count == 3 * n * (n - 1)
 
     def test_edited_ledger_is_caught(self, pair):
-        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
-        schedule = gg.GossipSchedule.constant(pair[0])
-        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
-        trace = gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2)
+        trace, schedule = pair_run(pair)
         ledger = trace.deliveries
-        assert ledger.dtype == np.int32 and ledger.shape == (2 * params.m * 12, 4)
+        assert ledger.dtype == np.int32 and ledger.shape == (2 * trace.params.m * 12, 4)
+        edges = trace.edge_sets[trace.edge_set_ids[0, 0]]
 
-        dropped = gg.locality_audit(replace(trace, deliveries=np.delete(ledger, 3, axis=0)), schedule)
-        assert not dropped.passed
-        assert dropped.violations == ((tuple(ledger[3].tolist()), "expected delivery missing"),)
+        dropped = with_round(trace, 0, 1, np.delete(edges, 3, axis=0))
+        assert np.array_equal(dropped.deliveries, np.delete(ledger, 3, axis=0))
+        report = gg.locality_audit(dropped, schedule)
+        assert not report.passed
+        assert report.violations == ((tuple(ledger[3].tolist()), "expected delivery missing"),)
 
-        self_row = np.array([[1, 2, 4, 4]], dtype=np.int32)
-        looped = gg.locality_audit(replace(trace, deliveries=np.vstack([ledger, self_row])), schedule)
+        looped = gg.locality_audit(with_round(trace, 1, 2, np.vstack([edges, [[4, 4]]])), schedule)
         assert not looped.passed
         assert looped.violations == (((1, 2, 4, 4), "self-delivery"),)
 
     def test_ledger_row_outside_the_run_is_a_violation(self, pair):
-        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
-        schedule = gg.GossipSchedule.constant(pair[0])
-        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
-        trace = gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2)
-        stray = np.array([[2, 1, 1, 0], [0, params.m + 1, 1, 0], [0, 1, 1, 5]], dtype=np.int32)
-        report = gg.locality_audit(replace(trace, deliveries=np.vstack([trace.deliveries, stray])), schedule)
+        trace, schedule = pair_run(pair)
+        stray = [[1, 5], [5, 0], [7, 9]]
+        report = gg.locality_audit(with_round(trace, 0, 1, np.vstack([trace.edge_sets[0], stray])), schedule)
         assert not report.passed
-        assert [reason for _, reason in report.violations] == ["delivery outside the run"] * 3
+        assert report.violations == tuple(((0, 1, s, r), "delivery outside the run") for s, r in stray)
+        assert report.message_count == report.expected_count + 3
+
+    def test_malformed_ledger_is_rejected(self, pair):
+        trace, schedule = pair_run(pair)
+        iterations, m = trace.edge_set_ids.shape
+        for shape in ((iterations + 1, m), (iterations, m - 1), (iterations * m,)):
+            ids = np.zeros(shape, dtype=np.int32)
+            with pytest.raises(ConfigError, match="shape"):
+                gg.locality_audit(replace(trace, edge_set_ids=ids), schedule)
+        for bad_id in (len(trace.edge_sets), -1):
+            ids = trace.edge_set_ids.copy()
+            ids[1, 2] = bad_id
+            with pytest.raises(ConfigError, match="edge sets 0..0"):
+                gg.locality_audit(replace(trace, edge_set_ids=ids), schedule)
+        # A float row would be truncated onto a real link, or read as a self-delivery.
+        for edges in (np.zeros((3, 3), dtype=np.int32), np.zeros(4, dtype=np.int32), np.full((2, 2), 0.5)):
+            with pytest.raises(ConfigError, match="edge set"):
+                gg.locality_audit(replace(trace, edge_sets=(edges,)), schedule)
 
     def test_vectorized_trace_has_no_ledger(self, corpus):
         with pytest.raises(ConfigError):
             gg.locality_audit(corpus[0].trace, corpus[0].schedule)
 
 
-def audits_of_both_forms(trace, schedule):
-    """The audit of a compact trace, and of the same trace carrying its expanded ledger."""
-    assert trace.edge_set_ids is not None
-    expanded = replace(trace, deliveries=trace.deliveries)
-    assert expanded.edge_set_ids is None  # an explicit ledger replaces the compact one
-    return gg.locality_audit(trace, schedule), gg.locality_audit(expanded, schedule)
+def pair_run(pair, **tampering):
+    """Two netsim iterations on the first built-in matrix (m = 5, 120 messages), and that schedule."""
+    problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
+    schedule = gg.GossipSchedule.constant(pair[0])
+    params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
+    return gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2, **tampering), schedule
 
 
 def with_round(trace, iteration, round_index, edges):
@@ -174,26 +205,33 @@ def with_round(trace, iteration, round_index, edges):
     ids = trace.edge_set_ids.copy()
     ids[iteration, round_index - 1] = len(trace.edge_sets)
     edge_sets = trace.edge_sets + (np.asarray(edges, dtype=np.int32),)
-    return replace(trace, deliveries=None, edge_set_ids=ids, edge_sets=edge_sets)
+    return replace(trace, edge_set_ids=ids, edge_sets=edge_sets)
 
 
 class TestLedgerForms:
-    """The compact ledger and its expansion must audit to the same report, violation order included."""
+    """The compact ledger is what the run stores and the audit reads; ``deliveries`` only expands it."""
 
     def test_corpus(self, corpus):
         for run in corpus:
-            compact, expanded = audits_of_both_forms(run.net_trace, run.schedule)
-            assert compact == expanded, run.name
-            assert compact.passed, run.name
+            trace = run.net_trace
+            report = gg.locality_audit(trace, run.schedule)
+            assert report.passed, run.name
+            assert report.message_count == report.expected_count == len(trace.deliveries), run.name
+        with pytest.raises(AttributeError):
+            trace.deliveries = trace.deliveries
+        with pytest.raises(TypeError):
+            replace(trace, deliveries=trace.deliveries)
 
     def test_extra_edges_run(self, pair):
-        schedule = gg.GossipSchedule.constant(pair[0])
-        trace = TestProtocol.tampered_run(pair, extra_edges=[(1, 3), (4, 2)])
-        compact, expanded = audits_of_both_forms(trace, schedule)
-        assert compact == expanded
-        assert [row for row, _ in compact.violations] == [
-            (k, l, s, r) for k in range(2) for l in range(1, trace.params.m + 1) for s, r in ((1, 3), (4, 2))
+        trace, schedule = pair_run(pair)
+        # Every round of the run delivers its edges plus two across zero-weight links.
+        extra = [[1, 3], [4, 2]]
+        tampered = replace(trace, edge_sets=(np.vstack([trace.edge_sets[0], extra]),))
+        report = gg.locality_audit(tampered, schedule)
+        assert [row for row, _ in report.violations] == [
+            (k, l, s, r) for k in range(2) for l in range(1, trace.params.m + 1) for s, r in extra
         ]
+        assert {reason for _, reason in report.violations} == {"delivery across a zero-weight link"}
 
     def test_row_overrides_run(self, pair, pair_sigma):
         problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=6)
@@ -202,28 +240,28 @@ class TestLedgerForms:
         x0 = np.random.default_rng(4).standard_normal((5, 2))
         tampered_row = np.array([0.0, 0.25, 0.375, 0.0, 0.375])
         trace = gg.run_netsim(problem, schedule, params, x0, 10, row_overrides={0: tampered_row})
-        compact, expanded = audits_of_both_forms(trace, schedule)
-        assert compact == expanded and compact.passed
+        report = gg.locality_audit(trace, schedule)
+        assert report.passed and report.message_count == report.expected_count
 
     def test_edited_ledgers(self, pair):
-        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
-        schedule = gg.GossipSchedule.constant(pair[0])
-        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
-        trace = gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2)
-        ledger = trace.deliveries
-        edges = trace.edge_sets[trace.edge_set_ids[0, 0]]
-
-        dropped = with_round(trace, 0, 1, np.delete(edges, 3, axis=0))
-        assert np.array_equal(dropped.deliveries, np.delete(ledger, 3, axis=0))
-        compact, expanded = audits_of_both_forms(dropped, schedule)
-        assert compact == expanded
-        assert compact.violations == ((tuple(ledger[3].tolist()), "expected delivery missing"),)
-
-        looped = with_round(trace, 1, 2, np.vstack([edges, [[4, 4]]]))
-        compact, expanded = audits_of_both_forms(looped, schedule)
-        appended = gg.locality_audit(replace(trace, deliveries=np.vstack([ledger, [[1, 2, 4, 4]]])), schedule)
-        assert compact == expanded == appended
-        assert compact.violations == (((1, 2, 4, 4), "self-delivery"),)
+        trace, schedule = pair_run(pair)
+        edges = trace.edge_sets[0]
+        # Round (1, 3) loses three links and gains, out of order, one row of
+        # each flagged kind; round (0, 2) loses one link. Flagged rows come
+        # first, in ledger order, then the missing links in round order.
+        late = np.vstack([[[2, 2]], edges[2:5], [[2, 1], [1, 3], [0, 8]], edges[6:]])
+        early = np.delete(edges, 0, axis=0)
+        report = gg.locality_audit(with_round(with_round(trace, 1, 3, late), 0, 2, early), schedule)
+        assert report.violations == (
+            ((1, 3, 2, 2), "self-delivery"),
+            ((1, 3, 2, 1), "duplicate delivery"),
+            ((1, 3, 1, 3), "delivery across a zero-weight link"),
+            ((1, 3, 0, 8), "delivery outside the run"),
+            ((0, 2, 1, 0), "expected delivery missing"),
+            ((1, 3, 1, 0), "expected delivery missing"),
+            ((1, 3, 2, 0), "expected delivery missing"),
+            ((1, 3, 3, 1), "expected delivery missing"),
+        )
 
     def test_ring_100_at_its_derived_m_keeps_a_small_ledger(self):
         n, iterations = 100, 2
@@ -305,23 +343,27 @@ def random_mixtures(n, count, rng):
 
 
 class TestProtocol:
-    @staticmethod
-    def tampered_run(pair, **tampering):
-        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
-        schedule = gg.GossipSchedule.constant(pair[0])
-        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
-        return gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2, **tampering)
-
     def test_duplicate_of_an_existing_link_is_rejected(self, pair):
+        trace, schedule = pair_run(pair)
         # Row 0 of the first matrix already takes a message from sender 1.
-        with pytest.raises(ProtocolError, match="received two messages") as caught:
-            self.tampered_run(pair, extra_edges=[(1, 0)])
-        assert str(caught.value) == "agent 0 received two messages from 1 in one round"
+        edges = np.vstack([trace.edge_sets[0], [[1, 0]]])
+        report = gg.locality_audit(with_round(trace, 0, 1, edges), schedule)
+        assert not report.passed
+        assert report.violations == (((0, 1, 1, 0), "duplicate delivery"),)
+        assert (report.message_count, report.expected_count) == (121, 120)
 
     def test_extra_edge_listed_twice_is_rejected(self, pair):
-        with pytest.raises(ProtocolError, match="received two messages") as caught:
-            self.tampered_run(pair, extra_edges=[(1, 3), (2, 4), (1, 3)])
-        assert str(caught.value) == "agent 3 received two messages from 1 in one round"
+        trace, schedule = pair_run(pair)
+        # Both copies of a zero-weight link read as such; a link's third copy is a second duplicate.
+        edges = np.vstack([trace.edge_sets[0], [[1, 3], [2, 4], [1, 3], [0, 4], [0, 4]]])
+        report = gg.locality_audit(with_round(trace, 1, 5, edges), schedule)
+        assert report.violations == (
+            ((1, 5, 1, 3), "delivery across a zero-weight link"),
+            ((1, 5, 2, 4), "delivery across a zero-weight link"),
+            ((1, 5, 1, 3), "delivery across a zero-weight link"),
+            ((1, 5, 0, 4), "duplicate delivery"),
+            ((1, 5, 0, 4), "duplicate delivery"),
+        )
 
     def test_missing_message_names_lowest_agent_then_lowest_sender(self, pair):
         W = pair[0].weights
@@ -332,13 +374,16 @@ class TestProtocol:
         rows = {4: np.full(5, 0.2), 2: np.full(5, 0.2)}
         rows[2][0] = 0.125
         with pytest.raises(ProtocolError) as caught:
-            self.tampered_run(pair, row_overrides=rows)
+            pair_run(pair, row_overrides=rows)
         assert str(caught.value) == "agent 2 expected a message from 0 (weight 0.125) but none arrived"
 
     def test_extra_edge_outside_the_agents_is_rejected(self, pair):
-        for edge in ((0, 5), (-1, 2)):
-            with pytest.raises(ConfigError):
-                self.tampered_run(pair, extra_edges=[edge])
+        trace, schedule = pair_run(pair)
+        # A negative agent must not be read as agent n - 1 (4 -> 2 is a zero-weight link).
+        for edge in ((-1, 2), (0, -5), (5, 0)):
+            edges = np.vstack([trace.edge_sets[0], [edge]])
+            report = gg.locality_audit(with_round(trace, 1, 1, edges), schedule)
+            assert report.violations == (((1, 1, *edge), "delivery outside the run"),)
 
 
 class TestFoldOrder:

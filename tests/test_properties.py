@@ -3,6 +3,7 @@ formula, message passing against the vectorized path, batched against
 per-agent gradients, and the stacked certificate against its per-iteration
 formula."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,6 +115,57 @@ class TestNetsimProperties:
         assert report.passed
         assert report.message_count == report.expected_count
         assert net.row_communications == n * m * iterations
+
+    @common
+    @given(
+        n=st.integers(2, 10),
+        count=st.integers(1, 3),
+        k=st.integers(1, 4),
+        m=st.integers(1, 4),
+        iterations=st.integers(1, 3),
+        tamper=st.sampled_from(["drop", "repeat", "zero-weight", "self", "outside"]),
+        seed=seeds,
+    )
+    def test_one_tampered_round_is_the_only_violation(self, n, count, k, m, iterations, tamper, seed):
+        rng = np.random.default_rng(seed)
+        matrices = [gg.GossipMatrix(birkhoff_mixture(n, k, rng)) for _ in range(count)]
+        schedule = gg.GossipSchedule.random_choice(matrices, seed=seed)
+        problem = gg.random_quadratic_problem(n, 2, 1.0, 3.0, seed)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 1e-3, m_override=m)
+        net = gg.run_netsim(problem, schedule, params, rng.standard_normal((n, 2)), iterations)
+        honest = gg.locality_audit(net, schedule)
+        assert honest.passed and honest.message_count == honest.expected_count
+
+        it, l = int(rng.integers(iterations)), int(rng.integers(1, m + 1))
+        edges = net.edge_sets[net.edge_set_ids[it, l - 1]]
+        links = gg.matrix_at(schedule, it, l).weights.T != 0.0  # links[s, r]: s sends to r
+        if tamper == "drop":
+            assume(len(edges) > 0)
+            p = int(rng.integers(len(edges)))
+            pair, reason, tampered = edges[p], "expected delivery missing", np.delete(edges, p, axis=0)
+        else:
+            if tamper == "repeat":
+                assume(len(edges) > 0)
+                pair, reason = edges[rng.integers(len(edges))], "duplicate delivery"
+            elif tamper == "zero-weight":
+                unlinked = np.argwhere(~links & ~np.eye(n, dtype=bool))
+                assume(len(unlinked) > 0)
+                pair, reason = unlinked[rng.integers(len(unlinked))], "delivery across a zero-weight link"
+            elif tamper == "self":
+                pair, reason = np.full(2, rng.integers(n)), "self-delivery"
+            else:
+                pair = rng.integers(n, size=2)
+                pair[rng.integers(2)] = rng.choice([-n, -1, n, 2 * n])
+                reason = "delivery outside the run"
+            tampered = np.insert(edges, rng.integers(len(edges) + 1), pair, axis=0)
+
+        ids = net.edge_set_ids.copy()
+        ids[it, l - 1] = len(net.edge_sets)
+        report = gg.locality_audit(replace(net, edge_set_ids=ids, edge_sets=net.edge_sets + (tampered,)), schedule)
+        assert not report.passed
+        assert report.violations == (((it, l, *pair.tolist()), reason),)
+        assert report.message_count - report.expected_count == len(tampered) - len(edges)
+
 
 def assert_rows_match_views(family, X):
     # Bit for bit: the message-passing path takes one family call per
