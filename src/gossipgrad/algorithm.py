@@ -130,7 +130,7 @@ def algorithm_iteration(
             v = matrix_at(schedule, iteration, round_index).weights @ v
     else:
         v = mixing @ x
-    u = v - params.alpha * problem.objective.gradient(v)
+    u = v - params.alpha * problem.gradient(v)
     y_next = y + x - v
     x_next = u - params.lam * y_next
     return x_next, y_next, v, u
@@ -153,12 +153,12 @@ def run_algorithm(
     """
     trace = RunTrace.start(x0, y0, iterations, params)
     mixing = mixing_product(schedule, 0, params.m) if len(schedule.matrices) == 1 else None
-    calls_before = problem.objective.gradient_calls.copy()
+    calls_before = problem.gradient_calls.copy()
     x, y = trace.x[0], trace.y[0]
     for k in range(iterations):
         x, y, trace.v[k], trace.u[k] = algorithm_iteration(problem, schedule, params, x, y, k, mixing)
         trace.x[k + 1], trace.y[k + 1] = x, y
-    trace.count_gradients(problem.objective.gradient_calls - calls_before)
+    trace.count_gradients(problem.gradient_calls - calls_before)
     trace.row_communications = trace.n * params.m * iterations
     return trace
 
@@ -171,6 +171,6 @@ def centralized_gd(problem: Problem, alpha: float, x0, iterations: int) -> np.nd
     trajectory = np.empty((iterations + 1, problem.dimension))
     trajectory[0] = x
     for k in range(iterations):
-        x = x - alpha * problem.gradient(x)
+        x = x - alpha * (problem.gradient(problem.at(x)).sum(axis=0) / problem.n)
         trajectory[k + 1] = x
     return trajectory

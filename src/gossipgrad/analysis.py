@@ -86,7 +86,7 @@ def fixed_point(problem: Problem, params) -> FixedPoint:
     if problem.optimizer is None:
         raise AnalysisError("fixed-point analysis needs a problem with a known optimizer")
     xstar = problem.optimizer
-    ustar = xstar - params.alpha * problem.objective.gradient(problem.objective.at(xstar))
+    ustar = xstar - params.alpha * problem.gradient(problem.at(xstar))
     ystar = (ustar - xstar) / params.lam
     mean_norm = np.linalg.norm(ystar.mean(axis=0))
     if mean_norm > YSTAR_MEAN_TOL * max(1.0, np.abs(ystar).max()):

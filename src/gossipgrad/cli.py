@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis
 from .algorithm import centralized_gd, comm_rounds, run_algorithm, sigma0
 from .config import build_problem, build_schedule, initial_states, load_run_config, resolve_params
-from .errors import ConfigError, DegenerateCurvatureError, SingularPointError
+from .errors import AnalysisError, ConfigError, DegenerateCurvatureError, SingularPointError
 from .gossip import spectral_gap, validate_doubly_stochastic
 from .netsim import run_netsim
 from .objective import ContractionParams, check_contraction, sample_ball
@@ -41,16 +41,30 @@ def _write_lines(path: str | None, lines: list[str]):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc.strerror}") from exc
 
 
-def cmd_run(args) -> int:
-    config = load_run_config(args.config)
-    problem = build_problem(config)
+def assemble(path):
+    """(config, problem, params, schedule, x0) from the config at ``path``, as ``run`` and ``validate`` need them."""
+    config = load_run_config(path)
+    try:
+        problem = build_problem(config)
+    except ValueError as exc:  # the solved optimizer fails its gradient-sum check
+        raise AnalysisError(f"the solved optimizer is not exact: {exc}") from exc
     params = resolve_params(config, problem)
     schedule = build_schedule(config, params.m)
     x0 = initial_states(config, problem)
+    if schedule.n != problem.n:
+        raise ConfigError(f"the problem has {problem.n} agents but the schedule mixes {schedule.n}")
+    return config, problem, params, schedule, x0
+
+
+def cmd_run(args) -> int:
+    config, problem, params, schedule, x0 = assemble(args.config)
     runner = run_netsim if (args.mode or config.mode) == "netsim" else run_algorithm
     xstar = problem.optimizer
     # Overflow is caught by the finiteness check below, not by numpy warnings.
@@ -117,10 +131,7 @@ def cmd_validate(args) -> int:
             raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    config = load_run_config(args.config)
-    problem = build_problem(config)
-    params = resolve_params(config, problem)
-    schedule = build_schedule(config, params.m)
+    config, problem, params, schedule, _ = assemble(args.config)
 
     checks: list[tuple[str, bool, str]] = []
     for idx, W in enumerate(schedule.matrices):
@@ -141,17 +152,17 @@ def cmd_validate(args) -> int:
         )
     )
 
-    objective, xstar = problem.objective, problem.optimizer
+    xstar = problem.optimizer
     contraction = ContractionParams(alpha=params.alpha, rho=params.rho)
     samples = sample_ball(xstar, radius=args.radius, count=args.samples, seed=config.seed)
     try:
-        report = check_contraction(objective, xstar, contraction, samples)
+        report = check_contraction(problem, xstar, contraction, samples)
         ok, worst = report.passed, report.max_ratio
     except SingularPointError:
         ok, worst = False, float("inf")
     checks.append(("sampled contraction", ok, f"worst ratio {worst:.6f} vs rho {params.rho:.6f}"))
 
-    gradient_sum = np.linalg.norm(objective.gradient(objective.at(xstar)).sum(axis=0))
+    gradient_sum = np.linalg.norm(problem.gradient(problem.at(xstar)).sum(axis=0))
     checks.append(
         ("gradient sum zero at optimizer", gradient_sum <= 1e-6 * problem.n, f"norm {gradient_sum:.3e}")
     )
@@ -209,7 +220,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularPointError, DegenerateCurvatureError) as exc:
+    except (SingularPointError, DegenerateCurvatureError, AnalysisError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -14,13 +14,16 @@ Sections and keys (see the README for a full example):
   [run]           iterations, seed, mode = vectorized | netsim,
                   output = path, x0 = positions | zeros | random | explicit points
 
-Matrix entries accept decimals or exact fractions such as 3/8.
+Matrix entries accept decimals or exact fractions such as 3/8. Any other
+section or key is a config error, as are n, d or iterations below 1 and a
+negative seed.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -58,15 +61,17 @@ def parse_matrix(text: str) -> GossipMatrix:
     return GossipMatrix(parsed)
 
 
-def parse_number(kind, text: str, key: str):
-    """``kind(text)`` for kind int or float; a malformed or non-finite value is a config error naming ``key``."""
+def parse_number(kind, text: str, key: str, minimum=None):
+    """``kind(text)`` for kind int or float; a malformed or non-finite value, or
+    one below ``minimum``, is a config error naming ``key``."""
     try:
         value = kind(text)
-        if kind is float and not math.isfinite(value):
+        if kind is float and not math.isfinite(value) or minimum is not None and value < minimum:
             raise ValueError(text)
         return value
     except ValueError as exc:
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a finite number'}, got {text!r}") from exc
+        expected = ("an integer" if kind is int else "a finite number") + ("" if minimum is None else f" >= {minimum}")
+        raise ConfigError(f"{key} must be {expected}, got {text!r}") from exc
 
 
 def parse_points(text: str) -> np.ndarray:
@@ -102,6 +107,16 @@ class RunConfig:
     x0_spec: str
 
 
+# The keys the loader reads, one pattern per section; configparser lowercases L to l.
+SECTION_KEYS = {
+    "problem": "kind|n|d|mu|l|seed",
+    "localization": "target|seed|n|positions",
+    "schedule": r"kind|source|n|seed|matrix[1-9]\d*",
+    "algorithm": "alpha|rho|sigma|m",
+    "run": "iterations|seed|mode|output|x0",
+}
+
+
 def _get(section, key, default=None):
     if key in section:
         return section[key]
@@ -115,13 +130,6 @@ def _float_or_auto(text: str) -> float | str:
     return "auto" if text == "auto" else parse_number(float, text, "alpha, rho and sigma")
 
 
-def _agent_count(sched) -> int:
-    n = parse_number(int, _get(sched, "n"), "n")
-    if n < 1:
-        raise ConfigError(f"schedule needs n >= 1 agents, got {n}")
-    return n
-
-
 def load_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -131,6 +139,12 @@ def load_run_config(path) -> RunConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    for name in parser.sections():
+        if name not in SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        unknown = [key for key in parser[name] if not re.fullmatch(SECTION_KEYS[name], key)]
+        if unknown:
+            raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in section [{name}]")
 
     if "problem" not in parser:
         raise ConfigError("config needs a [problem] section")
@@ -140,14 +154,12 @@ def load_run_config(path) -> RunConfig:
     localization = None
     if kind == "quadratic":
         quadratic = {
-            "n": parse_number(int, _get(problem_section, "n", "5"), "n"),
-            "d": parse_number(int, _get(problem_section, "d", "3"), "d"),
+            "n": parse_number(int, _get(problem_section, "n", "5"), "n", minimum=1),
+            "d": parse_number(int, _get(problem_section, "d", "3"), "d", minimum=1),
             "mu": parse_number(float, _get(problem_section, "mu", "1.0"), "mu"),
             "L": parse_number(float, _get(problem_section, "L", "3.0"), "L"),
-            "seed": parse_number(int, _get(problem_section, "seed", "0"), "seed"),
+            "seed": parse_number(int, _get(problem_section, "seed", "0"), "seed", minimum=0),
         }
-        if quadratic["n"] < 1 or quadratic["d"] < 1:
-            raise ConfigError("quadratic problem needs n >= 1 and d >= 1")
         if not 0 < quadratic["mu"] <= quadratic["L"] < np.inf:
             raise ConfigError("quadratic problem needs 0 < mu <= L < inf")
     elif kind == "localization":
@@ -159,8 +171,8 @@ def load_run_config(path) -> RunConfig:
             localization = LocalizationConfig.from_positions(parse_points(loc["positions"]), target)
         else:
             localization = LocalizationConfig.sampled(
-                n=parse_number(int, _get(loc, "n", "5"), "n"),
-                seed=parse_number(int, _get(loc, "seed"), "seed"),
+                n=parse_number(int, _get(loc, "n", "5"), "n", minimum=1),
+                seed=parse_number(int, _get(loc, "seed"), "seed", minimum=0),
                 target=target,
             )
     else:
@@ -173,10 +185,9 @@ def load_run_config(path) -> RunConfig:
     source = _get(sched, "source", "inline").strip()
     if source == "five-agent-pair":
         matrices = list(five_agent_gossip_pair())
-    elif source == "complete":
-        matrices = [complete_matrix(_agent_count(sched))]
-    elif source == "ring":
-        matrices = [ring_matrix(_agent_count(sched))]
+    elif source in ("complete", "ring"):
+        n = parse_number(int, _get(sched, "n"), "n", minimum=1)
+        matrices = [complete_matrix(n) if source == "complete" else ring_matrix(n)]
     elif source == "inline":
         matrices = []
         index = 1
@@ -198,19 +209,17 @@ def load_run_config(path) -> RunConfig:
         localization=localization,
         schedule_kind=schedule_kind,
         schedule_matrices=matrices,
-        schedule_seed=parse_number(int, sched.get("seed", "0"), "seed"),
+        schedule_seed=parse_number(int, sched.get("seed", "0"), "seed", minimum=0),
         alpha=_float_or_auto(algo.get("alpha", "auto")),
         rho=_float_or_auto(algo.get("rho", "auto")),
         sigma=_float_or_auto(algo.get("sigma", "auto")),
         m_override=m_override,
-        iterations=parse_number(int, run.get("iterations", "100"), "iterations"),
-        seed=parse_number(int, run.get("seed", "0"), "seed"),
+        iterations=parse_number(int, run.get("iterations", "100"), "iterations", minimum=1),
+        seed=parse_number(int, run.get("seed", "0"), "seed", minimum=0),
         mode=run.get("mode", "vectorized").strip(),
         output=run.get("output", None),
         x0_spec=run.get("x0", "positions" if kind == "localization" else "random").strip(),
     )
-    if config.iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {config.iterations}")
     if config.mode not in ("vectorized", "netsim"):
         raise ConfigError(f"mode must be vectorized or netsim, got {config.mode!r}")
     return config

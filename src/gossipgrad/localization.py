@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateCurvatureError, SingularPointError
 from .gossip import GossipMatrix
-from .objective import ObjectiveFamily, Problem
+from .objective import Problem
 
 ANCHOR_EXCLUSION = 1e-12
 
@@ -61,14 +61,11 @@ class LocalizationConfig:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    def objective(self) -> "RangeResidualObjective":
-        return RangeResidualObjective(self.positions, self.ranges)
-
-    def problem(self) -> Problem:
-        return Problem(self.objective(), optimizer=self.target)
+    def problem(self) -> "RangeResidualObjective":
+        return RangeResidualObjective(self.positions, self.ranges, optimizer=self.target)
 
 
-class RangeResidualObjective(ObjectiveFamily):
+class RangeResidualObjective(Problem):
     """Squared residuals between the distance to each agent's anchor and its measured range.
 
     ``anchors`` has shape (n, 2) and ``ranges`` shape (n,). Derivatives are
@@ -76,16 +73,16 @@ class RangeResidualObjective(ObjectiveFamily):
     silently patching the point.
     """
 
-    def __init__(self, anchors, ranges):
+    def __init__(self, anchors, ranges, optimizer=None):
         anchors = np.array(anchors, dtype=float)
         ranges = np.array(ranges, dtype=float)
         if anchors.ndim != 2 or anchors.shape[1] != 2 or ranges.shape != anchors.shape[:1]:
             raise ValueError(f"need anchors (n, 2) and ranges (n,), got {anchors.shape} and {ranges.shape}")
-        super().__init__(anchors.shape[0], 2)
         anchors.setflags(write=False)
         ranges.setflags(write=False)
         self.anchors = anchors
         self.ranges = ranges
+        super().__init__(anchors.shape[0], 2, optimizer)
 
     def _row(self, i):
         return {"anchors": self.anchors[i], "ranges": self.ranges[i]}
@@ -128,7 +125,7 @@ def optimal_stepsize(problem: Problem, point) -> float:
     """
     if problem.dimension != 2:
         raise ConfigError("the trace shortcut for the eigenvalue sum only holds in 2-d")
-    trace_sum = float(np.mean(problem.objective.hessian_trace(problem.objective.at(point))))
+    trace_sum = float(np.mean(problem.hessian_trace(problem.at(point))))
     if trace_sum <= 0:
         raise DegenerateCurvatureError(
             f"average curvature trace {trace_sum:.6g} is not positive; no stepsize can be derived"
@@ -138,8 +135,8 @@ def optimal_stepsize(problem: Problem, point) -> float:
 
 def target_hessian(cfg: LocalizationConfig) -> np.ndarray:
     """Average Hessian of the residuals at the target (a 2x2 matrix with trace 1)."""
-    objective = cfg.objective()
-    return objective.hessian(objective.at(cfg.target)).mean(axis=0)
+    residuals = RangeResidualObjective(cfg.positions, cfg.ranges)
+    return residuals.hessian(residuals.at(cfg.target)).mean(axis=0)
 
 
 def gd_contraction_factor(cfg: LocalizationConfig, alpha: float | None = None) -> float:

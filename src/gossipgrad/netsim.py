@@ -11,7 +11,7 @@ numpy calls, with no Python loop over its fold steps: deliver into the
 plan's pool, take every fold term from the pool, multiply by the weights,
 reduce over the steps. It costs ``O(|E| d + n * width * d)`` with ``|E|``
 the round's messages and ``width`` the longest row. After its m rounds, each
-iteration makes one call to the family's gradient; row i of that call reads
+iteration makes one call to the problem's gradient; row i of that call reads
 only agent i's data and point, and equals agent i's own ``agent(i)`` view
 bit for bit.
 
@@ -118,7 +118,7 @@ def run_netsim(
         )
     row_overrides = row_overrides or {}
 
-    calls_before = problem.objective.gradient_calls.copy()
+    calls_before = problem.gradient_calls.copy()
     plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only
     edge_set_ids = np.empty((iterations, params.m), dtype=np.int32)
     fold = np.empty((0, n, d))  # the run's fold terms, grown to the widest plan
@@ -150,14 +150,14 @@ def run_netsim(
             np.take(plan.pool, plan.sources, axis=0, out=terms, mode="clip")
             np.multiply(terms, plan.weights, out=terms)
             v = np.add.reduce(terms, axis=0)
-        # Row i of the family's gradient reads only agent i's data and point.
-        gradients = problem.objective.gradient(v)
+        # Row i of the problem's gradient reads only agent i's data and point.
+        gradients = problem.gradient(v)
         trace.v[k] = v
         trace.u[k] = u = v - params.alpha * gradients
         trace.y[k + 1] = y = y + x - v
         trace.x[k + 1] = x = u - params.lam * y
 
-    trace.count_gradients(problem.objective.gradient_calls - calls_before)
+    trace.count_gradients(problem.gradient_calls - calls_before)
     trace.row_communications = n * params.m * iterations
     trace.edge_set_ids = edge_set_ids
     trace.edge_sets = tuple(plan.edges for _, plan in plans.values())

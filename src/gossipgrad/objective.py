@@ -1,7 +1,8 @@
 """Stacked local objectives, the stepsize/contraction parameterization, and sampled checks.
 
-A family holds the objectives of all n agents and evaluates every local
-gradient with one formula on an (n, d) array of points.
+A problem holds the objectives of all n agents, evaluates every local
+gradient with one formula on an (n, d) array of points, and carries the
+optimizer of their average when it is known.
 
 The convergence theory needs each local gradient map x -> x - alpha * grad f_i(x)
 to contract toward the global optimizer by a factor rho < 1. For quadratics that
@@ -23,21 +24,33 @@ FD_STEP = 1e-6
 GRADIENT_SUM_TOL = 1e-6
 
 
-class ObjectiveFamily:
-    """The local objectives of n agents, their data stacked one row per agent.
+class Problem:
+    """The local objectives of n agents, their data stacked one row per agent,
+    and the optimizer of their average when it is known (else None).
 
     ``gradient`` maps points X of shape (n, d), row i for agent i, to the
     (n, d) local gradients and counts one evaluation per agent.
     ``agent(i)`` is a read-only view holding only row i of the data: the same
     formulas then take and return single points of shape (d,), and the
-    view's evaluations land in entry i of the family's counter.
+    view's evaluations land in entry i of the problem's counter.
     """
 
-    def __init__(self, n: int, dimension: int):
+    def __init__(self, n: int, dimension: int, optimizer=None):
+        """Called last by subclasses: a declared optimizer is checked against the stacked data."""
         if n < 1:
-            raise ValueError("an objective family needs at least one agent")
+            raise ValueError("a problem needs at least one agent")
         self.dimension = dimension
         self.gradient_calls = np.zeros(n, dtype=np.int64)
+        self.optimizer = None if optimizer is None else np.asarray(optimizer, dtype=float)
+        if self.optimizer is not None:
+            if self.optimizer.shape != (dimension,):
+                raise ValueError(f"optimizer has shape {self.optimizer.shape}, expected ({dimension},)")
+            total = self.gradient(self.at(self.optimizer)).sum(axis=0)
+            if np.linalg.norm(total) > GRADIENT_SUM_TOL * n:
+                raise ValueError(
+                    "local gradients do not sum to zero at the declared optimizer "
+                    f"(norm {np.linalg.norm(total):.3e})"
+                )
 
     @property
     def n(self) -> int:
@@ -101,14 +114,14 @@ def params_from_one_point_convexity(p: StrongSmoothParams) -> ContractionParams:
     return ContractionParams(alpha=2.0 / (p.L + p.mu), rho=(p.L - p.mu) / (p.L + p.mu))
 
 
-class QuadraticObjective(ObjectiveFamily):
+class QuadraticObjective(Problem):
     """f_i(x) = 0.5 x'A_i x - b_i'x with symmetric A_i; gradient A_i x - b_i.
 
     ``A`` is one (d, d) matrix shared by every agent or an (n, d, d) stack;
     ``B`` holds the b_i as rows, shape (n, d).
     """
 
-    def __init__(self, A, B):
+    def __init__(self, A, B, optimizer=None):
         A = np.array(A, dtype=float)
         B = np.array(B, dtype=float)
         if B.ndim != 2:
@@ -118,11 +131,11 @@ class QuadraticObjective(ObjectiveFamily):
             raise ValueError(f"A has shape {A.shape}, expected ({d}, {d}) or ({n}, {d}, {d})")
         if not np.allclose(A, A.swapaxes(-1, -2), rtol=0, atol=1e-12):
             raise ValueError("A must be symmetric")
-        super().__init__(n, d)
         A.setflags(write=False)
         B.setflags(write=False)
         self.A = A
         self.B = B
+        super().__init__(n, d, optimizer)
 
     def _row(self, i):
         return {"A": self.A if self.A.ndim == 2 else self.A[i], "B": self.B[i]}
@@ -146,38 +159,6 @@ class QuadraticObjective(ObjectiveFamily):
         return np.trace(self.A, axis1=-2, axis2=-1) + np.zeros(np.shape(X)[:-1])
 
 
-class Problem:
-    """An objective family plus the optional known optimizer of its average."""
-
-    def __init__(self, objective: ObjectiveFamily, optimizer=None):
-        self.objective = objective
-        self.optimizer = None if optimizer is None else np.asarray(optimizer, dtype=float)
-        if self.optimizer is not None:
-            d = objective.dimension
-            if self.optimizer.shape != (d,):
-                raise ValueError(f"optimizer has shape {self.optimizer.shape}, expected ({d},)")
-            total = objective.gradient(objective.at(self.optimizer)).sum(axis=0)
-            if np.linalg.norm(total) > GRADIENT_SUM_TOL * self.n:
-                raise ValueError(
-                    "local gradients do not sum to zero at the declared optimizer "
-                    f"(norm {np.linalg.norm(total):.3e})"
-                )
-
-    @property
-    def n(self) -> int:
-        return self.objective.n
-
-    @property
-    def dimension(self) -> int:
-        return self.objective.dimension
-
-    def value(self, x) -> float:
-        return float(np.mean(self.objective.value(self.objective.at(x))))
-
-    def gradient(self, x) -> np.ndarray:
-        return self.objective.gradient(self.objective.at(x)).sum(axis=0) / self.n
-
-
 @dataclass(frozen=True)
 class ContractionReport:
     """Worst contraction ratio observed over the sampled points."""
@@ -188,7 +169,7 @@ class ContractionReport:
     samples_used: int
 
 
-def check_contraction(objective: ObjectiveFamily, xstar, params: ContractionParams, samples) -> ContractionReport:
+def check_contraction(problem: Problem, xstar, params: ContractionParams, samples) -> ContractionReport:
     """Measure ||x - x* - alpha (grad f_i(x) - grad f_i(x*))|| / ||x - x*|| on samples.
 
     The ratio is taken for every agent i at every sample; the report carries
@@ -196,14 +177,14 @@ def check_contraction(objective: ObjectiveFamily, xstar, params: ContractionPara
     are skipped (the ratio is 0/0 there).
     """
     xstar = np.asarray(xstar, dtype=float)
-    grad_star = objective.gradient(objective.at(xstar))
+    grad_star = problem.gradient(problem.at(xstar))
     max_ratio = 0.0
     used = 0
     for x in np.asarray(samples, dtype=float):
         dist = np.linalg.norm(x - xstar)
         if dist == 0.0:
             continue
-        mapped = x - xstar - params.alpha * (objective.gradient(objective.at(x)) - grad_star)
+        mapped = x - xstar - params.alpha * (problem.gradient(problem.at(x)) - grad_star)
         ratio = np.linalg.norm(mapped, axis=1).max() / dist
         used += 1
         max_ratio = max(max_ratio, ratio)
@@ -252,7 +233,7 @@ def random_quadratic_problem(
     seed: int,
     shared_hessian: bool = True,
 ) -> Problem:
-    """Seeded family of n quadratic locals with spectra inside [mu, L].
+    """Seeded problem of n quadratic locals with spectra inside [mu, L], with its optimizer.
 
     With ``shared_hessian`` every agent gets the same curvature matrix (whose
     spectrum includes mu and L exactly) and heterogeneity enters through the
@@ -273,4 +254,4 @@ def random_quadratic_problem(
             B[i] = rng.standard_normal(dimension)
         A_bar = A.mean(axis=0)
     xstar = np.linalg.solve(A_bar, B.mean(axis=0))
-    return Problem(QuadraticObjective(A, B), optimizer=xstar)
+    return QuadraticObjective(A, B, optimizer=xstar)

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import gossipgrad as gg
-from gossipgrad.cli import main
-from gossipgrad.config import build_problem, build_schedule, initial_states, load_run_config, resolve_params
+from gossipgrad.cli import assemble, main
 
 from conftest import iterations_for
 
@@ -82,7 +81,7 @@ def test_c04_contraction_from_one_point_convexity():
         mu = float(rng.uniform(0.1, 3.0))
         L = float(mu + rng.uniform(0.0, 9.0))
         d = int(rng.integers(1, 11))
-        objective = gg.random_quadratic_problem(1, d, mu, L, seed=case).objective
+        objective = gg.random_quadratic_problem(1, d, mu, L, seed=case)
         xstar = np.linalg.solve(objective.A, objective.B[0])
         params = gg.params_from_one_point_convexity(gg.StrongSmoothParams(mu, L))
         samples = gg.sample_ball(xstar, radius=10.0, count=1000, seed=1000 + case)
@@ -148,8 +147,7 @@ def test_c07_conservation_invariants(corpus):
 
 
 def test_c08_single_agent_reduction():
-    objective = gg.QuadraticObjective(np.diag([1.0, 3.0]), [[0.4, -1.1]])
-    problem = gg.Problem(objective)
+    problem = gg.QuadraticObjective(np.diag([1.0, 3.0]), [[0.4, -1.1]])
     schedule = gg.GossipSchedule.constant(gg.GossipMatrix([[1.0]]))
     params = gg.AlgorithmParams.derive(0.5, 0.5, 0.5)
     x0 = np.array([[2.5, -3.0]])
@@ -181,11 +179,7 @@ def test_c09_message_passing_oracle(corpus):
 
 def test_c10_localization_desk_scale(localization_config_path):
     start = time.perf_counter()
-    config = load_run_config(localization_config_path)
-    problem = build_problem(config)
-    params = resolve_params(config, problem)
-    schedule = build_schedule(config, params.m)
-    x0 = initial_states(config, problem)
+    config, problem, params, schedule, x0 = assemble(localization_config_path)
     target = config.localization.target
 
     ok = params.alpha == pytest.approx(2.0, abs=1e-12) and params.m == 6
@@ -220,14 +214,14 @@ def test_c11_localization_gradient_checks():
         if np.min(np.linalg.norm(cfg.positions - x, axis=1)) < 1e-2:
             continue
         i = int(rng.integers(0, cfg.n))
-        objective = cfg.objective().agent(i)
+        objective = cfg.problem().agent(i)
         exact = objective.gradient(x)
         numeric = gg.finite_difference_gradient(objective, x)
         rel = float(np.linalg.norm(numeric - exact) / max(1.0, np.linalg.norm(exact)))
         worst = max(worst, rel)
         ok = ok and rel <= 1e-5
         checked += 1
-    traces = [cfg.objective().agent(i).hessian_trace(cfg.target) for i in range(cfg.n)]
+    traces = [cfg.problem().agent(i).hessian_trace(cfg.target) for i in range(cfg.n)]
     ok = ok and all(abs(t - 1.0) <= 1e-10 for t in traces)
     report("C11", "localization-gradients", ok, f"worst rel err {worst:.2e}, traces {traces[0]:.1f}")
 

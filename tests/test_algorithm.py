@@ -101,8 +101,7 @@ class TestAlgorithmParams:
 
 class TestIteration:
     def test_single_agent_reduces_to_centralized(self):
-        f = gg.QuadraticObjective(np.diag([1.0, 3.0]), [[0.5, -0.2]])
-        problem = gg.Problem(f)
+        problem = gg.QuadraticObjective(np.diag([1.0, 3.0]), [[0.5, -0.2]])
         schedule = gg.GossipSchedule.constant(gg.GossipMatrix([[1.0]]))
         params = gg.AlgorithmParams.derive(0.5, 0.5, 0.5)
         x0 = np.array([[2.0, -1.0]])
@@ -117,7 +116,7 @@ class TestIteration:
         schedule = gg.GossipSchedule.random_choice(list(pair), seed=8)
         xstar = problem.optimizer
         x = np.tile(xstar, (5, 1))
-        grads = problem.objective.gradient(problem.objective.at(xstar))
+        grads = problem.gradient(problem.at(xstar))
         y = -(params.alpha / params.lam) * grads
         x_next, y_next, _, _ = gg.algorithm_iteration(problem, schedule, params, x, y, 0)
         assert np.abs(x_next - x).max() <= 1e-14
@@ -187,7 +186,7 @@ def per_round_reference(problem, schedule, params, x0, iterations):
         v = x
         for round_index in range(1, params.m + 1):
             v = gg.matrix_at(schedule, k, round_index).weights @ v
-        u = v - params.alpha * problem.objective.gradient(v)
+        u = v - params.alpha * problem.gradient(v)
         y = y + x - v
         x = u - params.lam * y
         xs.append(x)
@@ -217,8 +216,7 @@ class TestLargeM:
 
 class TestCentralizedGd:
     def test_exact_one_step_convergence(self):
-        f = gg.QuadraticObjective(np.array([[1.0]]), np.zeros((1, 1)))
-        problem = gg.Problem(f)
+        problem = gg.QuadraticObjective(np.array([[1.0]]), np.zeros((1, 1)))
         trajectory = gg.centralized_gd(problem, 1.0, np.array([5.0]), 3)
         assert trajectory[1, 0] == pytest.approx(0.0, abs=1e-15)
 

@@ -98,7 +98,7 @@ class TestFixedPoint:
             assert np.linalg.norm(fp.ystar.mean(axis=0)) <= 1e-10 * scale
 
     def test_needs_optimizer(self, pair):
-        problem = gg.Problem(gg.QuadraticObjective(np.eye(2), np.ones((1, 2))))
+        problem = gg.QuadraticObjective(np.eye(2), np.ones((1, 2)))
         params = gg.AlgorithmParams.derive(0.5, 0.5, 0.7)
         with pytest.raises(AnalysisError):
             gg.fixed_point(problem, params)

@@ -5,16 +5,8 @@ import numpy as np
 import pytest
 
 import gossipgrad as gg
-from gossipgrad.cli import main
-from gossipgrad.config import (
-    build_problem,
-    build_schedule,
-    initial_states,
-    load_run_config,
-    parse_entry,
-    parse_matrix,
-    resolve_params,
-)
+from gossipgrad.cli import assemble, main
+from gossipgrad.config import load_run_config, parse_entry, parse_matrix
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -159,12 +151,8 @@ class TestRunCommand:
         text = localization_config_path.read_text().replace("m = 6\n", "")
         config = tmp_path / "derived.ini"
         config.write_text(text)
-        cfg = load_run_config(config)
+        cfg, _, params, _, _ = assemble(config)
         assert cfg.m_override is None
-        from gossipgrad.config import build_problem, resolve_params
-
-        problem = build_problem(cfg)
-        params = resolve_params(cfg, problem)
         assert params.m == 4
         out = tmp_path / "derived.csv"
         assert main(["run", str(config), "--output", str(out)]) == 0
@@ -192,23 +180,69 @@ class TestRunCommand:
             ("quadratic", "source = five-agent-pair", f"source = inline\nmatrix1 = {DISCONNECTED}"),
             ("quadratic", "kind = random", "kind = nosuch"),
             ("quadratic", "kind = random", "kind = constant"),
+            ("quadratic", "n = 5", "n = 4"),
+            ("quadratic", "x0 = random", "x0 = 1, 2"),
+            ("quadratic", "x0 = random", "x0 = positions"),
+            ("quadratic", "iterations = 60", "iteration = 7"),
+            ("quadratic", "[run]", "[runs]"),
+            ("quadratic", "d = 3", "d = 0"),
+            ("quadratic", "iterations = 60", "iterations = 0"),
+            ("localization", "n = 5", "n = 0"),
+            ("quadratic", "seed = 7", "seed = -1"),
+            ("localization", "seed = 293", "seed = -1"),
+            ("quadratic", "seed = 42", "seed = -1"),
+            ("quadratic", "seed = 1", "seed = -1"),
         ],
         ids=[
             "unknown-kind", "iterations", "mu", "target", "alpha-nan", "alpha-inf", "L-inf", "x0", "x0-empty",
             "ring-n", "matrix-nan", "x0-nan", "alpha-expanding", "rho-below-factor", "disconnected",
-            "schedule-kind", "constant-pair",
+            "schedule-kind", "constant-pair", "problem-n-vs-pair", "x0-dimension", "x0-positions-quadratic",
+            "misspelled-key", "unknown-section", "d-zero", "iterations-zero", "localization-n-zero",
+            "problem-seed-negative", "localization-seed-negative", "schedule-seed-negative", "run-seed-negative",
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, base, old, new):
+        # run and validate assemble a config the same way, so both reject it.
         bad = tmp_path / "bad.ini"
         if base is None:
             bad.write_text(new)
         else:
             text = (CONFIGS / f"{base}.ini").read_text()
-            assert old in text
+            assert text.count(old) == 1
             bad.write_text(text.replace(old, new))
         assert main(["run", str(bad), "--output", str(tmp_path / "x.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
+        assert main(["validate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "PASS" not in captured.out
+
+    def test_unknown_key_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text((CONFIGS / "quadratic.ini").read_text().replace("iterations = 60", "iteration = 7"))
+        assert main(["run", str(bad), "--output", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "config error: unknown key 'iteration' in section [run]\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, quadratic_config_path):
+        out = tmp_path / "missing-dir" / "x.csv"
+        assert main(["run", str(quadratic_config_path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "mu,L,reason",
+        [("1e-8", "1.0", "correction fixed point"), ("1e-6", "1e6", "solved optimizer is not exact")],
+        ids=["fixed-point", "optimizer-check"],
+    )
+    def test_inexact_optimizer_exits_3(self, tmp_path, capsys, mu, L, reason):
+        # Ill-conditioned curvature: the solved optimizer's local gradients do not cancel within tolerance.
+        config = write_quadratic_config(tmp_path / "q.ini", mu=mu, L=L)
+        out = tmp_path / "x.csv"
+        assert main(["run", str(config), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and reason in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_complete_graph_mixes_in_one_round(self, tmp_path):
         # Uniform averaging has gap exactly 0: one round reaches consensus, so m = 1.
@@ -233,12 +267,10 @@ class TestRunCommand:
     def test_user_stepsize_resolves_its_true_contraction(self, tmp_path):
         config = tmp_path / "alpha.ini"
         config.write_text((CONFIGS / "quadratic.ini").read_text().replace("alpha = auto", "alpha = 0.4"))
-        cfg = load_run_config(config)
-        problem = build_problem(cfg)
-        params = resolve_params(cfg, problem)
+        _, problem, params, schedule, x0 = assemble(config)
         # max(|1 - 0.4 * 1|, |1 - 0.4 * 3|) = 0.6, not the auto (L - mu) / (L + mu) = 0.5
         assert params.rho == 0.6 and params.m == 5
-        trace = gg.run_algorithm(problem, build_schedule(cfg, params.m), params, initial_states(cfg, problem), 60)
+        trace = gg.run_algorithm(problem, schedule, params, x0, 60)
         records = gg.lyapunov_trace(trace, gg.fixed_point(problem, params), params)
         assert not any(record.exceeds_tolerance for record in records)
         assert main(["run", str(config), "--output", str(tmp_path / "x.csv")]) == 0
@@ -427,18 +459,6 @@ iterations = 5
     )
     def test_bad_numeric_flag_exits_2(self, capsys, quadratic_config_path, flag, value):
         assert main(["validate", str(quadratic_config_path), flag, value]) == 2
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        assert "PASS" not in captured.out
-
-    @pytest.mark.parametrize("kind", ["nosuch", "constant"], ids=["schedule-kind", "constant-pair"])
-    def test_unbuildable_schedule_exits_2(self, tmp_path, capsys, kind):
-        # Neither schedule can be built over the five-agent pair, so run exits 2; validate must agree.
-        text = (CONFIGS / "quadratic.ini").read_text()
-        assert text.count("kind = random") == 1
-        bad = tmp_path / "bad.ini"
-        bad.write_text(text.replace("kind = random", f"kind = {kind}"))
-        assert main(["validate", str(bad)]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert "PASS" not in captured.out

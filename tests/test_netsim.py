@@ -16,8 +16,7 @@ class TestEquivalence:
             assert np.abs(run.trace.u - run.net_trace.u).max() <= 1e-12, run.name
 
     def test_single_agent_sends_nothing(self):
-        f = gg.QuadraticObjective(np.diag([2.0]), [[1.0]])
-        problem = gg.Problem(f)
+        problem = gg.QuadraticObjective(np.diag([2.0]), [[1.0]])
         schedule = gg.GossipSchedule.constant(gg.GossipMatrix([[1.0]]))
         params = gg.AlgorithmParams.derive(0.3, 0.4, 0.5)
         trace = gg.run_netsim(problem, schedule, params, np.array([[4.0]]), 30)
@@ -295,7 +294,7 @@ def sequential_reference(problem, schedule, params, x0, iterations, row_override
     """
     row_overrides = row_overrides or {}
     n, d = x0.shape
-    views = [problem.objective.agent(i) for i in range(n)]
+    views = [problem.agent(i) for i in range(n)]
     x, y = [row.copy() for row in x0], [np.zeros(d) for _ in range(n)]
     xs, ys, vs, us = [np.array(x)], [np.array(y)], [], []
     for k in range(iterations):

@@ -77,7 +77,7 @@ class TestCheckContraction:
         mu = float(rng.uniform(0.2, 2.0))
         L = float(mu + rng.uniform(0.1, 8.0))
         d = int(rng.integers(2, 8))
-        f = gg.random_quadratic_problem(1, d, mu, L, seed=seed).objective
+        f = gg.random_quadratic_problem(1, d, mu, L, seed=seed)
         xstar = np.linalg.solve(f.A, f.B[0])
         params = gg.params_from_one_point_convexity(gg.StrongSmoothParams(mu, L))
         samples = gg.sample_ball(xstar, radius=10.0, count=300, seed=seed + 1)
@@ -106,7 +106,7 @@ class TestQuadraticObjective:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradient_matches_finite_differences(self, seed):
-        f = gg.random_quadratic_problem(1, 4, 1.0, 5.0, seed=seed).objective.agent(0)
+        f = gg.random_quadratic_problem(1, 4, 1.0, 5.0, seed=seed).agent(0)
         rng = np.random.default_rng(seed + 10)
         for _ in range(5):
             x = rng.standard_normal(4) * 3.0
@@ -121,15 +121,18 @@ class TestProblem:
         xstar = np.array([0.5, -1.5])
         A = np.diag([1.0, 2.0])
         offsets = [np.array([1.0, 0.0]), np.array([-0.5, 2.0]), np.array([-0.5, -2.0])]
-        objective = gg.QuadraticObjective(A, [A @ xstar + off for off in offsets])
-        problem = gg.Problem(objective, optimizer=xstar)
-        total = objective.gradient(objective.at(xstar)).sum(axis=0)
+        problem = gg.QuadraticObjective(A, [A @ xstar + off for off in offsets], optimizer=xstar)
+        assert np.array_equal(problem.optimizer, xstar)
+        total = problem.gradient(problem.at(xstar)).sum(axis=0)
         assert np.linalg.norm(total) <= 1e-12
 
     def test_bad_optimizer_rejected(self):
-        objective = gg.QuadraticObjective(np.eye(2), [[1.0, 0.0]])
-        with pytest.raises(ValueError):
-            gg.Problem(objective, optimizer=np.zeros(2))
+        with pytest.raises(ValueError, match="do not sum to zero"):
+            gg.QuadraticObjective(np.eye(2), [[1.0, 0.0]], optimizer=np.zeros(2))
+        with pytest.raises(ValueError, match="shape"):
+            gg.QuadraticObjective(np.eye(2), [[1.0, 0.0]], optimizer=np.zeros(3))
+        with pytest.raises(ValueError, match="do not sum to zero"):
+            gg.RangeResidualObjective([[0.0, 0.0]], [1.0], optimizer=[0.0, 2.0])
 
     def test_dimension_mismatch_rejected(self):
         # Curvature for d = 3 with linear terms for d = 2.
@@ -139,16 +142,17 @@ class TestProblem:
     def test_average_value_and_gradient(self):
         problem = gg.random_quadratic_problem(4, 3, 1.0, 2.0, seed=0)
         x = np.ones(3)
-        views = [problem.objective.agent(i) for i in range(problem.n)]
+        views = [problem.agent(i) for i in range(problem.n)]
         expected = np.mean([f.gradient(x) for f in views], axis=0)
-        assert np.allclose(problem.gradient(x), expected)
-        assert problem.value(x) == pytest.approx(np.mean([f.value(x) for f in views]))
+        # The average gradient as centralized_gd forms it.
+        assert np.allclose(problem.gradient(problem.at(x)).sum(axis=0) / problem.n, expected)
+        assert np.mean(problem.value(problem.at(x))) == pytest.approx(np.mean([f.value(x) for f in views]))
 
     def test_generator_spectrum_inside_band(self):
         for shared in (True, False):
             problem = gg.random_quadratic_problem(5, 4, 1.0, 3.0, seed=2, shared_hessian=shared)
             for i in range(problem.n):
-                eigs = np.linalg.eigvalsh(problem.objective.agent(i).A)
+                eigs = np.linalg.eigvalsh(problem.agent(i).A)
                 assert eigs.min() >= 1.0 - 1e-9
                 assert eigs.max() <= 3.0 + 1e-9
 

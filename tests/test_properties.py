@@ -181,7 +181,7 @@ class TestFamilyRows:
     @common
     @given(n=st.integers(1, 128), d=st.integers(1, 12), shared=st.booleans(), seed=seeds)
     def test_quadratic_rows_match_agent_views(self, n, d, shared, seed):
-        family = gg.random_quadratic_problem(n, d, 1.0, 4.0, seed, shared_hessian=shared).objective
+        family = gg.random_quadratic_problem(n, d, 1.0, 4.0, seed, shared_hessian=shared)
         assert family.A.ndim == (2 if shared else 3)
         family.gradient_calls[:] = 0  # the problem's optimizer check evaluated once
         X = 3.0 * np.random.default_rng(seed).standard_normal((n, d))
