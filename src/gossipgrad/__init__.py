@@ -41,6 +41,7 @@ from .gossip import (
     matrix_at,
     mixing_product,
     ring_matrix,
+    round_indices,
     spectral_gap,
     validate_doubly_stochastic,
 )

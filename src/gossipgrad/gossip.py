@@ -4,7 +4,9 @@ A gossip matrix W holds one round of mixing weights: ``W[i, j]`` is the
 weight agent i applies to the message received from agent j, and a zero
 entry means no link from j to i exists in that round. Schedules supply the
 per-round matrix for iteration k and round l, either as a constant matrix,
-a cycling list, or a seeded random choice from a list.
+a cycling list, or a seeded random choice from a list. ``round_indices``
+gives one iteration's matrix indices in one call; ``matrix_at`` is its
+one-round view.
 """
 
 from __future__ import annotations
@@ -105,14 +107,6 @@ def spectral_gap(matrix) -> float:
     return 1.0 if abs(1.0 - gap) <= GAP_ROUNDOFF * W.shape[0] else gap
 
 
-def _counter_draw(seed: int, iteration: int, round_index: int, count: int) -> int:
-    # Counter-based draw: a keyed hash of (seed, k, l) so the choice at any
-    # (k, l) is independent of query order.
-    payload = f"{seed}:{iteration}:{round_index}".encode()
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "big") % count
-
-
 class GossipSchedule:
     """Source of the mixing matrix used at (iteration k, round l).
 
@@ -172,19 +166,47 @@ class GossipSchedule:
         return self.matrices[0].n
 
 
+def _indices(schedule: GossipSchedule, iteration: int, rounds: range) -> np.ndarray:
+    # The one place a schedule picks its matrices: their indices at rounds
+    # ``rounds`` (each l >= 1) of iteration k >= 0.
+    count = len(schedule.matrices)
+    if schedule.kind == "constant":
+        return np.zeros(len(rounds), dtype=np.intp)
+    if schedule.kind == "cyclic":
+        first = iteration * schedule.rounds_per_iteration - 1
+        return np.arange(first + rounds.start, first + rounds.stop, dtype=np.intp) % count
+    # Counter-based draw: a keyed hash of "seed:k:l", so the choice at any
+    # (k, l) is independent of query order. The "seed:k:" prefix is hashed
+    # once per call and each round's hash continues a copy of it.
+    prefix = hashlib.blake2b(f"{schedule.seed}:{iteration}:".encode(), digest_size=8)
+    indices = np.empty(len(rounds), dtype=np.intp)
+    for p, l in enumerate(rounds):
+        draw = prefix.copy()
+        draw.update(str(l).encode())
+        indices[p] = int.from_bytes(draw.digest(), "big") % count
+    return indices
+
+
+def round_indices(schedule: GossipSchedule, iteration: int, rounds: int) -> np.ndarray:
+    """Indices into ``schedule.matrices`` of rounds 1..``rounds`` of iteration ``iteration`` (k >= 0).
+
+    Entry l - 1 names the matrix of round l, as ``matrix_at`` does, so a
+    runner reads one row per iteration instead of looking up each round.
+    """
+    if iteration < 0:
+        raise ValueError(f"iteration index must be >= 0, got {iteration}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    return _indices(schedule, iteration, range(1, rounds + 1))
+
+
 def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> GossipMatrix:
     """Mixing matrix for iteration ``iteration`` (k >= 0), round ``round_index`` (l >= 1)."""
     if iteration < 0:
         raise ValueError(f"iteration index must be >= 0, got {iteration}")
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
-    if schedule.kind == "constant":
-        return schedule.matrices[0]
-    if schedule.kind == "cyclic":
-        global_round = iteration * schedule.rounds_per_iteration + (round_index - 1)
-        return schedule.matrices[global_round % len(schedule.matrices)]
-    idx = _counter_draw(schedule.seed, iteration, round_index, len(schedule.matrices))
-    return schedule.matrices[idx]
+    return schedule.matrices[_indices(schedule, iteration, range(round_index, round_index + 1))[0]]
 
 
 def mixing_product(schedule: GossipSchedule, iteration: int, rounds: int) -> np.ndarray:
@@ -199,8 +221,8 @@ def mixing_product(schedule: GossipSchedule, iteration: int, rounds: int) -> np.
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if len(schedule.matrices) > 1:
         product = np.eye(schedule.n)
-        for round_index in range(1, rounds + 1):
-            product = matrix_at(schedule, iteration, round_index).weights @ product
+        for index in round_indices(schedule, iteration, rounds).tolist():
+            product = schedule.matrices[index].weights @ product
         return product
     W = schedule.matrices[0].weights
     buffers = (np.empty_like(W), np.empty_like(W))

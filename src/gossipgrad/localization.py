@@ -90,9 +90,10 @@ class RangeResidualObjective(Problem):
     def _offsets(self, X, what: str = "") -> tuple[np.ndarray, np.ndarray]:
         """Offsets from the anchors and their lengths; ``what`` names a derivative that needs them nonzero."""
         offset = np.asarray(X, dtype=float) - self.anchors
-        dist = np.linalg.norm(offset, axis=-1)
+        # Bit for bit ``np.linalg.norm(offset, axis=-1)``, without its wrapper.
+        dist = np.sqrt(np.add.reduce(offset * offset, axis=-1))
         singular = dist <= ANCHOR_EXCLUSION
-        if what and np.any(singular):
+        if what and singular.any():
             raise SingularPointError(f"{what} undefined at the anchor {self.anchors[singular][0]}")
         return offset, dist
 

@@ -5,8 +5,9 @@ agent: agent i reads only its own states, its own row of the current mixing
 matrix, and the payloads addressed to it. A round has two phases: deliver
 every message, copied from the senders' pre-round values, then let every
 agent fold what it received, in ascending sender order with its own value at
-its own index. A round plan, built once per run for each schedule matrix,
-fixes the messages and every agent's fold. A round is a fixed number of
+its own index. A round plan, built once per run for each distinct schedule
+matrix and found by the matrix index in the iteration's ``round_indices``
+row, fixes the messages and every agent's fold. A round is a fixed number of
 numpy calls, with no Python loop over its fold steps: deliver into the
 plan's pool, take every fold term from the pool, multiply by the weights,
 reduce over the steps. It costs ``O(|E| d + n * width * d)`` with ``|E|``
@@ -21,8 +22,8 @@ delivery ledger is kept compact: one int32 edge-set id per round, an
 ``(|E|, 2)`` edge sets, one per round plan. That compact ledger is the one
 the locality audit reads; ``RunTrace.deliveries`` is a read-only expansion of
 it into ``(messages, 4)`` rows. The audit judges each distinct (matrix, edge
-set) pair once, so it costs one ``matrix_at`` and one lookup per round,
-however many messages the round carries.
+set) pair once, so it costs one ``round_indices`` row per iteration,
+however many messages a round carries.
 
 This path exists to prove the algorithm is decentralized and to serve as an
 independent oracle for the vectorized execution: both must produce the same
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .gossip import GossipSchedule, matrix_at
+# matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
+from .gossip import GossipSchedule, matrix_at, round_indices  # noqa: F401
 from .objective import Problem
 from .trace import RunTrace
 
@@ -56,6 +58,7 @@ class RoundPlan:
     """
 
     edges: np.ndarray  # (|E|, 2) int32 sender, receiver, in delivery order
+    senders: np.ndarray  # (|E|,) intp, the senders column as a contiguous take index
     sources: np.ndarray  # (width, n) pool row per fold step
     weights: np.ndarray  # (width, n, d) row weight per fold step, repeated over d
     pool: np.ndarray  # (n + |E| + 1, d) round buffer
@@ -93,7 +96,7 @@ def round_plan(W: np.ndarray, row_overrides: dict, d: int) -> RoundPlan:
     weights = np.zeros((width, n, d))
     sources[step, agent] = np.where(own, agent, n + delivered)
     weights[step, agent] = rows[agent, sender][:, None]
-    return RoundPlan(edges.astype(np.int32), sources, weights, np.zeros((n + len(edges) + 1, d)))
+    return RoundPlan(edges.astype(np.int32), edges[:, 0].copy(), sources, weights, np.zeros((n + len(edges) + 1, d)))
 
 
 def run_netsim(
@@ -119,25 +122,25 @@ def run_netsim(
     row_overrides = row_overrides or {}
 
     calls_before = problem.gradient_calls.copy()
-    plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only
+    plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only: one per distinct matrix
     edge_set_ids = np.empty((iterations, params.m), dtype=np.int32)
     fold = np.empty((0, n, d))  # the run's fold terms, grown to the widest plan
     x, y = trace.x[0], trace.y[0]
 
     for k in range(iterations):
         v = x
-        for round_index in range(1, params.m + 1):
-            matrix = matrix_at(schedule, k, round_index)
+        for l, index in enumerate(round_indices(schedule, k, params.m).tolist()):
+            matrix = schedule.matrices[index]
             entry = plans.get(matrix)
             if entry is None:
                 entry = plans[matrix] = (len(plans), round_plan(matrix.weights, row_overrides, d))
-            edge_set_ids[k, round_index - 1], plan = entry
+            edge_set_ids[k, l], plan = entry
             # Delivery: every payload is a copy of the sender's pre-round
             # value (synchronous barrier), so agent order cannot matter.
             # Every index below is in range by construction: "clip" writes
             # straight into ``out``, where "raise" would buffer.
             plan.pool[:n] = v
-            np.take(v, plan.edges[:, 0], axis=0, out=plan.pool[n:-1], mode="clip")
+            v.take(plan.senders, axis=0, out=plan.pool[n:-1], mode="clip")
             # Fold: every agent sums its row in ascending sender order. numpy
             # reduces an outer axis one step after another, so the sum equals
             # the sequential fold bit for bit. Only a (width, 1, 1) block
@@ -147,7 +150,7 @@ def run_netsim(
             if width > len(fold):
                 fold = np.empty((width, n, d))
             terms = fold[:width]
-            np.take(plan.pool, plan.sources, axis=0, out=terms, mode="clip")
+            plan.pool.take(plan.sources, axis=0, out=terms, mode="clip")
             np.multiply(terms, plan.weights, out=terms)
             v = np.add.reduce(terms, axis=0)
         # Row i of the problem's gradient reads only agent i's data and point.
@@ -215,9 +218,10 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     Reads the compact ledger the run stored, ``trace.edge_set_ids`` and
     ``trace.edge_sets``, and recounts it against the schedule: each round
     must carry exactly one message per nonzero off-diagonal weight. The
-    expected links are derived from ``matrix_at`` alone, never from the
-    runner's edges. Each distinct (matrix, edge set) pair is judged once, so
-    a round costs one ``matrix_at`` and one lookup. Violations list the
+    expected links are derived from the schedule's ``round_indices`` alone,
+    never from the runner's edges. Each distinct (matrix, edge set) pair is
+    judged once, with numpy over the rounds; only rounds that hold a
+    violation are visited one by one. Violations list the
     offending deliveries in ledger order, then the missing deliveries in
     round order. Raises ``ConfigError`` on a trace without a ledger, whose
     edge-set ids are not one valid id per round, or whose edge sets are not
@@ -234,18 +238,23 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     if not all(edges.ndim == 2 and edges.shape[1] == 2 and edges.dtype.kind in "iu" for edges in edge_sets):
         raise ConfigError("every edge set must be an integer (|E|, 2) array of (sender, receiver) rows")
 
-    verdicts: dict = {}  # (GossipMatrix, edge-set id) -> _judge's verdict, for this audit only
+    sets = len(edge_sets)
+    first: dict = {}  # GossipMatrix -> its first schedule index: a matrix listed twice is one matrix
+    canonical = np.array([first.setdefault(W, j) for j, W in enumerate(schedule.matrices)], dtype=np.int64)
+    rows = np.empty((iterations, m), dtype=np.int64)
+    for k in range(iterations):
+        rows[k] = round_indices(schedule, k, m)
+    # A round's (matrix, edge set) pair is keyed as canonical index * sets + edge-set id.
+    keys, pair_of_round = np.unique(canonical[rows] * sets + ids, return_inverse=True)
+    pair_of_round = pair_of_round.reshape(-1)
+    verdicts = [_judge(schedule.matrices[key // sets].weights, edge_sets[key % sets]) for key in keys.tolist()]
+    links = np.array([count for count, _, _ in verdicts], dtype=np.int64)
+    faulty = np.array([bool(bad_rows or absent) for _, bad_rows, absent in verdicts], dtype=bool)
     flagged = []
     missing = []
-    expected = 0
-    for r, e in enumerate(ids.ravel().tolist()):
+    for r in np.flatnonzero(faulty[pair_of_round]).tolist():
         k, l = divmod(r, m)
-        matrix = matrix_at(schedule, k, l + 1)
-        verdict = verdicts.get((matrix, e))
-        if verdict is None:
-            verdict = verdicts[matrix, e] = _judge(matrix.weights, edge_sets[e])
-        links, bad_rows, absent = verdict
-        expected += links
+        _, bad_rows, absent = verdicts[pair_of_round[r]]
         flagged += [((k, l + 1, s, t), reason) for s, t, reason in bad_rows]
         missing += [((k, l + 1, s, t), "expected delivery missing") for s, t in absent]
     sizes = np.array([len(edges) for edges in edge_sets], dtype=np.int64)
@@ -254,5 +263,5 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
         passed=not violations,
         violations=tuple(violations),
         message_count=int(sizes[ids].sum()),
-        expected_count=expected,
+        expected_count=int(links[pair_of_round].sum()),
     )

@@ -244,6 +244,18 @@ class TestRunCommand:
         assert err.startswith("numerical failure:") and reason in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_validate_fails_where_run_cannot_cancel_gradients(self, tmp_path, capsys, quadratic_config_path):
+        # mu = 1e-8 passes the optimizer's own gradient-sum check but not the
+        # fixed point's cancellation check that run applies.
+        text = quadratic_config_path.read_text()
+        assert text.count("mu = 1.0\n") == 1
+        path = tmp_path / "flat.ini"
+        path.write_text(text.replace("mu = 1.0\n", "mu = 1e-8\n"))
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  gradient sum zero at optimizer: correction fixed point does not average to zero" in out
+        assert main(["run", str(path), "--output", str(tmp_path / "x.csv")]) == 3
+
     def test_complete_graph_mixes_in_one_round(self, tmp_path):
         # Uniform averaging has gap exactly 0: one round reaches consensus, so m = 1.
         config = tmp_path / "complete.ini"
@@ -320,6 +332,36 @@ x0 = 0.5, 1.7
 """
         )
         assert main(["run", str(config), "--output", str(tmp_path / "x.csv")]) == 3
+
+
+class TestCsvRendering:
+    @pytest.mark.parametrize("mode", ["vectorized", "netsim"])
+    @pytest.mark.parametrize("name", ["quadratic", "localization"])
+    def test_csv_equals_per_row_reference(self, tmp_path, name, mode):
+        # The CSV is rendered row by row from the same trace, and the
+        # centralized rows from gradient descent on a broadcast point.
+        path = CONFIGS / f"{name}.ini"
+        out = tmp_path / "run.csv"
+        assert main(["run", str(path), "--mode", mode, "--output", str(out)]) == 0
+        config, problem, params, schedule, x0 = assemble(path)
+        runner = gg.run_netsim if mode == "netsim" else gg.run_algorithm
+        trace = runner(problem, schedule, params, x0, config.iterations)
+        xstar = problem.optimizer
+        errors = trace.errors(xstar)
+        records = gg.lyapunov_trace(trace, gg.fixed_point(problem, params), params)
+        m = params.m
+        lines = ["iter,step,agent,error,lyapunov"]
+        for k in range(trace.iterations + 1):
+            for i in range(trace.n):
+                lines.append(f"{k},{k * m},{i},{errors[k, i]:.17g},{records[k].value:.17g}")
+        central = [x0.mean(axis=0)]
+        for _ in range(config.iterations):
+            x = central[-1]
+            central.append(x - params.alpha * (problem.gradient(problem.at(x)).sum(axis=0) / problem.n))
+        for k, error in enumerate(np.linalg.norm(np.array(central) - xstar, axis=1)):
+            lines.append(f"{k},{k},centralized,{error:.17g},")
+        assert out.read_text().splitlines() == lines
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestGridCommands:

@@ -170,6 +170,10 @@ class TestSchedule:
             gg.matrix_at(schedule, -1, 1)
         with pytest.raises(ValueError):
             gg.matrix_at(schedule, 0, 0)
+        with pytest.raises(ValueError):
+            gg.round_indices(schedule, -1, 1)
+        with pytest.raises(ValueError):
+            gg.round_indices(schedule, 0, 0)
 
 
 class TestProductGap:

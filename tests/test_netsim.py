@@ -119,6 +119,25 @@ class TestLocalityAudit:
         assert report.message_count == expected
         assert report.expected_count == expected
 
+    def test_matrix_listed_twice_is_one_edge_set(self, pair, pair_sigma):
+        W1, W2 = pair
+        schedule = gg.GossipSchedule.random_choice([W1, W2, W1], seed=3)
+        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, pair_sigma)
+        x0 = np.random.default_rng(2).standard_normal((5, 2))
+        K = 12
+        trace = gg.run_netsim(problem, schedule, params, x0, K)
+        rows = np.stack([gg.round_indices(schedule, k, params.m) for k in range(K)])
+        assert set(rows.ravel().tolist()) == {0, 1, 2}
+        assert len(trace.edge_sets) == 2
+        ids = trace.edge_set_ids
+        assert len(set(ids[rows != 1].tolist())) == 1 and set(ids[rows == 1].tolist()).isdisjoint(ids[rows != 1].tolist())
+        report = gg.locality_audit(trace, schedule)
+        assert report.passed
+        assert report.message_count == report.expected_count == len(trace.deliveries)
+        vectorized = gg.run_algorithm(problem, schedule, params, x0, K)
+        assert np.abs(trace.x - vectorized.x).max() <= 1e-12
+
     def test_builtin_pair_off_diagonal_counts(self, pair):
         counts = []
         for W in pair:
