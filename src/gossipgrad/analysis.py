@@ -27,7 +27,6 @@ from .trace import RunTrace
 
 DECREASE_TOL = 1e-9
 YSTAR_MEAN_TOL = 1e-10
-DECREASE_BLOCK_BYTES = 1 << 19  # per work buffer of decrease_terms: a block of iterations stays in cache
 
 
 def _mean_row(z: np.ndarray) -> np.ndarray:
@@ -129,30 +128,20 @@ def decrease_terms(trace: RunTrace, fp: FixedPoint, params) -> np.ndarray:
       [2] ||dis(vb + lam (xb + yb))||^2      (completed square)
 
     Each must be >= 0 up to roundoff on a compliant run; a negative entry
-    localizes which assumption failed. Iterations go through three reused
-    work buffers in blocks; every term is a per-iteration reduction, so the
-    blocking does not change a bit of the result.
+    localizes which assumption failed.
     """
-    K, n, d = trace.v.shape
-    block = max(1, DECREASE_BLOCK_BYTES // (8 * n * d))
-    buffers = [np.empty((min(block, K), n, d)) for _ in range(3)]
-    terms = np.empty((K, 3))
-    for start in range(0, K, block):
-        stop = min(start + block, K)
-        vb, xb, square = (z[: stop - start] for z in buffers)
-        np.subtract(trace.v[start:stop], fp.xstar, out=vb)
-        np.subtract(trace.u[start:stop], fp.ustar, out=xb)  # ub until the first term is taken
-        terms[start:stop, 0] = params.rho**2 * _dot(vb, vb) - _dot(xb, xb)
-        np.subtract(trace.x[start:stop], fp.xstar, out=xb)
-        np.subtract(trace.y[start:stop], fp.ystar, out=square)  # yb, then vb + lam (xb + yb)
-        square += xb
-        square *= params.lam
-        square += vb
-        for z in (square, xb, vb):
-            z -= _mean_row(z)
-        terms[start:stop, 1] = sigma0(params.rho) ** 2 * _dot(xb, xb) - _dot(vb, vb)
-        terms[start:stop, 2] = _dot(square, square)
-    return terms
+    vb = trace.v - fp.xstar
+    xb = trace.u - fp.ustar  # ub until the first term is taken
+    gradient_map = params.rho**2 * _dot(vb, vb) - _dot(xb, xb)
+    np.subtract(trace.x[:-1], fp.xstar, out=xb)
+    square = trace.y[:-1] - fp.ystar  # yb, then vb + lam (xb + yb), built in that order
+    square += xb
+    square *= params.lam
+    square += vb
+    for z in (square, xb, vb):
+        z -= _mean_row(z)
+    consensus = sigma0(params.rho) ** 2 * _dot(xb, xb) - _dot(vb, vb)
+    return np.column_stack([gradient_map, consensus, _dot(square, square)])
 
 
 def error_bound_constant(initial_value: float, lam: float) -> float:

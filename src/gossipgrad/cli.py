@@ -81,11 +81,10 @@ def cmd_run(args) -> int:
         return EXIT_NUMERICAL
 
     lines = ["iter,step,agent,error,lyapunov"]
-    # The format spec of ``_fmt``, inline: these rows are most of a run's output.
     for k, (row, energy) in enumerate(zip(errors.tolist(), energies)):
-        head, tail = f"{k},{k * params.m},", f",{energy:.17g}"  # shared by the iteration's n rows
-        lines.extend(f"{head}{i},{error:.17g}{tail}" for i, error in enumerate(row))
-    lines.extend(f"{k},{k},centralized,{error:.17g}," for k, error in enumerate(central_err.tolist()))
+        head, tail = f"{k},{k * params.m},", f",{_fmt(energy)}"  # shared by the iteration's n rows
+        lines.extend(f"{head}{i},{_fmt(error)}{tail}" for i, error in enumerate(row))
+    lines.extend(f"{k},{k},centralized,{_fmt(error)}," for k, error in enumerate(central_err.tolist()))
     _write_lines(args.output or config.output, lines)
     return EXIT_OK
 

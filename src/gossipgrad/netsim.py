@@ -58,7 +58,6 @@ class RoundPlan:
     """
 
     edges: np.ndarray  # (|E|, 2) int32 sender, receiver, in delivery order
-    senders: np.ndarray  # (|E|,) intp, the senders column as a contiguous take index
     sources: np.ndarray  # (width, n) pool row per fold step
     weights: np.ndarray  # (width, n, d) row weight per fold step, repeated over d
     pool: np.ndarray  # (n + |E| + 1, d) round buffer
@@ -96,7 +95,7 @@ def round_plan(W: np.ndarray, row_overrides: dict, d: int) -> RoundPlan:
     weights = np.zeros((width, n, d))
     sources[step, agent] = np.where(own, agent, n + delivered)
     weights[step, agent] = rows[agent, sender][:, None]
-    return RoundPlan(edges.astype(np.int32), edges[:, 0].copy(), sources, weights, np.zeros((n + len(edges) + 1, d)))
+    return RoundPlan(edges.astype(np.int32), sources, weights, np.zeros((n + len(edges) + 1, d)))
 
 
 def run_netsim(
@@ -122,7 +121,7 @@ def run_netsim(
     row_overrides = row_overrides or {}
 
     calls_before = problem.gradient_calls.copy()
-    plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only: one per distinct matrix
+    plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only
     edge_set_ids = np.empty((iterations, params.m), dtype=np.int32)
     fold = np.empty((0, n, d))  # the run's fold terms, grown to the widest plan
     x, y = trace.x[0], trace.y[0]
@@ -140,7 +139,7 @@ def run_netsim(
             # Every index below is in range by construction: "clip" writes
             # straight into ``out``, where "raise" would buffer.
             plan.pool[:n] = v
-            v.take(plan.senders, axis=0, out=plan.pool[n:-1], mode="clip")
+            v.take(plan.edges[:, 0], axis=0, out=plan.pool[n:-1], mode="clip")
             # Fold: every agent sums its row in ascending sender order. numpy
             # reduces an outer axis one step after another, so the sum equals
             # the sequential fold bit for bit. Only a (width, 1, 1) block
@@ -220,12 +219,11 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     must carry exactly one message per nonzero off-diagonal weight. The
     expected links are derived from the schedule's ``round_indices`` alone,
     never from the runner's edges. Each distinct (matrix, edge set) pair is
-    judged once, with numpy over the rounds; only rounds that hold a
-    violation are visited one by one. Violations list the
-    offending deliveries in ledger order, then the missing deliveries in
-    round order. Raises ``ConfigError`` on a trace without a ledger, whose
-    edge-set ids are not one valid id per round, or whose edge sets are not
-    integer (sender, receiver) rows.
+    judged once, so a round costs one lookup and an iteration one
+    ``round_indices`` row. Violations list the offending deliveries in ledger
+    order, then the missing deliveries in round order. Raises ``ConfigError``
+    on a trace without a ledger, whose edge-set ids are not one valid id per
+    round, or whose edge sets are not integer (sender, receiver) rows.
     """
     m, iterations = trace.params.m, trace.iterations
     ids, edge_sets = trace.edge_set_ids, trace.edge_sets
@@ -238,30 +236,25 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     if not all(edges.ndim == 2 and edges.shape[1] == 2 and edges.dtype.kind in "iu" for edges in edge_sets):
         raise ConfigError("every edge set must be an integer (|E|, 2) array of (sender, receiver) rows")
 
-    sets = len(edge_sets)
-    first: dict = {}  # GossipMatrix -> its first schedule index: a matrix listed twice is one matrix
-    canonical = np.array([first.setdefault(W, j) for j, W in enumerate(schedule.matrices)], dtype=np.int64)
-    rows = np.empty((iterations, m), dtype=np.int64)
-    for k in range(iterations):
-        rows[k] = round_indices(schedule, k, m)
-    # A round's (matrix, edge set) pair is keyed as canonical index * sets + edge-set id.
-    keys, pair_of_round = np.unique(canonical[rows] * sets + ids, return_inverse=True)
-    pair_of_round = pair_of_round.reshape(-1)
-    verdicts = [_judge(schedule.matrices[key // sets].weights, edge_sets[key % sets]) for key in keys.tolist()]
-    links = np.array([count for count, _, _ in verdicts], dtype=np.int64)
-    faulty = np.array([bool(bad_rows or absent) for _, bad_rows, absent in verdicts], dtype=bool)
+    verdicts: dict = {}  # (GossipMatrix, edge-set id) -> _judge's verdict, for this audit only
     flagged = []
     missing = []
-    for r in np.flatnonzero(faulty[pair_of_round]).tolist():
-        k, l = divmod(r, m)
-        _, bad_rows, absent = verdicts[pair_of_round[r]]
-        flagged += [((k, l + 1, s, t), reason) for s, t, reason in bad_rows]
-        missing += [((k, l + 1, s, t), "expected delivery missing") for s, t in absent]
+    expected = 0
+    for k, row_ids in enumerate(ids.tolist()):
+        for l, (index, e) in enumerate(zip(round_indices(schedule, k, m).tolist(), row_ids), start=1):
+            matrix = schedule.matrices[index]
+            verdict = verdicts.get((matrix, e))
+            if verdict is None:
+                verdict = verdicts[matrix, e] = _judge(matrix.weights, edge_sets[e])
+            links, bad_rows, absent = verdict
+            expected += links
+            flagged += [((k, l, s, t), reason) for s, t, reason in bad_rows]
+            missing += [((k, l, s, t), "expected delivery missing") for s, t in absent]
     sizes = np.array([len(edges) for edges in edge_sets], dtype=np.int64)
     violations = flagged + missing
     return AuditReport(
         passed=not violations,
         violations=tuple(violations),
         message_count=int(sizes[ids].sum()),
-        expected_count=int(links[pair_of_round].sum()),
+        expected_count=expected,
     )

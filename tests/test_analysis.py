@@ -140,18 +140,6 @@ class TestLyapunovTrace:
             assert terms[:, 1].min() >= -1e-9, f"{run.name}: consensus contraction violated"
             assert terms[:, 2].min() >= -1e-15, f"{run.name}: squared norm negative"
 
-    @pytest.mark.parametrize("block_bytes", [1, 3 * 8 * 5 * 3, 7 * 8 * 5 * 3])
-    def test_decrease_terms_do_not_depend_on_the_block(self, corpus, monkeypatch, block_bytes):
-        # Blocks of one and of a few iterations, against the whole run in one block.
-        from gossipgrad import analysis
-
-        for run in corpus:
-            fp = gg.fixed_point(run.problem, run.params)
-            whole = gg.decrease_terms(run.trace, fp, run.params)
-            with monkeypatch.context() as patch:
-                patch.setattr(analysis, "DECREASE_BLOCK_BYTES", block_bytes)
-                assert np.array_equal(gg.decrease_terms(run.trace, fp, run.params), whole), run.name
-
 
 class TestErrorBound:
     def test_zero_initial_energy(self):
