@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 # matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
-from .gossip import GossipSchedule, matrix_at, mixing_product, round_indices  # noqa: F401
+from .gossip import GossipSchedule, check_rounds, matrix_at, mixing_product, round_indices  # noqa: F401
 from .objective import Problem
 from .trace import RunTrace
 
@@ -153,6 +153,7 @@ def run_algorithm(
     per iteration. A single-matrix schedule mixes with W^m, formed once per
     run, in place of m rounds per iteration.
     """
+    check_rounds(schedule, params.m)
     trace = RunTrace.start(x0, y0, iterations, params)
     mixing = mixing_product(schedule, 0, params.m) if len(schedule.matrices) == 1 else None
     calls_before = problem.gradient_calls.copy()
@@ -161,7 +162,6 @@ def run_algorithm(
         x, y, trace.v[k], trace.u[k] = algorithm_iteration(problem, schedule, params, x, y, k, mixing)
         trace.x[k + 1], trace.y[k + 1] = x, y
     trace.count_gradients(problem.gradient_calls - calls_before)
-    trace.row_communications = trace.n * params.m * iterations
     return trace
 
 

@@ -27,6 +27,7 @@ from .trace import RunTrace
 
 DECREASE_TOL = 1e-9
 YSTAR_MEAN_TOL = 1e-10
+FIT_TAIL_FRACTION = 0.5  # share of an error sequence's fall that fit_rate fits
 
 
 def _mean_row(z: np.ndarray) -> np.ndarray:
@@ -160,14 +161,14 @@ def error_bound_constant(initial_value: float, lam: float) -> float:
     return math.sqrt(eig_max / eig_min * initial_value)
 
 
-def fit_rate(errors, tail_fraction: float = 0.5) -> float:
+def fit_rate(errors) -> float:
     """Per-iteration geometric decay fitted to the tail of an error sequence's fall.
 
     The fall ends at the first value that no later value undercuts by a
     factor of 10, if the sequence falls that far at all; this
     cuts off a converged run's roundoff plateau. The rate is the exponentiated
     least-squares slope of log(error) against the index over the last
-    ``tail_fraction`` of the fall, or all of it if that leaves under 10
+    ``FIT_TAIL_FRACTION`` of the fall, or all of it if that leaves under 10
     points. Values below 100 * eps * initial error are discarded as floor.
     """
     errors = np.asarray(errors, dtype=float)
@@ -175,12 +176,10 @@ def fit_rate(errors, tail_fraction: float = 0.5) -> float:
         raise DegenerateFitError(f"need a 1-d error sequence, got shape {errors.shape}")
     if np.any(errors < 0):
         raise DegenerateFitError("error values must be nonnegative")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError(f"tail fraction must be in (0, 1], got {tail_fraction}")
     floor = 100.0 * np.finfo(float).eps * errors[0]
     settled = errors <= 10.0 * np.minimum.accumulate(errors[::-1])[::-1]
     end = errors.size if settled[0] else int(np.argmax(settled))
-    start = int(math.floor(end * (1.0 - tail_fraction))) if end * tail_fraction >= 10 else 0
+    start = int(math.floor(end * (1.0 - FIT_TAIL_FRACTION))) if end * FIT_TAIL_FRACTION >= 10 else 0
     usable = np.arange(start, end)[errors[start:end] > floor]
     if usable.size < 10:
         raise DegenerateFitError(f"only {usable.size} tail points above the floating-point floor; need at least 10")

@@ -5,7 +5,9 @@ Subcommands:
   grid       round counts m over a (rho, sigma) grid
   rates      per-step convergence rates rho**(1/m) over a (rho, sigma) grid
   validate   check the assumptions behind a config (mixing, gap, contraction)
-  explore-m  raw values of the round-count expression over (r, s) >= (rho, sigma)
+
+``grid --rho-min R --rho-max 0.999 --sigma-min S --sigma-max 0.999`` tabulates
+m over the feasible region (r, s) >= (R, S) of a config with rho R and gap S.
 
 Exit codes: 0 success, 1 failed validation, 2 bad config, 3 numerical failure.
 """
@@ -19,12 +21,12 @@ import sys
 import numpy as np
 
 from . import analysis
-from .algorithm import centralized_gd, comm_rounds, run_algorithm, sigma0
+from .algorithm import centralized_gd, comm_rounds, run_algorithm
 from .config import build_problem, build_schedule, initial_states, load_run_config, resolve_params
 from .errors import AnalysisError, ConfigError, DegenerateCurvatureError, SingularPointError
 from .gossip import spectral_gap, validate_doubly_stochastic
 from .netsim import run_netsim
-from .objective import ContractionParams, check_contraction, sample_ball
+from .objective import check_contraction, sample_ball
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -112,29 +114,16 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def cmd_explore_m(args) -> int:
-    rs = _grid(args.rho, min(args.r_max, 0.999), args.resolution)
-    ss = _grid(args.sigma, min(args.s_max, 0.999), args.resolution)
-    lines = ["r,s,ceil_log_ratio"]
-    for r in rs:
-        for s in ss:
-            value = math.ceil(math.log(sigma0(r)) / math.log(s))
-            lines.append(f"{_fmt(r)},{_fmt(s)},{value}")
-    _write_lines(args.output, lines)
-    return EXIT_OK
-
-
 def cmd_validate(args) -> int:
-    for flag, value in (("--tol", args.tol), ("--radius", args.radius)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
+    if not (math.isfinite(args.radius) and args.radius > 0):
+        raise ConfigError(f"--radius must be finite and > 0, got {args.radius}")
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     config, problem, params, schedule, _ = assemble(args.config)
 
     checks: list[tuple[str, bool, str]] = []
     for idx, W in enumerate(schedule.matrices):
-        report = validate_doubly_stochastic(W, tol=args.tol)
+        report = validate_doubly_stochastic(W)
         checks.append(
             (
                 f"doubly-stochastic matrix {idx}",
@@ -152,10 +141,9 @@ def cmd_validate(args) -> int:
     )
 
     xstar = problem.optimizer
-    contraction = ContractionParams(alpha=params.alpha, rho=params.rho)
     samples = sample_ball(xstar, radius=args.radius, count=args.samples, seed=config.seed)
     try:
-        report = check_contraction(problem, xstar, contraction, samples)
+        report = check_contraction(problem, xstar, params, samples)
         ok, worst = report.passed, report.max_ratio
     except SingularPointError:
         ok, worst = False, float("inf")
@@ -196,18 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="-")
         p.set_defaults(handler=cmd_grid)
 
-    p_explore = sub.add_parser("explore-m", help="raw round-count expression over (r, s) >= (rho, sigma)")
-    p_explore.add_argument("--rho", type=float, required=True)
-    p_explore.add_argument("--sigma", type=float, required=True)
-    p_explore.add_argument("--r-max", type=float, default=0.999)
-    p_explore.add_argument("--s-max", type=float, default=0.999)
-    p_explore.add_argument("--resolution", type=int, default=20)
-    p_explore.add_argument("--output", default="-")
-    p_explore.set_defaults(handler=cmd_explore_m)
-
     p_val = sub.add_parser("validate", help="check the assumptions behind a config")
     p_val.add_argument("config")
-    p_val.add_argument("--tol", type=float, default=1e-9)
     p_val.add_argument("--samples", type=int, default=200)
     p_val.add_argument("--radius", type=float, default=10.0)
     p_val.set_defaults(handler=cmd_validate)

@@ -8,7 +8,7 @@ Sections and keys (see the README for a full example):
                   positions = p1,q1; p2,q2; ...   (optional, overrides seed)
   [schedule]      kind = constant | cyclic | random
                   source = five-agent-pair | complete | ring | inline
-                  matrix1 = row; row; ...         (inline, entries may be fractions)
+                  matrix1 = row; row; ...         (inline only; matrix1..matrixK, no gaps)
                   seed = int                      (random kind)
   [algorithm]     alpha, rho, sigma = float | auto ; m = int (optional override)
   [run]           iterations, seed, mode = vectorized | netsim,
@@ -183,21 +183,23 @@ def load_run_config(path) -> RunConfig:
     sched = parser["schedule"]
     schedule_kind = _get(sched, "kind").strip()
     source = _get(sched, "source", "inline").strip()
+    numbers = sorted(int(key[len("matrix"):]) for key in sched if key.startswith("matrix"))
     if source == "five-agent-pair":
         matrices = list(five_agent_gossip_pair())
     elif source in ("complete", "ring"):
         n = parse_number(int, _get(sched, "n"), "n", minimum=1)
         matrices = [complete_matrix(n) if source == "complete" else ring_matrix(n)]
     elif source == "inline":
-        matrices = []
-        index = 1
-        while f"matrix{index}" in sched:
-            matrices.append(parse_matrix(sched[f"matrix{index}"]))
-            index += 1
-        if not matrices:
+        if not numbers:
             raise ConfigError("inline schedule needs matrix1 (and matrix2, ... as needed)")
+        for expected, number in enumerate(numbers, start=1):
+            if number != expected:
+                raise ConfigError(f"matrix{number} has no matrix{expected} before it; inline matrices run matrix1..matrixK")
+        matrices = [parse_matrix(sched[f"matrix{number}"]) for number in numbers]
     else:
         raise ConfigError(f"unknown schedule source {source!r}")
+    if numbers and source != "inline":
+        raise ConfigError(f"matrix{numbers[0]} is read only with source = inline, not {source}")
 
     algo = parser["algorithm"] if "algorithm" in parser else {}
     run = parser["run"] if "run" in parser else {}

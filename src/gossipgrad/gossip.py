@@ -166,6 +166,15 @@ class GossipSchedule:
         return self.matrices[0].n
 
 
+def check_rounds(schedule: GossipSchedule, rounds: int):
+    """Raise ``ConfigError`` if a cyclic schedule would not count a run's ``rounds`` per iteration
+    globally: with another ``rounds_per_iteration``, iterations would reuse or skip rounds of the cycle."""
+    if schedule.kind == "cyclic" and schedule.rounds_per_iteration != rounds:
+        raise ConfigError(
+            f"cyclic schedule counts {schedule.rounds_per_iteration} rounds per iteration but the run takes m = {rounds}"
+        )
+
+
 def _indices(schedule: GossipSchedule, iteration: int, rounds: range) -> np.ndarray:
     # The one place a schedule picks its matrices: their indices at rounds
     # ``rounds`` (each l >= 1) of iteration k >= 0.

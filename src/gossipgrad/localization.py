@@ -22,6 +22,8 @@ from .gossip import GossipMatrix
 from .objective import Problem
 
 ANCHOR_EXCLUSION = 1e-12
+SAMPLE_BOX = (0.0, 2.0)  # sampled positions: each coordinate uniform on this interval
+TARGET_EXCLUSION = 0.1  # least distance of a sampled position from the target
 
 
 @dataclass(frozen=True)
@@ -46,14 +48,15 @@ class LocalizationConfig:
         return cls(positions=positions, target=target, ranges=ranges)
 
     @classmethod
-    def sampled(cls, n: int, seed: int, target=(1.0, 1.0), box=(0.0, 2.0), exclusion: float = 0.1) -> "LocalizationConfig":
-        """n agent positions drawn uniformly in the box, at least ``exclusion`` from the target."""
+    def sampled(cls, n: int, seed: int, target=(1.0, 1.0)) -> "LocalizationConfig":
+        """n agent positions, each coordinate uniform on ``SAMPLE_BOX``, all farther
+        than ``TARGET_EXCLUSION`` from the target."""
         target = np.asarray(target, dtype=float)
         rng = np.random.default_rng(seed)
         positions = []
         while len(positions) < n:
-            candidate = rng.uniform(box[0], box[1], size=2)
-            if np.linalg.norm(candidate - target) > exclusion:
+            candidate = rng.uniform(*SAMPLE_BOX, size=2)
+            if np.linalg.norm(candidate - target) > TARGET_EXCLUSION:
                 positions.append(candidate)
         return cls.from_positions(np.array(positions), target)
 
@@ -140,12 +143,10 @@ def target_hessian(cfg: LocalizationConfig) -> np.ndarray:
     return residuals.hessian(residuals.at(cfg.target)).mean(axis=0)
 
 
-def gd_contraction_factor(cfg: LocalizationConfig, alpha: float | None = None) -> float:
+def gd_contraction_factor(cfg: LocalizationConfig, alpha: float) -> float:
     """Contraction factor max |1 - alpha * eig| of centralized gradient descent,
-    linearized at the target. With the default stepsize this equals the spread
-    of the two average-Hessian eigenvalues."""
-    if alpha is None:
-        alpha = optimal_stepsize(cfg.problem(), cfg.target)
+    linearized at the target. With ``optimal_stepsize`` at the target this
+    equals the spread of the two average-Hessian eigenvalues."""
     eigs = np.linalg.eigvalsh(target_hessian(cfg))
     return float(np.max(np.abs(1.0 - alpha * eigs)))
 

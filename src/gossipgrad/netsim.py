@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, ProtocolError
 # matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
-from .gossip import GossipSchedule, matrix_at, round_indices  # noqa: F401
+from .gossip import GossipSchedule, check_rounds, matrix_at, round_indices  # noqa: F401
 from .objective import Problem
 from .trace import RunTrace
 
@@ -118,6 +118,7 @@ def run_netsim(
         raise ConfigError(
             f"agent count mismatch: states {n}, problem {problem.n}, schedule {schedule.n}"
         )
+    check_rounds(schedule, params.m)
     row_overrides = row_overrides or {}
 
     calls_before = problem.gradient_calls.copy()
@@ -160,7 +161,6 @@ def run_netsim(
         trace.x[k + 1] = x = u - params.lam * y
 
     trace.count_gradients(problem.gradient_calls - calls_before)
-    trace.row_communications = n * params.m * iterations
     trace.edge_set_ids = edge_set_ids
     trace.edge_sets = tuple(plan.edges for _, plan in plans.values())
     return trace

@@ -169,8 +169,11 @@ class ContractionReport:
     samples_used: int
 
 
-def check_contraction(problem: Problem, xstar, params: ContractionParams, samples) -> ContractionReport:
+def check_contraction(problem: Problem, xstar, params, samples) -> ContractionReport:
     """Measure ||x - x* - alpha (grad f_i(x) - grad f_i(x*))|| / ||x - x*|| on samples.
+
+    ``params`` is anything with ``alpha`` and ``rho``, such as ``ContractionParams``
+    or ``AlgorithmParams``.
 
     The ratio is taken for every agent i at every sample; the report carries
     the worst. Passes when that stays below rho + 1e-9. Samples exactly at x*

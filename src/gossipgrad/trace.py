@@ -25,7 +25,6 @@ class RunTrace:
     u: np.ndarray  # (iterations, n, d) post-gradient points per iteration
     params: object
     gradient_evaluations: int
-    row_communications: int
     edge_set_ids: np.ndarray | None = None  # (iterations, m) int32: the edge set each round delivered
     edge_sets: tuple = ()  # distinct (|E|, 2) int32 (sender, receiver) rows, in delivery order
 
@@ -53,7 +52,7 @@ class RunTrace:
         """Trace allocated for ``iterations`` with validated initial states in slot 0.
 
         x0 has shape (n, d); y0 defaults to zeros and its rows must sum to
-        zero. The runner fills the other slots and the counters.
+        zero. The runner fills the other slots and the gradient count.
         """
         x = np.asarray(x0, dtype=float)
         if x.ndim != 2:
@@ -71,7 +70,6 @@ class RunTrace:
             u=np.empty((iterations, n, d)),
             params=params,
             gradient_evaluations=0,
-            row_communications=0,
         )
         trace.x[0], trace.y[0] = x, y
         return trace
@@ -94,6 +92,11 @@ class RunTrace:
     @property
     def dimension(self) -> int:
         return self.x.shape[2]
+
+    @property
+    def row_communications(self) -> int:
+        """Mixing-row reads of the run: each agent reads its row once per round."""
+        return self.n * self.params.m * self.iterations
 
     def errors(self, xstar) -> np.ndarray:
         """Per-agent distance to ``xstar``: shape (iterations + 1, n)."""

@@ -158,6 +158,16 @@ class TestRun:
         with pytest.raises(ConfigError):
             gg.run_algorithm(problem, schedule, params, np.zeros((5, 2)), 3, y0=np.ones((5, 2)))
 
+    def test_cyclic_schedule_must_cycle_on_m(self, pair, pair_sigma):
+        # A 3-round cycle at m = 6 would give iteration 1 the rows [1, 0, 1, 0, 1, 0]
+        # where the global round counter gives [0, 1, 0, 1, 0, 1].
+        problem = gg.random_quadratic_problem(5, 3, 1.0, 3.0, seed=7)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, pair_sigma)
+        assert params.m == 6
+        schedule = gg.GossipSchedule.cyclic(list(pair), rounds_per_iteration=3)
+        with pytest.raises(ConfigError, match="3 rounds per iteration but the run takes m = 6"):
+            gg.run_algorithm(problem, schedule, params, np.zeros((5, 3)), 2)
+
     def test_zero_sum_y0_accepted(self, pair):
         problem = gg.random_quadratic_problem(5, 2, 1.0, 2.0, seed=1)
         schedule = gg.GossipSchedule.constant(pair[0])
@@ -224,7 +234,7 @@ class TestCentralizedGd:
         problem = gg.random_quadratic_problem(3, 4, 1.0, 3.0, seed=9)
         trajectory = gg.centralized_gd(problem, 0.5, np.ones(4) * 4.0, 60)
         errors = np.linalg.norm(trajectory - problem.optimizer, axis=1)
-        assert gg.fit_rate(errors, 0.5) == pytest.approx(0.5, abs=0.01)
+        assert gg.fit_rate(errors) == pytest.approx(0.5, abs=0.01)
 
     def test_localization_converges_to_target(self):
         cfg = gg.LocalizationConfig.sampled(5, seed=293)

@@ -170,30 +170,30 @@ class TestErrorBound:
 class TestFitRate:
     def test_exact_geometric(self):
         errors = 0.75 ** np.arange(40)
-        assert gg.fit_rate(errors, 0.5) == pytest.approx(0.75, abs=1e-9)
+        assert gg.fit_rate(errors) == pytest.approx(0.75, abs=1e-9)
 
     def test_constant_sequence_gives_one(self):
-        assert gg.fit_rate(np.full(30, 2.5), 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert gg.fit_rate(np.full(30, 2.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateFitError):
-            gg.fit_rate(np.zeros(30), 0.5)
+            gg.fit_rate(np.zeros(30))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateFitError):
-            gg.fit_rate(0.5 ** np.arange(8), 0.5)
+            gg.fit_rate(0.5 ** np.arange(8))
 
     def test_floor_values_discarded(self):
         errors = np.concatenate([0.1 ** np.arange(20), np.full(30, 1e-30)])
         with pytest.raises(DegenerateFitError):
             # All tail points sit on the floor: nothing usable remains.
-            gg.fit_rate(errors, 0.5)
+            gg.fit_rate(errors)
 
     def test_centralized_gd_rate(self):
         problem = gg.random_quadratic_problem(4, 3, 1.0, 3.0, seed=31)
         trajectory = gg.centralized_gd(problem, 0.5, problem.optimizer + 2.0, 60)
         errors = np.linalg.norm(trajectory - problem.optimizer, axis=1)
-        assert gg.fit_rate(errors, 0.5) == pytest.approx(0.5, abs=0.01)
+        assert gg.fit_rate(errors) == pytest.approx(0.5, abs=0.01)
 
     def test_roundoff_plateau_is_cut(self):
         # A converged ring-100 run sits on a roundoff plateau far above
@@ -208,6 +208,6 @@ class TestFitRate:
         trace = gg.run_algorithm(problem, gg.GossipSchedule.constant(ring), params, x0, 120)
         errors = trace.max_errors(problem.optimizer)
         assert errors[60:].min() > 100 * np.finfo(float).eps * errors[0]
-        rate = gg.fit_rate(errors, 0.5)
+        rate = gg.fit_rate(errors)
         assert rate <= params.rho + 0.02
-        assert rate == pytest.approx(gg.fit_rate(errors[:40], 0.5), abs=0.01)
+        assert rate == pytest.approx(gg.fit_rate(errors[:40]), abs=0.01)

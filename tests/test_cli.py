@@ -1,3 +1,4 @@
+import math
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,11 @@ from gossipgrad.config import load_run_config, parse_entry, parse_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # Two blocks that never exchange values; LAPACK puts its gap at 0.9999999999999998.
+# The built-in five-agent pair written as inline matrix text.
+PAIR = (
+    "0, 3/8, 1/4, 0, 3/8; 1/8, 0, 3/4, 1/8, 0; 0, 5/8, 0, 3/8, 0; 3/8, 0, 0, 0, 5/8; 1/2, 0, 0, 1/2, 0",
+    "0, 1/2, 1/4, 0, 1/4; 1/4, 0, 3/4, 0, 0; 0, 1/2, 0, 1/2, 0; 1/4, 0, 0, 0, 3/4; 1/2, 0, 0, 1/2, 0",
+)
 DISCONNECTED = "1/2, 1/2, 0, 0, 0; 1/2, 1/2, 0, 0, 0; 0, 0, 1/3, 1/3, 1/3; 0, 0, 1/3, 1/3, 1/3; 0, 0, 1/3, 1/3, 1/3"
 
 
@@ -192,6 +198,8 @@ class TestRunCommand:
             ("localization", "seed = 293", "seed = -1"),
             ("quadratic", "seed = 42", "seed = -1"),
             ("quadratic", "seed = 1", "seed = -1"),
+            ("quadratic", "source = five-agent-pair", f"source = inline\nmatrix1 = {PAIR[0]}\nmatrix3 = {PAIR[1]}"),
+            ("quadratic", "source = five-agent-pair", f"source = five-agent-pair\nmatrix1 = {PAIR[0]}"),
         ],
         ids=[
             "unknown-kind", "iterations", "mu", "target", "alpha-nan", "alpha-inf", "L-inf", "x0", "x0-empty",
@@ -199,6 +207,7 @@ class TestRunCommand:
             "schedule-kind", "constant-pair", "problem-n-vs-pair", "x0-dimension", "x0-positions-quadratic",
             "misspelled-key", "unknown-section", "d-zero", "iterations-zero", "localization-n-zero",
             "problem-seed-negative", "localization-seed-negative", "schedule-seed-negative", "run-seed-negative",
+            "inline-matrix-gap", "matrix-without-inline",
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, base, old, new):
@@ -223,6 +232,34 @@ class TestRunCommand:
         assert main(["run", str(bad), "--output", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "config error: unknown key 'iteration' in section [run]\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "new,error",
+        [
+            (f"source = inline\nmatrix1 = {PAIR[0]}\nmatrix3 = {PAIR[1]}", "matrix3 has no matrix2 before it"),
+            (f"source = five-agent-pair\nmatrix1 = {PAIR[0]}", "matrix1 is read only with source = inline"),
+        ],
+        ids=["inline-matrix-gap", "matrix-without-inline"],
+    )
+    def test_matrix_key_is_named(self, tmp_path, capsys, new, error):
+        bad = tmp_path / "bad.ini"
+        bad.write_text((CONFIGS / "quadratic.ini").read_text().replace("source = five-agent-pair", new))
+        for command in (["run", str(bad), "--output", str(tmp_path / "x.csv")], ["validate", str(bad)]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {error}") and err.count("\n") == 1
+
+    def test_inline_pair_runs_as_the_builtin_pair(self, tmp_path):
+        # matrix1..matrixK without gaps is read in number order.
+        text = (CONFIGS / "quadratic.ini").read_text()
+        inline = tmp_path / "inline.ini"
+        inline.write_text(
+            text.replace("source = five-agent-pair", f"source = inline\nmatrix2 = {PAIR[1]}\nmatrix1 = {PAIR[0]}")
+        )
+        outputs = [tmp_path / "builtin.csv", tmp_path / "inline.csv"]
+        assert main(["run", str(CONFIGS / "quadratic.ini"), "--output", str(outputs[0])]) == 0
+        assert main(["run", str(inline), "--output", str(outputs[1])]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys, quadratic_config_path):
         out = tmp_path / "missing-dir" / "x.csv"
@@ -433,13 +470,23 @@ class TestGridCommands:
             else:
                 assert rho < rate < 1.0
 
-    def test_explore_m_headers_and_floor(self, tmp_path):
-        out = tmp_path / "explore.csv"
-        assert main(["explore-m", "--rho", "0.5", "--sigma", "0.7", "--resolution", "5", "--output", str(out)]) == 0
+    def test_grid_over_feasible_region_is_ceil_log_ratio(self, tmp_path):
+        # The box (r, s) >= (rho, sigma) up to 0.999: m is the raw ceil of the log ratio, at least 1.
+        out = tmp_path / "grid.csv"
+        args = [
+            "grid",
+            "--rho-min", "0.5", "--rho-max", "0.999",
+            "--sigma-min", "0.7", "--sigma-max", "0.999",
+            "--resolution", "5",
+            "--output", str(out),
+        ]
+        assert main(args) == 0
         header, rows = read_csv(out)
-        assert header == ["r", "s", "ceil_log_ratio"]
+        assert header == ["rho", "sigma", "m"]
         assert len(rows) == 25
-        assert all(int(r[2]) >= 1 for r in rows)
+        for r in rows:
+            rho, sigma, m = float(r[0]), float(r[1]), int(r[2])
+            assert m == math.ceil(math.log(gg.sigma0(rho)) / math.log(sigma)) >= 1
 
 
 class TestValidateCommand:
@@ -495,7 +542,7 @@ iterations = 5
     @pytest.mark.parametrize(
         "flag,value",
         [
-            ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--samples", "0"), ("--samples", "-1"),
+            ("--samples", "0"), ("--samples", "-1"),
             ("--radius", "nan"), ("--radius", "0"), ("--radius", "-1"),
         ],
     )

@@ -30,7 +30,7 @@ class TestConfig:
             gg.LocalizationConfig.from_positions([[1.0, 1.0], [0.0, 0.0]], [1.0, 1.0])
 
     def test_sampling_respects_box_and_exclusion(self):
-        sampled = gg.LocalizationConfig.sampled(20, seed=0, target=(1.0, 1.0), box=(0.0, 2.0), exclusion=0.1)
+        sampled = gg.LocalizationConfig.sampled(20, seed=0, target=(1.0, 1.0))
         assert np.all(sampled.positions >= 0.0) and np.all(sampled.positions <= 2.0)
         assert np.all(np.linalg.norm(sampled.positions - sampled.target, axis=1) > 0.1)
 
@@ -145,10 +145,12 @@ class TestContractionFactor:
         # the spread of the two average-curvature eigenvalues.
         eigs = np.linalg.eigvalsh(gg.target_hessian(cfg))
         assert eigs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert gg.gd_contraction_factor(cfg) == pytest.approx(float(eigs[1] - eigs[0]), abs=1e-12)
+        alpha = gg.optimal_stepsize(cfg.problem(), cfg.target)
+        assert gg.gd_contraction_factor(cfg, alpha) == pytest.approx(float(eigs[1] - eigs[0]), abs=1e-12)
 
     def test_pinned_config_value(self, cfg):
-        assert gg.gd_contraction_factor(cfg) == pytest.approx(0.7769316101916837, abs=1e-12)
+        alpha = gg.optimal_stepsize(cfg.problem(), cfg.target)
+        assert gg.gd_contraction_factor(cfg, alpha) == pytest.approx(0.7769316101916837, abs=1e-12)
 
 
 class TestGossipPair:

@@ -102,6 +102,14 @@ class TestEquivalence:
             gg.run_netsim(problem, schedule, params, np.zeros((4, 2)), 2)
 
 
+    def test_cyclic_schedule_must_cycle_on_m(self, pair, pair_sigma):
+        problem = gg.random_quadratic_problem(5, 3, 1.0, 3.0, seed=7)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, pair_sigma)
+        schedule = gg.GossipSchedule.cyclic(list(pair), rounds_per_iteration=3)
+        with pytest.raises(ConfigError, match="3 rounds per iteration but the run takes m = 6"):
+            gg.run_netsim(problem, schedule, params, np.zeros((5, 3)), 2)
+
+
 class TestLocalityAudit:
     def test_compliant_run_passes_with_exact_message_count(self, pair, pair_sigma):
         problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)

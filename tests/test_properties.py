@@ -260,7 +260,6 @@ class TestStackedCertificate:
             u=rng.standard_normal((K, n, d)),
             params=None,
             gradient_evaluations=0,
-            row_communications=0,
         )
         fp = gg.FixedPoint(
             xstar=rng.standard_normal(d), ystar=rng.standard_normal((n, d)), ustar=rng.standard_normal((n, d))
