@@ -43,7 +43,6 @@ from .gossip import (
     ring_matrix,
     round_indices,
     spectral_gap,
-    validate_doubly_stochastic,
 )
 from .localization import (
     LocalizationConfig,

@@ -4,26 +4,28 @@ Sections and keys (see the README for a full example):
 
   [problem]       kind = quadratic | localization
                   quadratic: n, d, mu, L, seed
-  [localization]  target = p,q ; seed = int ; n = int
-                  positions = p1,q1; p2,q2; ...   (optional, overrides seed)
+  [localization]  target = p,q ; seed = int ; n = int   (kind = localization only)
+                  positions = p1,q1; p2,q2; ...   (replaces n and seed)
   [schedule]      kind = constant | cyclic | random
                   source = five-agent-pair | complete | ring | inline
-                  matrix1 = row; row; ...         (inline only; matrix1..matrixK, no gaps)
+                  n = int                         (complete and ring)
+                  matrix1 = row; row; ...         (inline; matrix1, matrix2, ... read in order)
                   seed = int                      (random kind)
   [algorithm]     alpha, rho, sigma = float | auto ; m = int (optional override)
   [run]           iterations, seed, mode = vectorized | netsim,
                   output = path, x0 = positions | zeros | random | explicit points
 
-Matrix entries accept decimals or exact fractions such as 3/8. Any other
-section or key is a config error, as are n, d or iterations below 1 and a
-negative seed.
+The loader takes each key out of its section as it reads it; a key or
+section left over is a config error that names it. So every key must be one
+that the chosen kind or source reads. Matrix entries accept decimals or
+exact fractions such as 3/8. n, d or iterations below 1 and a negative seed
+are config errors too.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -49,18 +51,6 @@ def parse_entry(text: str) -> float:
         raise ConfigError(f"cannot parse matrix entry {text!r}") from exc
 
 
-def parse_matrix(text: str) -> GossipMatrix:
-    """Rows separated by ';', entries by ','."""
-    rows = [row.strip() for row in text.strip().split(";") if row.strip()]
-    if not rows:
-        raise ConfigError("empty matrix text")
-    parsed = [[parse_entry(entry) for entry in row.split(",")] for row in rows]
-    width = len(parsed[0])
-    if any(len(row) != width for row in parsed) or width != len(parsed):
-        raise ConfigError(f"matrix text is not square: {len(parsed)} rows, widths {[len(r) for r in parsed]}")
-    return GossipMatrix(parsed)
-
-
 def parse_number(kind, text: str, key: str, minimum=None):
     """``kind(text)`` for kind int or float; a malformed or non-finite value, or
     one below ``minimum``, is a config error naming ``key``."""
@@ -74,16 +64,20 @@ def parse_number(kind, text: str, key: str, minimum=None):
         raise ConfigError(f"{key} must be {expected}, got {text!r}") from exc
 
 
-def parse_points(text: str) -> np.ndarray:
-    """Points separated by ';', coordinates by ','; returns (count, dim)."""
+def parse_rows(text: str, parse_value) -> np.ndarray:
+    """Rows separated by ';', values by ','; returns the (rows, width) array of ``parse_value`` of each value."""
     rows = [row.strip() for row in text.strip().split(";") if row.strip()]
     if not rows:
-        raise ConfigError("empty point list")
-    parsed = [[parse_number(float, value, "point coordinate") for value in row.split(",")] for row in rows]
-    width = len(parsed[0])
-    if any(len(row) != width for row in parsed):
-        raise ConfigError("points disagree on dimension")
+        raise ConfigError(f"no rows in {text!r}")
+    parsed = [[parse_value(value) for value in row.split(",")] for row in rows]
+    if any(len(row) != len(parsed[0]) for row in parsed):
+        raise ConfigError(f"rows of {text!r} disagree on length: {[len(row) for row in parsed]}")
     return np.array(parsed, dtype=float)
+
+
+def parse_points(text: str) -> np.ndarray:
+    """Points of decimal coordinates as ``parse_rows`` reads them; returns (count, dim)."""
+    return parse_rows(text, lambda value: parse_number(float, value, "point coordinate"))
 
 
 @dataclass
@@ -107,22 +101,11 @@ class RunConfig:
     x0_spec: str
 
 
-# The keys the loader reads, one pattern per section; configparser lowercases L to l.
-SECTION_KEYS = {
-    "problem": "kind|n|d|mu|l|seed",
-    "localization": "target|seed|n|positions",
-    "schedule": r"kind|source|n|seed|matrix[1-9]\d*",
-    "algorithm": "alpha|rho|sigma|m",
-    "run": "iterations|seed|mode|output|x0",
-}
-
-
-def _get(section, key, default=None):
-    if key in section:
-        return section[key]
-    if default is not None:
-        return default
-    raise ConfigError(f"missing key {key!r} in section [{section.name}]")
+def _required(section: dict, name: str, key: str) -> str:
+    """Take ``key`` out of section [name]; a missing key is a config error."""
+    if key not in section:
+        raise ConfigError(f"missing key {key!r} in section [{name}]")
+    return section.pop(key)
 
 
 def _float_or_auto(text: str) -> float | str:
@@ -131,97 +114,103 @@ def _float_or_auto(text: str) -> float | str:
 
 
 def load_run_config(path) -> RunConfig:
+    """The run configured at ``path``.
+
+    Each key is taken out of its section as it is read, so whatever is left
+    at the end is a key or section that the chosen kind and source do not
+    read, and a config error.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
         parser.read(path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    for name in parser.sections():
-        if name not in SECTION_KEYS:
-            raise ConfigError(f"unknown section [{name}]")
-        unknown = [key for key in parser[name] if not re.fullmatch(SECTION_KEYS[name], key)]
-        if unknown:
-            raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in section [{name}]")
+    read = ["problem", "schedule", "algorithm", "run"]
 
-    if "problem" not in parser:
+    if "problem" not in sections:
         raise ConfigError("config needs a [problem] section")
-    problem_section = parser["problem"]
-    kind = _get(problem_section, "kind").strip()
+    problem = sections["problem"]
+    kind = _required(problem, "problem", "kind").strip()
     quadratic = None
     localization = None
     if kind == "quadratic":
         quadratic = {
-            "n": parse_number(int, _get(problem_section, "n", "5"), "n", minimum=1),
-            "d": parse_number(int, _get(problem_section, "d", "3"), "d", minimum=1),
-            "mu": parse_number(float, _get(problem_section, "mu", "1.0"), "mu"),
-            "L": parse_number(float, _get(problem_section, "L", "3.0"), "L"),
-            "seed": parse_number(int, _get(problem_section, "seed", "0"), "seed", minimum=0),
+            "n": parse_number(int, problem.pop("n", "5"), "n", minimum=1),
+            "d": parse_number(int, problem.pop("d", "3"), "d", minimum=1),
+            "mu": parse_number(float, problem.pop("mu", "1.0"), "mu"),
+            "L": parse_number(float, problem.pop("l", "3.0"), "L"),  # configparser lowercases keys
+            "seed": parse_number(int, problem.pop("seed", "0"), "seed", minimum=0),
         }
         if not 0 < quadratic["mu"] <= quadratic["L"] < np.inf:
             raise ConfigError("quadratic problem needs 0 < mu <= L < inf")
     elif kind == "localization":
-        if "localization" not in parser:
+        if "localization" not in sections:
             raise ConfigError("localization problems need a [localization] section")
-        loc = parser["localization"]
-        target = np.array([parse_number(float, v, "target") for v in _get(loc, "target", "1.0, 1.0").split(",")])
+        read.append("localization")
+        loc = sections["localization"]
+        target = np.array([parse_number(float, v, "target") for v in loc.pop("target", "1.0, 1.0").split(",")])
         if "positions" in loc:
-            localization = LocalizationConfig.from_positions(parse_points(loc["positions"]), target)
+            localization = LocalizationConfig.from_positions(parse_points(loc.pop("positions")), target)
         else:
             localization = LocalizationConfig.sampled(
-                n=parse_number(int, _get(loc, "n", "5"), "n", minimum=1),
-                seed=parse_number(int, _get(loc, "seed"), "seed", minimum=0),
+                n=parse_number(int, loc.pop("n", "5"), "n", minimum=1),
+                seed=parse_number(int, _required(loc, "localization", "seed"), "seed", minimum=0),
                 target=target,
             )
     else:
         raise ConfigError(f"unknown problem kind {kind!r}; expected quadratic or localization")
 
-    if "schedule" not in parser:
+    if "schedule" not in sections:
         raise ConfigError("config needs a [schedule] section")
-    sched = parser["schedule"]
-    schedule_kind = _get(sched, "kind").strip()
-    source = _get(sched, "source", "inline").strip()
-    numbers = sorted(int(key[len("matrix"):]) for key in sched if key.startswith("matrix"))
+    sched = sections["schedule"]
+    schedule_kind = _required(sched, "schedule", "kind").strip()
+    # Named here, or an unknown kind would be reported as the seed it leaves unread.
+    if schedule_kind not in GossipSchedule.KINDS:
+        raise ConfigError(f"unknown schedule kind {schedule_kind!r}, expected one of {GossipSchedule.KINDS}")
+    source = sched.pop("source", "inline").strip()
     if source == "five-agent-pair":
         matrices = list(five_agent_gossip_pair())
     elif source in ("complete", "ring"):
-        n = parse_number(int, _get(sched, "n"), "n", minimum=1)
+        n = parse_number(int, _required(sched, "schedule", "n"), "n", minimum=1)
         matrices = [complete_matrix(n) if source == "complete" else ring_matrix(n)]
     elif source == "inline":
-        if not numbers:
+        # matrix1, matrix2, ... up to the first absent number; any later matrixN is left over.
+        matrices = []
+        while (text := sched.pop(f"matrix{len(matrices) + 1}", None)) is not None:
+            matrices.append(GossipMatrix(parse_rows(text, parse_entry)))
+        if not matrices:
             raise ConfigError("inline schedule needs matrix1 (and matrix2, ... as needed)")
-        for expected, number in enumerate(numbers, start=1):
-            if number != expected:
-                raise ConfigError(f"matrix{number} has no matrix{expected} before it; inline matrices run matrix1..matrixK")
-        matrices = [parse_matrix(sched[f"matrix{number}"]) for number in numbers]
     else:
         raise ConfigError(f"unknown schedule source {source!r}")
-    if numbers and source != "inline":
-        raise ConfigError(f"matrix{numbers[0]} is read only with source = inline, not {source}")
 
-    algo = parser["algorithm"] if "algorithm" in parser else {}
-    run = parser["run"] if "run" in parser else {}
-    m_override = parse_number(int, algo["m"], "m") if "m" in algo else None
-
+    algo = sections.setdefault("algorithm", {})
+    run = sections.setdefault("run", {})
     config = RunConfig(
         problem_kind=kind,
         quadratic=quadratic,
         localization=localization,
         schedule_kind=schedule_kind,
         schedule_matrices=matrices,
-        schedule_seed=parse_number(int, sched.get("seed", "0"), "seed", minimum=0),
-        alpha=_float_or_auto(algo.get("alpha", "auto")),
-        rho=_float_or_auto(algo.get("rho", "auto")),
-        sigma=_float_or_auto(algo.get("sigma", "auto")),
-        m_override=m_override,
-        iterations=parse_number(int, run.get("iterations", "100"), "iterations", minimum=1),
-        seed=parse_number(int, run.get("seed", "0"), "seed", minimum=0),
-        mode=run.get("mode", "vectorized").strip(),
-        output=run.get("output", None),
-        x0_spec=run.get("x0", "positions" if kind == "localization" else "random").strip(),
+        schedule_seed=parse_number(int, sched.pop("seed", "0"), "seed", minimum=0) if schedule_kind == "random" else 0,
+        alpha=_float_or_auto(algo.pop("alpha", "auto")),
+        rho=_float_or_auto(algo.pop("rho", "auto")),
+        sigma=_float_or_auto(algo.pop("sigma", "auto")),
+        m_override=parse_number(int, algo.pop("m"), "m") if "m" in algo else None,
+        iterations=parse_number(int, run.pop("iterations", "100"), "iterations", minimum=1),
+        seed=parse_number(int, run.pop("seed", "0"), "seed", minimum=0),
+        mode=run.pop("mode", "vectorized").strip(),
+        output=run.pop("output", None),
+        x0_spec=run.pop("x0", "positions" if kind == "localization" else "random").strip(),
     )
+    for name, keys in sections.items():
+        if name not in read:
+            raise ConfigError(f"unknown section [{name}]")
+        if keys:
+            raise ConfigError(f"unknown key {', '.join(map(repr, keys))} in section [{name}]")
     if config.mode not in ("vectorized", "netsim"):
         raise ConfigError(f"mode must be vectorized or netsim, got {config.mode!r}")
     return config

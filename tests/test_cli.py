@@ -7,7 +7,7 @@ import pytest
 
 import gossipgrad as gg
 from gossipgrad.cli import assemble, main
-from gossipgrad.config import load_run_config, parse_entry, parse_matrix
+from gossipgrad.config import load_run_config, parse_entry, parse_rows
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -18,6 +18,29 @@ PAIR = (
     "0, 1/2, 1/4, 0, 1/4; 1/4, 0, 3/4, 0, 0; 0, 1/2, 0, 1/2, 0; 1/4, 0, 0, 0, 3/4; 1/2, 0, 0, 1/2, 0",
 )
 DISCONNECTED = "1/2, 1/2, 0, 0, 0; 1/2, 1/2, 0, 0, 0; 0, 0, 1/3, 1/3, 1/3; 0, 0, 1/3, 1/3, 1/3; 0, 0, 1/3, 1/3, 1/3"
+# Shipped configs with a key or section that the chosen kind or source does not read, and the error naming it.
+UNREAD = [
+    (
+        "quadratic",
+        "source = five-agent-pair",
+        "source = five-agent-pair\nn = 9",
+        "unknown key 'n' in section [schedule]",
+    ),
+    ("quadratic", "kind = random", "kind = cyclic", "unknown key 'seed' in section [schedule]"),
+    ("localization", "kind = localization", "kind = localization\nmu = 1.0", "unknown key 'mu' in section [problem]"),
+    ("localization", "kind = localization", "kind = localization\nd = 2", "unknown key 'd' in section [problem]"),
+    ("quadratic", "[schedule]", "[localization]\nn = 5\nseed = 293\n\n[schedule]", "unknown section [localization]"),
+    (
+        "localization",
+        "target = 1.0, 1.0",
+        "target = 1.0, 1.0\npositions = 1.38, 1.69; 0.6, 0.47; 1.84, 1.82; 0.32, 0.79; 1.3, 1.06",
+        "unknown key 'n', 'seed' in section [localization]",
+    ),
+]
+UNREAD_IDS = [
+    "schedule-n-under-pair", "schedule-seed-under-cyclic", "problem-mu-under-localization",
+    "problem-d-under-localization", "localization-section-in-quadratic", "positions-beside-n-and-seed",
+]
 
 
 def read_csv(path):
@@ -68,10 +91,12 @@ class TestParsing:
             parse_entry("1/0")
 
     def test_parse_matrix(self):
-        W = parse_matrix("1/2, 1/2; 1/2, 1/2")
+        W = gg.GossipMatrix(parse_rows("1/2, 1/2; 1/2, 1/2", parse_entry))
         assert np.allclose(W.weights, 0.5)
         with pytest.raises(gg.ConfigError):
-            parse_matrix("1, 0; 1")
+            parse_rows("1, 0; 1", parse_entry)
+        with pytest.raises(gg.ConfigError):
+            gg.GossipMatrix(parse_rows("1, 0; 0, 1; 1, 1", parse_entry))
 
     def test_missing_file(self):
         with pytest.raises(gg.ConfigError):
@@ -185,7 +210,11 @@ class TestRunCommand:
             ("quadratic", "rho = auto", "rho = 0.4"),
             ("quadratic", "source = five-agent-pair", f"source = inline\nmatrix1 = {DISCONNECTED}"),
             ("quadratic", "kind = random", "kind = nosuch"),
-            ("quadratic", "kind = random", "kind = constant"),
+            (
+                "quadratic",
+                "kind = random\nsource = five-agent-pair\nseed = 42",
+                "kind = constant\nsource = five-agent-pair",
+            ),
             ("quadratic", "n = 5", "n = 4"),
             ("quadratic", "x0 = random", "x0 = 1, 2"),
             ("quadratic", "x0 = random", "x0 = positions"),
@@ -200,7 +229,9 @@ class TestRunCommand:
             ("quadratic", "seed = 1", "seed = -1"),
             ("quadratic", "source = five-agent-pair", f"source = inline\nmatrix1 = {PAIR[0]}\nmatrix3 = {PAIR[1]}"),
             ("quadratic", "source = five-agent-pair", f"source = five-agent-pair\nmatrix1 = {PAIR[0]}"),
-        ],
+            ("quadratic", "output = quadratic_trace.csv", "output = a%b.csv"),
+        ]
+        + [row[:3] for row in UNREAD],
         ids=[
             "unknown-kind", "iterations", "mu", "target", "alpha-nan", "alpha-inf", "L-inf", "x0", "x0-empty",
             "ring-n", "matrix-nan", "x0-nan", "alpha-expanding", "rho-below-factor", "disconnected",
@@ -208,7 +239,9 @@ class TestRunCommand:
             "misspelled-key", "unknown-section", "d-zero", "iterations-zero", "localization-n-zero",
             "problem-seed-negative", "localization-seed-negative", "schedule-seed-negative", "run-seed-negative",
             "inline-matrix-gap", "matrix-without-inline",
-        ],
+            "percent-in-value",
+        ]
+        + UNREAD_IDS,
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, base, old, new):
         # run and validate assemble a config the same way, so both reject it.
@@ -236,14 +269,35 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "new,error",
         [
-            (f"source = inline\nmatrix1 = {PAIR[0]}\nmatrix3 = {PAIR[1]}", "matrix3 has no matrix2 before it"),
-            (f"source = five-agent-pair\nmatrix1 = {PAIR[0]}", "matrix1 is read only with source = inline"),
+            (f"source = inline\nmatrix1 = {PAIR[0]}\nmatrix3 = {PAIR[1]}", "unknown key 'matrix3'"),
+            (f"source = five-agent-pair\nmatrix1 = {PAIR[0]}", "unknown key 'matrix1'"),
         ],
         ids=["inline-matrix-gap", "matrix-without-inline"],
     )
     def test_matrix_key_is_named(self, tmp_path, capsys, new, error):
         bad = tmp_path / "bad.ini"
         bad.write_text((CONFIGS / "quadratic.ini").read_text().replace("source = five-agent-pair", new))
+        for command in (["run", str(bad), "--output", str(tmp_path / "x.csv")], ["validate", str(bad)]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {error}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "base,old,new,error",
+        UNREAD
+        + [
+            ("quadratic", "kind = quadratic", "kind = nosuch", "unknown problem kind 'nosuch'"),
+            ("quadratic", "kind = random", "kind = nosuch", "unknown schedule kind 'nosuch'"),
+            ("quadratic", "source = five-agent-pair", "source = nosuch", "unknown schedule source 'nosuch'"),
+        ],
+        ids=UNREAD_IDS + ["problem-kind", "schedule-kind", "schedule-source"],
+    )
+    def test_config_error_names_the_culprit(self, tmp_path, capsys, base, old, new, error):
+        # An unknown kind or source is named, not reported as the keys it would have read.
+        text = (CONFIGS / f"{base}.ini").read_text()
+        assert text.count(old) == 1
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new))
         for command in (["run", str(bad), "--output", str(tmp_path / "x.csv")], ["validate", str(bad)]):
             assert main(command) == 2
             err = capsys.readouterr().err
@@ -297,7 +351,7 @@ class TestRunCommand:
         # Uniform averaging has gap exactly 0: one round reaches consensus, so m = 1.
         config = tmp_path / "complete.ini"
         text = (CONFIGS / "quadratic.ini").read_text().replace("n = 5", "n = 6")
-        pair = "kind = random\nsource = five-agent-pair"
+        pair = "kind = random\nsource = five-agent-pair\nseed = 42"
         assert pair in text
         config.write_text(text.replace(pair, "kind = constant\nsource = complete\nn = 6"))
         tables = {}
@@ -558,7 +612,9 @@ iterations = 5
         text = (CONFIGS / "quadratic.ini").read_text()
         assert text.count("kind = random") == 1
         bad = tmp_path / "bad.ini"
-        bad.write_text(text.replace("kind = random", f"kind = {kind}"))
+        assert text.count("seed = 42\n") == 1
+        # Without the schedule seed, which only the random kind reads.
+        bad.write_text(text.replace("kind = random", f"kind = {kind}").replace("seed = 42\n", ""))
         assert main(["validate", str(bad)]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err

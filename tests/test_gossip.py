@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,11 @@ GAP_SECOND = 0.7853340289138411
 def svd_gap(W: np.ndarray) -> float:
     n = W.shape[0]
     return float(np.linalg.svd(W - np.ones((n, n)) / n, compute_uv=False)[0])
+
+
+def sum_deviations(W: gg.GossipMatrix) -> tuple[float, float]:
+    """Largest deviation from 1 of the row sums and of the column sums."""
+    return float(np.abs(W.weights.sum(axis=1) - 1.0).max()), float(np.abs(W.weights.sum(axis=0) - 1.0).max())
 
 
 def random_doubly_stochastic(n: int, k: int, seed: int) -> gg.GossipMatrix:
@@ -81,34 +88,45 @@ class TestSpectralGap:
 class TestValidation:
     def test_builtin_pair_exact(self, pair):
         for W in pair:
-            assert gg.validate_doubly_stochastic(W, tol=1e-15).passed
+            assert max(sum_deviations(W)) <= 1e-15
 
     def test_perturbed_identity_reports_deviation(self):
         W = np.eye(3)
         W[0, 0] = 1.1
-        report = gg.validate_doubly_stochastic(gg.GossipMatrix(W), tol=1e-12)
-        assert not report.passed
-        assert report.max_row_deviation == pytest.approx(0.1)
-        assert report.max_col_deviation == pytest.approx(0.1)
+        with pytest.raises(ConfigError, match=re.escape("(max row dev 1.000e-01, max col dev 1.000e-01)")):
+            gg.GossipSchedule.constant(gg.GossipMatrix(W))
 
     def test_uniform_passes(self):
-        assert gg.validate_doubly_stochastic(gg.complete_matrix(7), tol=1e-12).passed
+        assert max(sum_deviations(gg.complete_matrix(7))) <= 1e-12
 
     def test_transpose_symmetry(self):
+        # Transposing swaps the row and column deviations, and a rejection names both.
         rng = np.random.default_rng(3)
         for seed in range(6):
             W = random_doubly_stochastic(5, k=3, seed=seed).weights + rng.normal(0, 1e-3, (5, 5))
-            forward = gg.validate_doubly_stochastic(gg.GossipMatrix(W), tol=1e-6)
-            backward = gg.validate_doubly_stochastic(gg.GossipMatrix(W.T), tol=1e-6)
-            assert forward.passed == backward.passed
+            forward, backward = gg.GossipMatrix(W), gg.GossipMatrix(W.T)
+            assert sum_deviations(forward) == pytest.approx(sum_deviations(backward)[::-1], rel=1e-12)
+            for matrix in (forward, backward):
+                row, col = sum_deviations(matrix)
+                with pytest.raises(ConfigError, match=re.escape(f"(max row dev {row:.3e}, max col dev {col:.3e})")):
+                    gg.GossipSchedule.constant(matrix)
+
+    @pytest.mark.parametrize(
+        "weights,deviations",
+        [
+            ([[0.6, 0.6], [0.4, 0.4]], "(max row dev 2.000e-01, max col dev 0.000e+00)"),
+            ([[0.6, 0.4], [0.6, 0.4]], "(max row dev 0.000e+00, max col dev 2.000e-01)"),
+        ],
+        ids=["row-only", "column-only"],
+    )
+    def test_one_sided_deviation_rejected(self, weights, deviations):
+        with pytest.raises(ConfigError, match=re.escape(deviations)):
+            gg.GossipSchedule.constant(gg.GossipMatrix(weights))
 
     def test_negative_weights_allowed_unless_strict(self):
         W = gg.GossipMatrix([[1.5, -0.5], [-0.5, 1.5]])
-        assert gg.validate_doubly_stochastic(W, tol=1e-12).passed
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            gg.validate_doubly_stochastic(gg.complete_matrix(2), tol=0.0)
+        assert max(sum_deviations(W)) <= 1e-12
+        assert gg.GossipSchedule.constant(W).matrices == (W,)
 
 
 class TestSchedule:
@@ -245,7 +263,7 @@ class TestMixingProduct:
 class TestBuiltins:
     def test_ring_is_doubly_stochastic(self):
         for n in (1, 2, 3, 6):
-            assert gg.validate_doubly_stochastic(gg.ring_matrix(n), tol=1e-12).passed
+            assert max(sum_deviations(gg.ring_matrix(n))) <= 1e-12
 
     def test_ring_mixes(self):
         assert gg.spectral_gap(gg.ring_matrix(6)) < 1.0
