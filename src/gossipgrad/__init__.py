@@ -31,7 +31,6 @@ from .errors import (
     ConfigError,
     DegenerateCurvatureError,
     DegenerateFitError,
-    ProtocolError,
     SingularPointError,
 )
 from .gossip import (

@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 failed validation, 2 bad config, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -32,6 +31,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# validate's contraction check samples this many points in this ball around the optimizer.
+VALIDATE_SAMPLES = 200
+VALIDATE_RADIUS = 10.0
 
 
 def _fmt(value: float) -> str:
@@ -115,10 +118,6 @@ def cmd_grid(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if not (math.isfinite(args.radius) and args.radius > 0):
-        raise ConfigError(f"--radius must be finite and > 0, got {args.radius}")
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     config, problem, params, schedule, _ = assemble(args.config)
 
     actual_gap = max(spectral_gap(W) for W in schedule.matrices)
@@ -131,7 +130,7 @@ def cmd_validate(args) -> int:
     ]
 
     xstar = problem.optimizer
-    samples = sample_ball(xstar, radius=args.radius, count=args.samples, seed=config.seed)
+    samples = sample_ball(xstar, radius=VALIDATE_RADIUS, count=VALIDATE_SAMPLES, seed=config.seed)
     try:
         report = check_contraction(problem, xstar, params, samples)
         ok, worst = report.passed, report.max_ratio
@@ -176,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check the assumptions behind a config")
     p_val.add_argument("config")
-    p_val.add_argument("--samples", type=int, default=200)
-    p_val.add_argument("--radius", type=float, default=10.0)
     p_val.set_defaults(handler=cmd_validate)
     return parser
 

@@ -19,7 +19,3 @@ class DegenerateFitError(ValueError):
 
 class AnalysisError(Exception):
     """Requested analysis needs data the run does not provide (e.g. a known optimizer)."""
-
-
-class ProtocolError(RuntimeError):
-    """Message-passing execution violated the synchronous delivery contract."""

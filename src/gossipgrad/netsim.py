@@ -7,14 +7,13 @@ every message, copied from the senders' pre-round values, then let every
 agent fold what it received, in ascending sender order with its own value at
 its own index. A round plan, built once per run for each distinct schedule
 matrix and found by the matrix index in the iteration's ``round_indices``
-row, fixes the messages and every agent's fold. A round is a fixed number of
-numpy calls, with no Python loop over its fold steps: deliver into the
-plan's pool, take every fold term from the pool, multiply by the weights,
-reduce over the steps. It costs ``O(|E| d + n * width * d)`` with ``|E|``
-the round's messages and ``width`` the longest row. After its m rounds, each
-iteration makes one call to the problem's gradient; row i of that call reads
-only agent i's data and point, and equals agent i's own ``agent(i)`` view
-bit for bit.
+row, fixes the messages and every agent's fold. A round is three numpy
+calls, with no Python loop over its fold steps: take the senders' pre-round
+rows straight into the plan's inbox, multiply by the weights, reduce over
+the inbox slots. It costs ``O(n * width * d)`` with ``width`` the longest
+row. After its m rounds, each iteration makes one call to the problem's
+gradient; row i of that call reads only agent i's data and point, and
+equals agent i's own ``agent(i)`` view bit for bit.
 
 Every round that uses one matrix delivers that matrix's edge set, so the
 delivery ledger is kept compact: one int32 edge-set id per round, an
@@ -23,7 +22,8 @@ delivery ledger is kept compact: one int32 edge-set id per round, an
 the locality audit reads; ``RunTrace.deliveries`` is a read-only expansion of
 it into ``(messages, 4)`` rows. The audit judges each distinct (matrix, edge
 set) pair once, so it costs one ``round_indices`` row per iteration,
-however many messages a round carries.
+however many messages a round carries. The runner has no tampering hook:
+tests that check the audit edit the ledger, not the runner.
 
 This path exists to prove the algorithm is decentralized and to serve as an
 independent oracle for the vectorized execution: both must produce the same
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 # matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
 from .gossip import GossipSchedule, check_rounds, matrix_at, round_indices  # noqa: F401
 from .objective import Problem
@@ -47,55 +47,43 @@ from .trace import RunTrace
 class RoundPlan:
     """The messages of one schedule matrix's rounds and every agent's fold of them.
 
-    A round copies each sender's value into ``pool`` (own values in rows
-    ``0..n-1``, then one payload per edge, then a zero row). Step ``p`` of
-    the fold adds ``weights[p, i] * pool[sources[p, i]]`` to agent i's total:
-    its p-th nonzero row entry, in ascending sender order, read from its own
-    value or from the payload addressed to it. Shorter rows are padded with
-    the zero row at weight 0. The whole fold is one take of the
-    ``(width, n, d)`` terms, one multiply by ``weights`` and one sum over
-    the steps.
+    Agent i's slots hold its nonzero row entries in ascending sender order:
+    its own value at its own index, else the payload from sender j, which
+    rides the edge ``(j, i)``. Slot ``p`` adds ``weights[p, i] * v[sources[p, i]]``
+    to agent i's total. Shorter rows are padded with agent i's own row at
+    weight 0. A round takes the senders' rows into ``inbox``, multiplies by
+    ``weights`` and sums over the slots.
     """
 
     edges: np.ndarray  # (|E|, 2) int32 sender, receiver, in delivery order
-    sources: np.ndarray  # (width, n) pool row per fold step
-    weights: np.ndarray  # (width, n, d) row weight per fold step, repeated over d
-    pool: np.ndarray  # (n + |E| + 1, d) round buffer
+    sources: np.ndarray  # (width, n) sending agent per slot
+    weights: np.ndarray  # (width, n, d) row weight per slot, repeated over d
+    inbox: np.ndarray  # (width, n, d) round buffer
 
 
-def round_plan(W: np.ndarray, row_overrides: dict, d: int) -> RoundPlan:
-    """Plan the rounds of one mixing matrix, checking every fold once.
+def round_plan(W: np.ndarray, d: int) -> RoundPlan:
+    """Plan the rounds of one mixing matrix.
 
     Messages ride the nonzero off-diagonal weights in row-major (receiver,
-    sender) order. Raises ``ProtocolError`` on the first row entry, by agent
-    and then sender, whose message never arrives.
+    sender) order, so every slot that reads another agent reads a delivered
+    edge.
     """
     n = W.shape[0]
     links = W != 0.0
     np.fill_diagonal(links, False)
-    edges = np.argwhere(links)[:, ::-1]
-    slot = np.full((n, n), -1)
-    slot[edges[:, 1], edges[:, 0]] = np.arange(len(edges))
+    edges = np.argwhere(links)[:, ::-1].astype(np.int32)
 
-    rows = np.array([row_overrides.get(i, W[i]) for i in range(n)], dtype=float)
-    agent, sender = np.nonzero(rows)  # row-major: by agent, then ascending sender
-    own = agent == sender
-    delivered = slot[agent, sender]
-    missing = np.flatnonzero(~own & (delivered < 0))
-    if len(missing):
-        i, j = agent[missing[0]], sender[missing[0]]
-        raise ProtocolError(f"agent {i} expected a message from {j} (weight {rows[i, j]}) but none arrived")
-
+    agent, sender = np.nonzero(W)  # row-major: by agent, then ascending sender
     counts = np.bincount(agent, minlength=n)
-    step = np.arange(len(agent)) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot = np.arange(len(agent)) - np.repeat(np.cumsum(counts) - counts, counts)
     width = int(counts.max())
-    sources = np.full((width, n), n + len(edges))
+    sources = np.tile(np.arange(n), (width, 1))
     # Weights repeat over d: a same-shape multiply runs about twice as fast
     # as one that broadcasts a (width, n, 1) table.
     weights = np.zeros((width, n, d))
-    sources[step, agent] = np.where(own, agent, n + delivered)
-    weights[step, agent] = rows[agent, sender][:, None]
-    return RoundPlan(edges.astype(np.int32), sources, weights, np.zeros((n + len(edges) + 1, d)))
+    sources[slot, agent] = sender
+    weights[slot, agent] = W[agent, sender][:, None]
+    return RoundPlan(edges, sources, weights, np.empty((width, n, d)))
 
 
 def run_netsim(
@@ -105,13 +93,8 @@ def run_netsim(
     x0: np.ndarray,
     iterations: int,
     y0: np.ndarray | None = None,
-    row_overrides: dict[int, np.ndarray] | None = None,
 ) -> RunTrace:
-    """Message-passing execution; trace schema identical to the vectorized path.
-
-    ``row_overrides`` hands selected agents a wrong weight row: a tampering
-    hook for negative tests, off by default.
-    """
+    """Message-passing execution; trace schema identical to the vectorized path."""
     trace = RunTrace.start(x0, y0, iterations, params)
     n, d = trace.n, trace.dimension
     if problem.n != n or schedule.n != n:
@@ -119,12 +102,10 @@ def run_netsim(
             f"agent count mismatch: states {n}, problem {problem.n}, schedule {schedule.n}"
         )
     check_rounds(schedule, params.m)
-    row_overrides = row_overrides or {}
 
     calls_before = problem.gradient_calls.copy()
     plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only
     edge_set_ids = np.empty((iterations, params.m), dtype=np.int32)
-    fold = np.empty((0, n, d))  # the run's fold terms, grown to the widest plan
     x, y = trace.x[0], trace.y[0]
 
     for k in range(iterations):
@@ -133,26 +114,20 @@ def run_netsim(
             matrix = schedule.matrices[index]
             entry = plans.get(matrix)
             if entry is None:
-                entry = plans[matrix] = (len(plans), round_plan(matrix.weights, row_overrides, d))
+                entry = plans[matrix] = (len(plans), round_plan(matrix.weights, d))
             edge_set_ids[k, l], plan = entry
             # Delivery: every payload is a copy of the sender's pre-round
             # value (synchronous barrier), so agent order cannot matter.
-            # Every index below is in range by construction: "clip" writes
-            # straight into ``out``, where "raise" would buffer.
-            plan.pool[:n] = v
-            v.take(plan.edges[:, 0], axis=0, out=plan.pool[n:-1], mode="clip")
+            # Every index is in range by construction: "clip" writes straight
+            # into ``out``, where "raise" would buffer.
+            v.take(plan.sources, axis=0, out=plan.inbox, mode="clip")
             # Fold: every agent sums its row in ascending sender order. numpy
             # reduces an outer axis one step after another, so the sum equals
             # the sequential fold bit for bit. Only a (width, 1, 1) block
             # would be summed pairwise, and that needs n = 1, whose row has
             # width 1.
-            width = len(plan.sources)
-            if width > len(fold):
-                fold = np.empty((width, n, d))
-            terms = fold[:width]
-            plan.pool.take(plan.sources, axis=0, out=terms, mode="clip")
-            np.multiply(terms, plan.weights, out=terms)
-            v = np.add.reduce(terms, axis=0)
+            np.multiply(plan.inbox, plan.weights, out=plan.inbox)
+            v = np.add.reduce(plan.inbox, axis=0)
         # Row i of the problem's gradient reads only agent i's data and point.
         gradients = problem.gradient(v)
         trace.v[k] = v

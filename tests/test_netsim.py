@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import gossipgrad as gg
-from gossipgrad.errors import ConfigError, ProtocolError
+from gossipgrad.errors import ConfigError
+from gossipgrad.netsim import round_plan
 
 
 class TestEquivalence:
@@ -23,30 +24,6 @@ class TestEquivalence:
         assert len(trace.deliveries) == 0
         central = gg.centralized_gd(problem, 0.3, np.array([4.0]), 30)
         assert np.abs(trace.x[:, 0, :] - central).max() <= 1e-12
-
-    def test_wrong_row_breaks_equivalence(self, pair, pair_sigma):
-        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=6)
-        schedule = gg.GossipSchedule.random_choice(list(pair), seed=13)
-        params = gg.AlgorithmParams.derive(0.5, 0.5, pair_sigma)
-        x0 = np.random.default_rng(4).standard_normal((5, 2))
-        honest = gg.run_algorithm(problem, schedule, params, x0, 10)
-        # Same sparsity as row 0 of both matrices (senders 1, 2, 4) but with
-        # the weights of senders 1 and 2 swapped.
-        tampered_row = np.array([0.0, 0.25, 0.375, 0.0, 0.375])
-        tampered = gg.run_netsim(
-            problem, schedule, params, x0, 10, row_overrides={0: tampered_row}
-        )
-        assert np.abs(honest.x - tampered.x).max() > 1e-6
-
-    def test_missing_expected_message_raises(self, pair):
-        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=6)
-        schedule = gg.GossipSchedule.constant(pair[0])
-        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
-        # Row claims a link from sender 3 into agent 0, but the true matrix
-        # never delivers one.
-        bad_row = np.array([0.0, 0.375, 0.25, 0.125, 0.25])
-        with pytest.raises(ProtocolError):
-            gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2, row_overrides={0: bad_row})
 
     def test_deterministic_replay(self, pair, pair_sigma):
         problem = gg.random_quadratic_problem(5, 3, 1.0, 2.0, seed=8)
@@ -218,12 +195,12 @@ class TestLocalityAudit:
             gg.locality_audit(corpus[0].trace, corpus[0].schedule)
 
 
-def pair_run(pair, **tampering):
+def pair_run(pair):
     """Two netsim iterations on the first built-in matrix (m = 5, 120 messages), and that schedule."""
     problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
     schedule = gg.GossipSchedule.constant(pair[0])
     params = gg.AlgorithmParams.derive(0.5, 0.5, 0.73)
-    return gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2, **tampering), schedule
+    return gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 2), schedule
 
 
 def with_round(trace, iteration, round_index, edges):
@@ -258,16 +235,6 @@ class TestLedgerForms:
             (k, l, s, r) for k in range(2) for l in range(1, trace.params.m + 1) for s, r in extra
         ]
         assert {reason for _, reason in report.violations} == {"delivery across a zero-weight link"}
-
-    def test_row_overrides_run(self, pair, pair_sigma):
-        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=6)
-        schedule = gg.GossipSchedule.random_choice(list(pair), seed=13)
-        params = gg.AlgorithmParams.derive(0.5, 0.5, pair_sigma)
-        x0 = np.random.default_rng(4).standard_normal((5, 2))
-        tampered_row = np.array([0.0, 0.25, 0.375, 0.0, 0.375])
-        trace = gg.run_netsim(problem, schedule, params, x0, 10, row_overrides={0: tampered_row})
-        report = gg.locality_audit(trace, schedule)
-        assert report.passed and report.message_count == report.expected_count
 
     def test_edited_ledgers(self, pair):
         trace, schedule = pair_run(pair)
@@ -312,14 +279,13 @@ class TestLedgerForms:
         assert np.array_equal(round_of_row, np.repeat(np.arange(rounds), per_round))
 
 
-def sequential_reference(problem, schedule, params, x0, iterations, row_overrides=None):
+def sequential_reference(problem, schedule, params, x0, iterations):
     """Message passing written out per agent, independent of the runner's round plans.
 
     Every round each agent copies out its value, then folds its row in
     ascending sender order: its own value at its own index, the copy sent by
     j elsewhere, ``total += w * value``. Returns the stacked x, y, v and u.
     """
-    row_overrides = row_overrides or {}
     n, d = x0.shape
     views = [problem.agent(i) for i in range(n)]
     x, y = [row.copy() for row in x0], [np.zeros(d) for _ in range(n)]
@@ -331,10 +297,9 @@ def sequential_reference(problem, schedule, params, x0, iterations, row_override
             sent = [vi.copy() for vi in v]
             folded = []
             for i in range(n):
-                row = row_overrides.get(i, W[i])
                 total = np.zeros(d)
-                for j in np.flatnonzero(row):
-                    total += row[j] * (v[i] if j == i else sent[j])
+                for j in np.flatnonzero(W[i]):
+                    total += W[i, j] * (v[i] if j == i else sent[j])
                 folded.append(total)
             v = folded
         u = [v[i] - params.alpha * views[i].gradient(v[i]) for i in range(n)]
@@ -357,12 +322,21 @@ def metropolis_matrix(n, p, rng):
             return gg.GossipMatrix(W)
 
 
-def random_mixtures(n, count, rng):
-    """``count`` random convex combinations of 1-3 permutation matrices: doubly stochastic."""
+def random_mixtures(n, count, rng, signed=False):
+    """``count`` random combinations of 1-3 permutation matrices with weights summing to 1: doubly stochastic.
+
+    The weights are convex, or with ``signed`` one negative weight and one or
+    two positive ones.
+    """
     matrices = []
     for _ in range(count):
         W = np.zeros((n, n))
-        for w in rng.dirichlet(np.ones(rng.integers(1, 4))):
+        if signed:
+            negative = rng.random()
+            weights = np.append(-negative, (1.0 + negative) * rng.dirichlet(np.ones(rng.integers(1, 3))))
+        else:
+            weights = rng.dirichlet(np.ones(rng.integers(1, 4)))
+        for w in weights:
             W[np.arange(n), rng.permutation(n)] += w
         matrices.append(gg.GossipMatrix(W))
     return matrices
@@ -391,18 +365,6 @@ class TestProtocol:
             ((1, 5, 0, 4), "duplicate delivery"),
         )
 
-    def test_missing_message_names_lowest_agent_then_lowest_sender(self, pair):
-        W = pair[0].weights
-        undelivered = {i: [j for j in range(5) if j != i and W[i, j] == 0.0] for i in range(5)}
-        assert undelivered[2] == [0, 4] and undelivered[4] == [1, 2]
-        # Agents 4 and 2 each claim weight from every sender, delivered or not;
-        # the higher agent comes first in the dict so its order cannot decide.
-        rows = {4: np.full(5, 0.2), 2: np.full(5, 0.2)}
-        rows[2][0] = 0.125
-        with pytest.raises(ProtocolError) as caught:
-            pair_run(pair, row_overrides=rows)
-        assert str(caught.value) == "agent 2 expected a message from 0 (weight 0.125) but none arrived"
-
     def test_extra_edge_outside_the_agents_is_rejected(self, pair):
         trace, schedule = pair_run(pair)
         # A negative agent must not be read as agent n - 1 (4 -> 2 is a zero-weight link).
@@ -412,29 +374,48 @@ class TestProtocol:
             assert report.violations == (((1, 1, *edge), "delivery outside the run"),)
 
 
+class TestRoundPlan:
+    """Locality holds by construction: a plan reads another agent only across an edge it delivers."""
+
+    def test_slots_read_only_delivered_edges(self, pair):
+        rng = np.random.default_rng(12)
+        mixtures = random_mixtures(7, 3, rng) + random_mixtures(7, 3, rng, signed=True)
+        for W in [*pair, gg.ring_matrix(100), *mixtures]:
+            weights, n, d = W.weights, W.n, 3
+            plan = round_plan(weights, d)
+            links = [(j, i) for i in range(n) for j in range(n) if j != i and weights[i, j] != 0.0]
+            assert plan.edges.tolist() == [list(link) for link in links]
+
+            agents = np.broadcast_to(np.arange(n), plan.sources.shape)
+            slot_weights = plan.weights[..., 0]
+            assert np.array_equal(plan.weights, np.repeat(slot_weights[..., None], d, axis=2))
+            live = slot_weights != 0.0
+            received = live & (plan.sources != agents)
+            edges = set(links)
+            assert all((j, i) in edges for j, i in zip(plan.sources[received].tolist(), agents[received].tolist()))
+            assert np.array_equal(slot_weights[live], weights[agents[live], plan.sources[live]])
+
+            padded = np.arange(len(plan.sources))[:, None] >= np.count_nonzero(weights, axis=1)
+            assert np.array_equal(padded, ~live)
+            assert np.array_equal(plan.sources[padded], agents[padded])
+
+
 class TestFoldOrder:
     """The runner must equal, bit for bit, every agent folding its own row in ascending sender order."""
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("overrides", [False, True], ids=["own-rows", "overridden-rows"])
-    def test_matches_sequential_reference(self, seed, overrides):
+    @pytest.mark.parametrize("signed", [False, True], ids=["own-rows", "signed"])
+    def test_matches_sequential_reference(self, seed, signed):
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(2, 9)), int(rng.integers(1, 4))
-        matrices = random_mixtures(n, int(rng.integers(1, 4)), rng)
+        matrices = random_mixtures(n, int(rng.integers(1, 4)), rng, signed)
+        assert (min(W.weights.min() for W in matrices) < 0.0) == signed
         schedule = gg.GossipSchedule.random_choice(matrices, seed=seed)
         problem = gg.random_quadratic_problem(n, d, 1.0, 3.0, seed=seed, shared_hessian=bool(seed % 2))
         params = gg.AlgorithmParams.derive(0.5, 0.5, 0.01, m_override=int(rng.integers(1, 5)))
-        rows = {}
-        if overrides:
-            # Signed weights on the links every matrix delivers, plus the agent's own index.
-            common = np.logical_and.reduce([W.weights != 0.0 for W in matrices])
-            for i in rng.choice(n, size=min(n, 2), replace=False).tolist():
-                support = common[i].copy()
-                support[i] = True
-                rows[i] = np.where(support, rng.standard_normal(n), 0.0)
         x0 = rng.standard_normal((n, d))
-        net = gg.run_netsim(problem, schedule, params, x0, 5, row_overrides=rows)
-        reference = sequential_reference(problem, schedule, params, x0, 5, rows)
+        net = gg.run_netsim(problem, schedule, params, x0, 5)
+        reference = sequential_reference(problem, schedule, params, x0, 5)
         for key in ("x", "y", "v", "u"):
             assert np.array_equal(getattr(net, key), reference[key]), key
 
