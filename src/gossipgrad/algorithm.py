@@ -117,8 +117,8 @@ def algorithm_iteration(
 
     Returns (x_next, y_next, v, u) with v the post-communication and u the
     post-gradient points; evaluates each local gradient exactly once, at v.
-    ``mixing``, when given, is this iteration's m-round product (see
-    ``mixing_product``) and replaces the m rounds with one product.
+    ``mixing``, when given, is the m-round product W^m of a one-matrix
+    schedule (see ``mixing_product``) and replaces the m rounds with one product.
     """
     n, d = x.shape
     if problem.n != n:
@@ -155,7 +155,7 @@ def run_algorithm(
     """
     check_rounds(schedule, params.m)
     trace = RunTrace.start(x0, y0, iterations, params)
-    mixing = mixing_product(schedule, 0, params.m) if len(schedule.matrices) == 1 else None
+    mixing = mixing_product(schedule.matrices[0], params.m) if len(schedule.matrices) == 1 else None
     calls_before = problem.gradient_calls.copy()
     x, y = trace.x[0], trace.y[0]
     for k in range(iterations):
@@ -172,9 +172,7 @@ def centralized_gd(problem: Problem, alpha: float, x0, iterations: int) -> np.nd
         raise ConfigError(f"x0 has shape {x.shape}, expected ({problem.dimension},)")
     trajectory = np.empty((iterations + 1, problem.dimension))
     trajectory[0] = x
-    stack = np.empty((problem.n, problem.dimension))  # x once per agent
     for k in range(iterations):
-        stack[:] = x
-        x = x - alpha * (problem.gradient(stack).sum(axis=0) / problem.n)
+        x = x - alpha * (problem.gradient(problem.at(x)).sum(axis=0) / problem.n)
         trajectory[k + 1] = x
     return trajectory

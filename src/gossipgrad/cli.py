@@ -3,7 +3,7 @@
 Subcommands:
   run        execute a configured run and write the CSV trace
   grid       round counts m over a (rho, sigma) grid
-  rates      per-step convergence rates rho**(1/m) over a (rho, sigma) grid
+  rates      alias of grid that adds the per-step convergence rate rho**(1/m)
   validate   check the assumptions behind a config (gap, contraction, gradient cancellation)
 
 ``grid --rho-min R --rho-max 0.999 --sigma-min S --sigma-max 0.999`` tabulates
@@ -163,15 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", choices=("vectorized", "netsim"), default=None)
     p_run.set_defaults(handler=cmd_run)
 
-    for name in ("grid", "rates"):
-        p = sub.add_parser(name, help=f"{name} CSV over a (rho, sigma) grid")
-        p.add_argument("--rho-min", type=float, default=0.05)
-        p.add_argument("--rho-max", type=float, default=0.95)
-        p.add_argument("--sigma-min", type=float, default=0.05)
-        p.add_argument("--sigma-max", type=float, default=0.95)
-        p.add_argument("--resolution", type=int, default=50)
-        p.add_argument("--output", default="-")
-        p.set_defaults(handler=cmd_grid)
+    p_grid = sub.add_parser("grid", aliases=["rates"], help="m over a (rho, sigma) grid; rates adds rho**(1/m)")
+    p_grid.add_argument("--rho-min", type=float, default=0.05)
+    p_grid.add_argument("--rho-max", type=float, default=0.95)
+    p_grid.add_argument("--sigma-min", type=float, default=0.05)
+    p_grid.add_argument("--sigma-max", type=float, default=0.95)
+    p_grid.add_argument("--resolution", type=int, default=50)
+    p_grid.add_argument("--output", default="-")
+    p_grid.set_defaults(handler=cmd_grid)
 
     p_val = sub.add_parser("validate", help="check the assumptions behind a config")
     p_val.add_argument("config")

@@ -228,29 +228,32 @@ def resolve_params(config: RunConfig, problem: Problem) -> AlgorithmParams:
     sigma = config.sigma
     if sigma == "auto":
         sigma = max(spectral_gap(W) for W in config.schedule_matrices)
-    alpha, rho = config.alpha, config.rho
-    if config.problem_kind == "quadratic":
-        mu, L = config.quadratic["mu"], config.quadratic["L"]
-        derived = params_from_one_point_convexity(StrongSmoothParams(mu, L))
-        # The gradient map contracts by exactly max |1 - alpha * eig| over [mu, L].
-        if alpha == "auto":
-            alpha, factor = derived.alpha, derived.rho
-        else:
-            factor = max(abs(1.0 - alpha * mu), abs(1.0 - alpha * L))
-        if factor >= 1.0:
-            raise ConfigError(f"stepsize {alpha:.6g} gives contraction factor {factor:.6g} >= 1 on [mu, L]")
-        if rho == "auto":
-            rho = factor
-        elif rho < factor:
-            raise ConfigError(f"rho = {rho:.6g} is below the contraction factor {factor:.6g} of stepsize {alpha:.6g}")
-    else:
-        if alpha == "auto":
-            alpha = optimal_stepsize(problem, config.localization.target)
-        if rho == "auto":
-            rho = gd_contraction_factor(config.localization, alpha)
-    if not 0 <= sigma < 1:
-        raise ConfigError(f"schedule spectral gap {sigma:.6g} is not in [0, 1); the network never mixes")
+    # Out-of-range values (a curvature ratio that rounds to 1, an m too small) surface as ValueError.
     try:
+        alpha, rho = config.alpha, config.rho
+        if config.problem_kind == "quadratic":
+            mu, L = config.quadratic["mu"], config.quadratic["L"]
+            derived = params_from_one_point_convexity(StrongSmoothParams(mu, L))
+            # The gradient map contracts by exactly max |1 - alpha * eig| over [mu, L].
+            if alpha == "auto":
+                alpha, factor = derived.alpha, derived.rho
+            else:
+                factor = max(abs(1.0 - alpha * mu), abs(1.0 - alpha * L))
+            if factor >= 1.0:
+                raise ConfigError(f"stepsize {alpha:.6g} gives contraction factor {factor:.6g} >= 1 on [mu, L]")
+            if rho == "auto":
+                rho = factor
+            elif rho < factor:
+                raise ConfigError(
+                    f"rho = {rho:.6g} is below the contraction factor {factor:.6g} of stepsize {alpha:.6g}"
+                )
+        else:
+            if alpha == "auto":
+                alpha = optimal_stepsize(problem, config.localization.target)
+            if rho == "auto":
+                rho = gd_contraction_factor(config.localization, alpha)
+        if not 0 <= sigma < 1:
+            raise ConfigError(f"schedule spectral gap {sigma:.6g} is not in [0, 1); the network never mixes")
         return AlgorithmParams.derive(alpha, rho, sigma, m_override=config.m_override)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

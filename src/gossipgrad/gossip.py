@@ -197,22 +197,15 @@ def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> Gos
     return schedule.matrices[_indices(schedule, iteration, range(round_index, round_index + 1))[0]]
 
 
-def mixing_product(schedule: GossipSchedule, iteration: int, rounds: int) -> np.ndarray:
-    """Ordered product W(k, rounds) @ ... @ W(k, 1) of one iteration's rounds.
+def mixing_product(matrix: GossipMatrix, rounds: int) -> np.ndarray:
+    """W^rounds of one mixing matrix, the m-round product of a one-matrix schedule.
 
-    A schedule with a single matrix gives W^rounds by left-to-right binary
-    powering, O(n^3 log rounds) in two alternating n x n buffers; at
-    rounds = 1 that is W's own read-only values. Any other schedule
-    multiplies its rounds in order, round 1 first.
+    Left-to-right binary powering, O(n^3 log rounds) in two alternating
+    n x n buffers; at rounds = 1 that is W's own read-only values.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if len(schedule.matrices) > 1:
-        product = np.eye(schedule.n)
-        for index in round_indices(schedule, iteration, rounds).tolist():
-            product = schedule.matrices[index].weights @ product
-        return product
-    W = schedule.matrices[0].weights
+    W = matrix.weights
     buffers = (np.empty_like(W), np.empty_like(W))
     power = W
     for bit in bin(rounds)[3:]:

@@ -174,5 +174,4 @@ def five_agent_gossip_pair() -> tuple[GossipMatrix, GossipMatrix]:
         [F(1, 4), 0, 0, 0, F(3, 4)],
         [F(1, 2), 0, 0, F(1, 2), 0],
     ]
-    to_matrix = lambda rows: GossipMatrix([[float(entry) for entry in row] for row in rows])
-    return to_matrix(first), to_matrix(second)
+    return GossipMatrix(first), GossipMatrix(second)

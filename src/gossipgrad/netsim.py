@@ -69,11 +69,9 @@ def round_plan(W: np.ndarray, d: int) -> RoundPlan:
     edge.
     """
     n = W.shape[0]
-    links = W != 0.0
-    np.fill_diagonal(links, False)
-    edges = np.argwhere(links)[:, ::-1].astype(np.int32)
-
     agent, sender = np.nonzero(W)  # row-major: by agent, then ascending sender
+    link = agent != sender
+    edges = np.stack((sender[link], agent[link]), axis=1).astype(np.int32)
     counts = np.bincount(agent, minlength=n)
     slot = np.arange(len(agent)) - np.repeat(np.cumsum(counts) - counts, counts)
     width = int(counts.max())

@@ -164,7 +164,6 @@ class ContractionReport:
     """Worst contraction ratio observed over the sampled points."""
 
     passed: bool
-    rho: float
     max_ratio: float
     samples_used: int
 
@@ -177,25 +176,23 @@ def check_contraction(problem: Problem, xstar, params, samples) -> ContractionRe
 
     The ratio is taken for every agent i at every sample; the report carries
     the worst. Passes when that stays below rho + 1e-9. Samples exactly at x*
-    are skipped (the ratio is 0/0 there).
+    are skipped (the ratio is 0/0 there). The gradients come from two calls:
+    one at x* and one on the (samples, n, d) stack of every sample repeated
+    once per agent.
     """
     xstar = np.asarray(xstar, dtype=float)
     grad_star = problem.gradient(problem.at(xstar))
-    max_ratio = 0.0
-    used = 0
-    for x in np.asarray(samples, dtype=float):
-        dist = np.linalg.norm(x - xstar)
-        if dist == 0.0:
-            continue
-        mapped = x - xstar - params.alpha * (problem.gradient(problem.at(x)) - grad_star)
-        ratio = np.linalg.norm(mapped, axis=1).max() / dist
-        used += 1
-        max_ratio = max(max_ratio, ratio)
+    samples = np.asarray(samples, dtype=float)
+    dist = np.linalg.norm(samples - xstar, axis=1)
+    keep = dist != 0.0
+    x, dist = samples[keep, None, :], dist[keep]  # (used, 1, d)
+    gradients = problem.gradient(np.broadcast_to(x, (len(dist), problem.n, problem.dimension)))
+    mapped = x - xstar - params.alpha * (gradients - grad_star)
+    max_ratio = float((np.linalg.norm(mapped, axis=2).max(axis=1) / dist).max(initial=0.0))
     return ContractionReport(
         passed=max_ratio <= params.rho + CONTRACTION_SLACK,
-        rho=params.rho,
-        max_ratio=float(max_ratio),
-        samples_used=used,
+        max_ratio=max_ratio,
+        samples_used=len(dist),
     )
 
 

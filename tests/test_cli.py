@@ -230,6 +230,7 @@ class TestRunCommand:
             ("quadratic", "source = five-agent-pair", f"source = inline\nmatrix1 = {PAIR[0]}\nmatrix3 = {PAIR[1]}"),
             ("quadratic", "source = five-agent-pair", f"source = five-agent-pair\nmatrix1 = {PAIR[0]}"),
             ("quadratic", "output = quadratic_trace.csv", "output = a%b.csv"),
+            ("quadratic", "d = 3\nmu = 1.0", "d = 1\nmu = 1e-20"),
         ]
         + [row[:3] for row in UNREAD],
         ids=[
@@ -239,7 +240,7 @@ class TestRunCommand:
             "misspelled-key", "unknown-section", "d-zero", "iterations-zero", "localization-n-zero",
             "problem-seed-negative", "localization-seed-negative", "schedule-seed-negative", "run-seed-negative",
             "inline-matrix-gap", "matrix-without-inline",
-            "percent-in-value",
+            "percent-in-value", "curvature-ratio",
         ]
         + UNREAD_IDS,
     )

@@ -71,6 +71,15 @@ class TestCheckContraction:
         report = gg.check_contraction(f, np.zeros(2), params, [[0.0, 0.0], [1.0, 0.0]])
         assert report.samples_used == 1
 
+    def test_two_gradient_calls_per_agent(self):
+        f = gg.random_quadratic_problem(5, 3, 1.0, 3.0, seed=0)
+        params = gg.params_from_one_point_convexity(gg.StrongSmoothParams(1.0, 3.0))
+        samples = gg.sample_ball(f.optimizer, radius=10.0, count=200, seed=1)
+        before = f.gradient_calls.copy()
+        report = gg.check_contraction(f, f.optimizer, params, samples)
+        assert report.passed and report.samples_used == 200
+        assert np.array_equal(f.gradient_calls - before, np.full(5, 2))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_one_point_convexity_end_to_end(self, seed):
         rng = np.random.default_rng(seed)
