@@ -151,7 +151,9 @@ def run_algorithm(
     x0 has shape (n, d); y0 defaults to zeros and must have blocks summing to
     zero. Gradient evaluations are counted per agent and asserted to be one
     per iteration. A single-matrix schedule mixes with W^m, formed once per
-    run, in place of m rounds per iteration.
+    run by ``mixing_product``, in place of m rounds per iteration; a
+    symmetric W squares there through BLAS ``syrk``, at about half the
+    flops of a general square.
     """
     check_rounds(schedule, params.m)
     trace = RunTrace.start(x0, y0, iterations, params)

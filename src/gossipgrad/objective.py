@@ -69,8 +69,13 @@ class Problem:
         return view
 
     def at(self, x) -> np.ndarray:
-        """The common point x as a read-only (n, d) stack, one copy per agent."""
-        return np.broadcast_to(np.asarray(x, dtype=float), (self.n, self.dimension))
+        """The common point x of shape (d,) as a read-only (n, d) stack: one row, seen n times through a zero stride."""
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape != (self.dimension,):
+            raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
+        stack = np.ndarray((self.n, self.dimension), dtype=float, buffer=x, strides=(0, x.itemsize))
+        stack.setflags(write=False)
+        return stack
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,53 @@ MIXING_SCHEDULES = {
 }
 
 
+def symmetric_birkhoff(n: int, k: int, seed: int) -> gg.GossipMatrix:
+    # B + B.T is exactly symmetric: floating-point addition commutes.
+    B = random_doubly_stochastic(n, k, seed).weights
+    return gg.GossipMatrix((B + B.T) / 2)
+
+
+def ring_power_closed_form(n: int, rounds: int, x: np.ndarray) -> np.ndarray:
+    """ring_matrix(n)^rounds @ x in extended precision, from the ring's circulant spectrum.
+
+    Eigenvalue k is lambda_k = (1 + 2 cos(2 pi k / n)) / 3 with the Fourier
+    basis, so the power is circulant: entry (i, j) depends only on
+    r = (i - j) mod n and equals (1/n) sum_k lambda_k^rounds cos(2 pi k r / n).
+    """
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    k = np.arange(n)
+    eigenvalues = (1 + 2 * np.cos(two_pi * k / n)) / 3
+    # (k * r) mod n keeps every angle in [0, 2 pi), where cos is evaluated precisely.
+    column = (np.cos(two_pi * (np.outer(k, k) % n) / n) * eigenvalues[:, None] ** rounds).sum(axis=0) / n
+    power = column[(k[:, None] - k[None, :]) % n]
+    return power @ x.astype(np.longdouble)
+
+
 class TestMixingProduct:
+    def test_fixtures_cover_both_square_branches(self):
+        # A symmetric W squares through syrk (power @ power.T), any other through gemm.
+        ring = MIXING_SCHEDULES["constant-ring"]().matrices[0].weights
+        birkhoff = MIXING_SCHEDULES["constant-birkhoff"]().matrices[0].weights
+        assert np.array_equal(ring, ring.T)
+        assert not np.array_equal(birkhoff, birkhoff.T)
+
+    @pytest.mark.parametrize("matrix", [gg.ring_matrix(40), symmetric_birkhoff(6, 3, seed=4)], ids=["ring", "birkhoff"])
+    def test_symmetric_squares_stay_exactly_symmetric(self, matrix):
+        W = matrix.weights
+        assert np.abs(gg.mixing_product(matrix, 2) - W @ W).max() <= 1e-15
+        for k in range(1, 11):
+            product = gg.mixing_product(matrix, 2**k)
+            assert np.array_equal(product, product.T), k
+
+    def test_ring_400_at_its_derived_m_matches_closed_form(self):
+        n = 400
+        ring = gg.ring_matrix(n)
+        m = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring)).m
+        assert m == 16434
+        x = np.random.default_rng(3).standard_normal((n, 2))
+        exact = ring_power_closed_form(n, m, x)
+        assert np.abs(gg.mixing_product(ring, m) @ x - exact).max() <= 1e-13
+
     @pytest.mark.parametrize("kind", sorted(MIXING_SCHEDULES))
     @pytest.mark.parametrize("rounds", [1, 2, 3, 6, 164])
     def test_matches_written_out_product(self, kind, rounds):
@@ -246,7 +292,25 @@ class TestMixingProduct:
                 assert product <= bound + 1e-9
 
 
+def loop_built_ring(n: int) -> np.ndarray:
+    # ring_matrix as it was once built, one agent at a time.
+    if n == 1:
+        return np.array([[1.0]])
+    if n == 2:
+        return np.array([[0.5, 0.5], [0.5, 0.5]])
+    W = np.zeros((n, n))
+    for i in range(n):
+        W[i, i] = 1.0 / 3.0
+        W[i, (i - 1) % n] = 1.0 / 3.0
+        W[i, (i + 1) % n] = 1.0 / 3.0
+    return W
+
+
 class TestBuiltins:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 400])
+    def test_ring_matches_loop_built_matrix(self, n):
+        assert np.array_equal(gg.ring_matrix(n).weights, loop_built_ring(n))
+
     def test_ring_is_doubly_stochastic(self):
         for n in (1, 2, 3, 6):
             assert max(sum_deviations(gg.ring_matrix(n))) <= 1e-12
