@@ -8,7 +8,6 @@ gradient-descent rate per gradient evaluation.
 
 from .algorithm import (
     AlgorithmParams,
-    algorithm_iteration,
     centralized_gd,
     comm_rounds,
     run_algorithm,
@@ -17,9 +16,7 @@ from .algorithm import (
 from .analysis import (
     FixedPoint,
     LyapunovRecord,
-    average_part,
     decrease_terms,
-    disagreement_part,
     error_bound_constant,
     fit_rate,
     fixed_point,

@@ -12,6 +12,12 @@ accumulates the pre/post-communication difference:
 
 m is the least round count that pushes the m-round mixing gap sigma^m below
 the threshold sigma0(rho) = (sqrt(1 + rho) - sqrt(1 - rho)) / 2.
+
+Both execution paths share one run loop, ``run``, and one update rule,
+``algorithm_iteration``; they differ only in the mixer that maps x_i(k) to
+v(i, m). The vectorized mixers live here: W^m formed once per run for a
+one-matrix schedule, else one dense product per round. The message-passing
+mixer lives in ``netsim``.
 """
 
 from __future__ import annotations
@@ -104,38 +110,66 @@ class AlgorithmParams:
         return cls(alpha=float(alpha), rho=rho, sigma=float(sigma), m=m)
 
 
-def algorithm_iteration(
-    problem: Problem,
-    schedule: GossipSchedule,
-    params: AlgorithmParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    iteration: int,
-    mixing: np.ndarray | None = None,
-):
-    """One iteration on stacked states x, y of shape (n, d).
+# benchmarks/tracer.py hooks algorithm_iteration by this path, so run must call it through the module global.
+def algorithm_iteration(problem: Problem, params: AlgorithmParams, mix, x: np.ndarray, y: np.ndarray, iteration: int):
+    """One iteration on stacked states x, y of shape (n, d): the update rule of both execution paths.
 
-    Returns (x_next, y_next, v, u) with v the post-communication and u the
-    post-gradient points; evaluates each local gradient exactly once, at v.
-    ``mixing``, when given, is the m-round product W^m of a one-matrix
-    schedule (see ``mixing_product``) and replaces the m rounds with one product.
+    Returns (x_next, y_next, v, u) with v = mix(iteration, x) the
+    post-communication and u the post-gradient points; evaluates each local
+    gradient exactly once, at v.
     """
-    n, d = x.shape
-    if problem.n != n:
-        raise ConfigError(f"states have {n} agents but the problem has {problem.n}")
-    if schedule.n != n:
-        raise ConfigError(f"states have {n} agents but the schedule mixes {schedule.n}")
-    if mixing is None:
-        v = x
-        # ``dot`` makes the same BLAS call as ``@`` with less per-call overhead.
-        for index in round_indices(schedule, iteration, params.m).tolist():
-            v = schedule.matrices[index].weights.dot(v)
-    else:
-        v = mixing @ x
+    v = mix(iteration, x)
     u = v - params.alpha * problem.gradient(v)
     y_next = y + x - v
     x_next = u - params.lam * y_next
     return x_next, y_next, v, u
+
+
+def power_mixer(schedule: GossipSchedule, m: int):
+    """Mixing by W^m of a one-matrix schedule, formed once by ``mixing_product``: one product per iteration."""
+    power = mixing_product(schedule.matrices[0], m)
+    return lambda iteration, x: power @ x
+
+
+def round_mixer(schedule: GossipSchedule, m: int):
+    """Mixing by m dense rounds per iteration, read from one ``round_indices`` row."""
+
+    def mix(iteration, v):
+        # ``dot`` makes the same BLAS call as ``@`` with less per-call overhead.
+        for index in round_indices(schedule, iteration, m).tolist():
+            v = schedule.matrices[index].weights.dot(v)
+        return v
+
+    return mix
+
+
+def run(
+    problem: Problem,
+    schedule: GossipSchedule,
+    params: AlgorithmParams,
+    x0: np.ndarray,
+    iterations: int,
+    y0: np.ndarray | None,
+    mixer,
+) -> RunTrace:
+    """The run loop of both execution paths: checks, then ``iterations`` iterations into one trace.
+
+    ``mixer(schedule, m)`` builds the run's ``mix(iteration, x) -> v`` once,
+    after the agent counts and the schedule's rounds are checked. Gradient
+    evaluations are counted per agent and asserted to be one per iteration.
+    """
+    trace = RunTrace.start(x0, y0, iterations, params)
+    if problem.n != trace.n or schedule.n != trace.n:
+        raise ConfigError(f"agent count mismatch: states {trace.n}, problem {problem.n}, schedule {schedule.n}")
+    check_rounds(schedule, params.m)
+    mix = mixer(schedule, params.m)
+    calls_before = problem.gradient_calls.copy()
+    x, y = trace.x[0], trace.y[0]
+    for k in range(iterations):
+        x, y, trace.v[k], trace.u[k] = algorithm_iteration(problem, params, mix, x, y, k)
+        trace.x[k + 1], trace.y[k + 1] = x, y
+    trace.count_gradients(problem.gradient_calls - calls_before)
+    return trace
 
 
 def run_algorithm(
@@ -149,22 +183,12 @@ def run_algorithm(
     """Vectorized reference execution for ``iterations`` iterations.
 
     x0 has shape (n, d); y0 defaults to zeros and must have blocks summing to
-    zero. Gradient evaluations are counted per agent and asserted to be one
-    per iteration. A single-matrix schedule mixes with W^m, formed once per
-    run by ``mixing_product``, in place of m rounds per iteration; a
-    symmetric W squares there through BLAS ``syrk``, at about half the
-    flops of a general square.
+    zero. A single-matrix schedule mixes with W^m, formed once per run, in
+    place of m rounds per iteration; a symmetric W squares there through
+    BLAS ``syrk``, at about half the flops of a general square.
     """
-    check_rounds(schedule, params.m)
-    trace = RunTrace.start(x0, y0, iterations, params)
-    mixing = mixing_product(schedule.matrices[0], params.m) if len(schedule.matrices) == 1 else None
-    calls_before = problem.gradient_calls.copy()
-    x, y = trace.x[0], trace.y[0]
-    for k in range(iterations):
-        x, y, trace.v[k], trace.u[k] = algorithm_iteration(problem, schedule, params, x, y, k, mixing)
-        trace.x[k + 1], trace.y[k + 1] = x, y
-    trace.count_gradients(problem.gradient_calls - calls_before)
-    return trace
+    mixer = power_mixer if len(schedule.matrices) == 1 else round_mixer
+    return run(problem, schedule, params, x0, iterations, y0, mixer)
 
 
 def centralized_gd(problem: Problem, alpha: float, x0, iterations: int) -> np.ndarray:

@@ -35,18 +35,6 @@ def _mean_row(z: np.ndarray) -> np.ndarray:
     return (np.matmul(np.ones(z.shape[-2]), z) / z.shape[-2])[..., None, :]
 
 
-def average_part(z: np.ndarray) -> np.ndarray:
-    """Every row replaced by the mean row, per stacked (n, d) slice."""
-    z = np.asarray(z, dtype=float)
-    return np.broadcast_to(_mean_row(z), z.shape)
-
-
-def disagreement_part(z: np.ndarray) -> np.ndarray:
-    """Deviation of each row from the mean row, per stacked (n, d) slice; rows sum to zero."""
-    z = np.asarray(z, dtype=float)
-    return z - _mean_row(z)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product of each stacked (n, d) slice: one BLAS row dot per slice."""
     lead, size = a.shape[:-2], a.shape[-2] * a.shape[-1]

@@ -1,19 +1,22 @@
-"""Synchronous message-passing execution of the algorithm.
+"""Synchronous message-passing execution of the algorithm: the netsim mixer,
+its round plans, the delivery ledger and the locality audit.
 
-Agent states are stacked one row per agent, and each row is owned by its
-agent: agent i reads only its own states, its own row of the current mixing
-matrix, and the payloads addressed to it. A round has two phases: deliver
-every message, copied from the senders' pre-round values, then let every
-agent fold what it received, in ascending sender order with its own value at
-its own index. A round plan, built once per run for each distinct schedule
-matrix and found by the matrix index in the iteration's ``round_indices``
-row, fixes the messages and every agent's fold. A round is three numpy
-calls, with no Python loop over its fold steps: take the senders' pre-round
-rows straight into the plan's inbox, multiply by the weights, reduce over
-the inbox slots. It costs ``O(n * width * d)`` with ``width`` the longest
-row. After its m rounds, each iteration makes one call to the problem's
-gradient; row i of that call reads only agent i's data and point, and
-equals agent i's own ``agent(i)`` view bit for bit.
+``run_netsim`` runs the one loop of ``algorithm.run`` with a mixer that
+passes messages; the update rule, the trace and the counters are the
+vectorized path's own. Agent states are stacked one row per agent, and each
+row is owned by its agent: agent i reads only its own states, its own row of
+the current mixing matrix, and the payloads addressed to it. A round has two
+phases: deliver every message, copied from the senders' pre-round values,
+then let every agent fold what it received, in ascending sender order with
+its own value at its own index. A round plan, built once per run for each
+distinct schedule matrix and found by the matrix index in the iteration's
+``round_indices`` row, fixes the messages and every agent's fold. A round is
+three numpy calls, with no Python loop over its fold steps: take the
+senders' pre-round rows straight into the plan's inbox, multiply by the
+weights, reduce over the inbox slots. It costs ``O(n * width * d)`` with
+``width`` the longest row. After its m rounds, each iteration makes one call
+to the problem's gradient; row i of that call reads only agent i's data and
+point, and equals agent i's own ``agent(i)`` view bit for bit.
 
 Every round that uses one matrix delivers that matrix's edge set, so the
 delivery ledger is kept compact: one int32 edge-set id per round, an
@@ -26,8 +29,8 @@ however many messages a round carries. The runner has no tampering hook:
 tests that check the audit edit the ledger, not the runner.
 
 This path exists to prove the algorithm is decentralized and to serve as an
-independent oracle for the vectorized execution: both must produce the same
-trace.
+independent oracle for the vectorized mixing: over the one update rule, both
+mixers must produce the same trace.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithm import run
 from .errors import ConfigError
 # matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
-from .gossip import GossipSchedule, check_rounds, matrix_at, round_indices  # noqa: F401
+from .gossip import GossipSchedule, matrix_at, round_indices  # noqa: F401
 from .objective import Problem
 from .trace import RunTrace
 
@@ -92,27 +96,16 @@ def run_netsim(
     iterations: int,
     y0: np.ndarray | None = None,
 ) -> RunTrace:
-    """Message-passing execution; trace schema identical to the vectorized path."""
-    trace = RunTrace.start(x0, y0, iterations, params)
-    n, d = trace.n, trace.dimension
-    if problem.n != n or schedule.n != n:
-        raise ConfigError(
-            f"agent count mismatch: states {n}, problem {problem.n}, schedule {schedule.n}"
-        )
-    check_rounds(schedule, params.m)
-
-    calls_before = problem.gradient_calls.copy()
+    """Message-passing execution; trace schema identical to the vectorized path, plus the compact ledger."""
     plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only
     edge_set_ids = np.empty((iterations, params.m), dtype=np.int32)
-    x, y = trace.x[0], trace.y[0]
 
-    for k in range(iterations):
-        v = x
+    def mix(k, v):
         for l, index in enumerate(round_indices(schedule, k, params.m).tolist()):
             matrix = schedule.matrices[index]
             entry = plans.get(matrix)
             if entry is None:
-                entry = plans[matrix] = (len(plans), round_plan(matrix.weights, d))
+                entry = plans[matrix] = (len(plans), round_plan(matrix.weights, v.shape[1]))
             edge_set_ids[k, l], plan = entry
             # Delivery: every payload is a copy of the sender's pre-round
             # value (synchronous barrier), so agent order cannot matter.
@@ -126,14 +119,10 @@ def run_netsim(
             # width 1.
             np.multiply(plan.inbox, plan.weights, out=plan.inbox)
             v = np.add.reduce(plan.inbox, axis=0)
-        # Row i of the problem's gradient reads only agent i's data and point.
-        gradients = problem.gradient(v)
-        trace.v[k] = v
-        trace.u[k] = u = v - params.alpha * gradients
-        trace.y[k + 1] = y = y + x - v
-        trace.x[k + 1] = x = u - params.lam * y
+        return v
 
-    trace.count_gradients(problem.gradient_calls - calls_before)
+    # Plans are built on first use, so the mixer forms nothing up front.
+    trace = run(problem, schedule, params, x0, iterations, y0, lambda schedule, m: mix)
     trace.edge_set_ids = edge_set_ids
     trace.edge_sets = tuple(plan.edges for _, plan in plans.values())
     return trace

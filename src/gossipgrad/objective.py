@@ -159,10 +159,6 @@ class QuadraticObjective(Problem):
         self.gradient_calls += 1
         return self._apply_A(np.asarray(X, dtype=float)) - self.B
 
-    def hessian_trace(self, X):
-        # One trace per point; constant in X.
-        return np.trace(self.A, axis1=-2, axis2=-1) + np.zeros(np.shape(X)[:-1])
-
 
 @dataclass(frozen=True)
 class ContractionReport:

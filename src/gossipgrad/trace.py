@@ -102,7 +102,3 @@ class RunTrace:
         """Per-agent distance to ``xstar``: shape (iterations + 1, n)."""
         xstar = np.asarray(xstar, dtype=float)
         return np.linalg.norm(self.x - xstar, axis=2)
-
-    def max_errors(self, xstar) -> np.ndarray:
-        """Worst-agent distance to ``xstar`` per iteration: shape (iterations + 1,)."""
-        return self.errors(xstar).max(axis=1)

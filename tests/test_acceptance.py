@@ -104,7 +104,7 @@ def test_c05_rate_matches_centralized(pair, pair_sigma):
         x0 = np.random.default_rng(seed + 2).standard_normal((5, 3))
         K = iterations_for(params.rho)
         trace = gg.run_algorithm(problem, schedule, params, x0, K)
-        rate = gg.fit_rate(trace.max_errors(problem.optimizer))
+        rate = gg.fit_rate(trace.errors(problem.optimizer).max(axis=1))
         central = gg.centralized_gd(problem, params.alpha, x0.mean(axis=0), K)
         central_rate = gg.fit_rate(np.linalg.norm(central - problem.optimizer, axis=1))
         ok = ok and rate <= params.rho + 0.02 and abs(rate - central_rate) <= 0.05
@@ -127,7 +127,7 @@ def test_c06_energy_decrease_and_error_bound(corpus):
         v0 = records[0].value
         ok = ok and all(r.value <= run.params.rho ** (2 * r.k) * v0 * (1 + 1e-6) for r in records)
         c = gg.error_bound_constant(v0, run.params.lam)
-        errors = run.trace.max_errors(run.problem.optimizer)
+        errors = run.trace.errors(run.problem.optimizer).max(axis=1)
         ok = ok and all(errors[k] <= c * run.params.rho**k + 1e-9 for k in range(len(errors)))
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0

@@ -118,16 +118,9 @@ class TestIteration:
         x = np.tile(xstar, (5, 1))
         grads = problem.gradient(problem.at(xstar))
         y = -(params.alpha / params.lam) * grads
-        x_next, y_next, _, _ = gg.algorithm_iteration(problem, schedule, params, x, y, 0)
-        assert np.abs(x_next - x).max() <= 1e-14
-        assert np.abs(y_next - y).max() <= 1e-14
-
-    def test_dimension_mismatch_raises(self, pair):
-        problem = gg.random_quadratic_problem(4, 2, 1.0, 2.0, seed=0)
-        schedule = gg.GossipSchedule.constant(pair[0])  # 5 agents
-        params = gg.AlgorithmParams.derive(1.0, 0.5, 0.8)
-        with pytest.raises(ConfigError):
-            gg.algorithm_iteration(problem, schedule, params, np.zeros((4, 2)), np.zeros((4, 2)), 0)
+        trace = gg.run_algorithm(problem, schedule, params, x, 1, y0=y)
+        assert np.abs(trace.x[1] - x).max() <= 1e-14
+        assert np.abs(trace.y[1] - y).max() <= 1e-14
 
 
 class TestRun:
@@ -147,7 +140,7 @@ class TestRun:
 
     def test_rate_at_most_rho(self, corpus):
         for run in corpus:
-            errors = run.trace.max_errors(run.problem.optimizer)
+            errors = run.trace.errors(run.problem.optimizer).max(axis=1)
             rate = gg.fit_rate(errors)
             assert rate <= run.params.rho + 0.02, f"{run.name}: rate {rate} vs rho {run.params.rho}"
 

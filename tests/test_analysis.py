@@ -19,36 +19,6 @@ def kron_energy_oracle(xbar: np.ndarray, ybar: np.ndarray, lam: float) -> float:
     return float((avg @ xs) @ (avg @ xs) + z @ (M @ z))
 
 
-class TestOperators:
-    def test_consensual_vector_is_its_own_average(self):
-        z = np.tile(np.array([2.0, -1.0]), (4, 1))
-        assert np.array_equal(gg.average_part(z), z)
-        assert np.abs(gg.disagreement_part(z)).max() == 0.0
-
-    def test_two_agent_split(self):
-        z = np.array([[1.0], [3.0]])
-        assert np.allclose(gg.average_part(z), [[2.0], [2.0]])
-        assert np.allclose(gg.disagreement_part(z), [[-1.0], [1.0]])
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_parts_sum_to_identity(self, seed):
-        z = np.random.default_rng(seed).standard_normal((6, 3))
-        assert np.abs(gg.average_part(z) + gg.disagreement_part(z) - z).max() <= 1e-15
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_orthogonality(self, seed):
-        rng = np.random.default_rng(seed)
-        z, w = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-        inner = float(np.sum(gg.average_part(z) * gg.disagreement_part(w)))
-        assert abs(inner) <= 1e-12
-
-    def test_idempotent_and_mutually_annihilating(self):
-        z = np.random.default_rng(7).standard_normal((4, 2))
-        assert np.allclose(gg.average_part(gg.average_part(z)), gg.average_part(z), atol=1e-15)
-        assert np.allclose(gg.disagreement_part(gg.disagreement_part(z)), gg.disagreement_part(z), atol=1e-15)
-        assert np.abs(gg.average_part(gg.disagreement_part(z))).max() <= 1e-15
-
-
 class TestLyapunov:
     def test_zero_state_has_zero_energy(self):
         z = np.zeros((5, 2))
@@ -162,7 +132,7 @@ class TestErrorBound:
             fp = gg.fixed_point(run.problem, run.params)
             v0 = gg.lyapunov(run.trace.x[0] - fp.xstar, run.trace.y[0] - fp.ystar, run.params.lam)
             c = gg.error_bound_constant(v0, run.params.lam)
-            errors = run.trace.max_errors(run.problem.optimizer)
+            errors = run.trace.errors(run.problem.optimizer).max(axis=1)
             for k, err in enumerate(errors):
                 assert err <= c * run.params.rho**k + 1e-9, (run.name, k)
 
@@ -206,7 +176,7 @@ class TestFitRate:
         assert params.m == 1027
         x0 = problem.optimizer + 0.05 * np.random.default_rng(1).standard_normal((100, 3))
         trace = gg.run_algorithm(problem, gg.GossipSchedule.constant(ring), params, x0, 120)
-        errors = trace.max_errors(problem.optimizer)
+        errors = trace.errors(problem.optimizer).max(axis=1)
         assert errors[60:].min() > 100 * np.finfo(float).eps * errors[0]
         rate = gg.fit_rate(errors)
         assert rate <= params.rho + 0.02

@@ -71,13 +71,18 @@ class TestEquivalence:
         assert net.edge_set_ids.nbytes == 4 * params.m and len(net.edge_sets) == 1
         assert net.edge_set_ids.nbytes + net.edge_sets[0].nbytes == 72_136
 
-    def test_agent_count_mismatch(self, pair):
-        problem = gg.random_quadratic_problem(4, 2, 1.0, 2.0, seed=0)
+    @pytest.mark.parametrize("mode", ["vectorized", "netsim"])
+    @pytest.mark.parametrize("iterations", [0, 3])
+    @pytest.mark.parametrize("problem_n", [4, 5], ids=["problem-vs-schedule", "x0-vs-problem"])
+    def test_agent_count_mismatch(self, pair, mode, iterations, problem_n):
+        # Four rows of x0 over the 5-agent pair, with a problem of 4 or 5 agents:
+        # both runners reject it before the loop, also when there is no iteration.
+        problem = gg.random_quadratic_problem(problem_n, 2, 1.0, 2.0, seed=0)
         schedule = gg.GossipSchedule.constant(pair[0])
         params = gg.AlgorithmParams.derive(1.0, 0.5, 0.73)
-        with pytest.raises(ConfigError):
-            gg.run_netsim(problem, schedule, params, np.zeros((4, 2)), 2)
-
+        runner = gg.run_netsim if mode == "netsim" else gg.run_algorithm
+        with pytest.raises(ConfigError, match="agent count mismatch"):
+            runner(problem, schedule, params, np.zeros((4, 2)), iterations)
 
     def test_cyclic_schedule_must_cycle_on_m(self, pair, pair_sigma):
         problem = gg.random_quadratic_problem(5, 3, 1.0, 3.0, seed=7)

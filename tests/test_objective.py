@@ -101,10 +101,6 @@ class TestQuadraticObjective:
         g = gg.QuadraticObjective(np.diag([1.0, 3.0]), np.zeros((1, 2))).agent(0)
         assert np.allclose(g.gradient(np.array([1.0, 1.0])), [1.0, 3.0])
 
-    def test_hessian_trace(self):
-        f = gg.QuadraticObjective(np.diag([1.0, 3.0]), np.zeros((1, 2))).agent(0)
-        assert f.hessian_trace(np.zeros(2)) == pytest.approx(4.0)
-
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
             gg.QuadraticObjective(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((1, 2)))

@@ -266,7 +266,7 @@ class TestStackedCertificate:
         )
         params = SimpleNamespace(rho=rho, lam=lam)
 
-        dis, s0_sq = gg.disagreement_part, gg.sigma0(rho) ** 2
+        dis, s0_sq = (lambda z: z - z.mean(axis=0)), gg.sigma0(rho) ** 2
         records = gg.lyapunov_trace(trace, fp, params)
         values = [gg.lyapunov(trace.x[k] - fp.xstar, trace.y[k] - fp.ystar, lam) for k in range(K + 1)]
         for k in range(K + 1):
