@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError
 # matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
-from .gossip import GossipSchedule, check_rounds, matrix_at, mixing_product, round_indices  # noqa: F401
+from .gossip import GossipSchedule, matrix_at, mixing_product, round_indices  # noqa: F401
 from .objective import Problem
 from .trace import RunTrace
 
@@ -155,13 +155,12 @@ def run(
     """The run loop of both execution paths: checks, then ``iterations`` iterations into one trace.
 
     ``mixer(schedule, m)`` builds the run's ``mix(iteration, x) -> v`` once,
-    after the agent counts and the schedule's rounds are checked. Gradient
-    evaluations are counted per agent and asserted to be one per iteration.
+    after the agent counts are checked. Gradient evaluations are counted per
+    agent and asserted to be one per iteration.
     """
     trace = RunTrace.start(x0, y0, iterations, params)
     if problem.n != trace.n or schedule.n != trace.n:
         raise ConfigError(f"agent count mismatch: states {trace.n}, problem {problem.n}, schedule {schedule.n}")
-    check_rounds(schedule, params.m)
     mix = mixer(schedule, params.m)
     calls_before = problem.gradient_calls.copy()
     x, y = trace.x[0], trace.y[0]

@@ -153,11 +153,12 @@ def fit_rate(errors) -> float:
     """Per-iteration geometric decay fitted to the tail of an error sequence's fall.
 
     The fall ends at the first value that no later value undercuts by a
-    factor of 10, if the sequence falls that far at all; this
-    cuts off a converged run's roundoff plateau. The rate is the exponentiated
-    least-squares slope of log(error) against the index over the last
-    ``FIT_TAIL_FRACTION`` of the fall, or all of it if that leaves under 10
-    points. Values below 100 * eps * initial error are discarded as floor.
+    factor of 10 and from which the least-squares slope of log(error) is not
+    below zero by over three standard errors: a roundoff plateau is cut off,
+    a slow tail after a fast transient is not. The rate is the exponentiated
+    slope over the last ``FIT_TAIL_FRACTION`` of the fall, or all of it if
+    that leaves under 10 points. Values below 100 * eps * initial error are
+    discarded as floor.
     """
     errors = np.asarray(errors, dtype=float)
     if errors.ndim != 1 or errors.size < 2:
@@ -166,7 +167,20 @@ def fit_rate(errors) -> float:
         raise DegenerateFitError("error values must be nonnegative")
     floor = 100.0 * np.finfo(float).eps * errors[0]
     settled = errors <= 10.0 * np.minimum.accumulate(errors[::-1])[::-1]
-    end = errors.size if settled[0] else int(np.argmax(settled))
+    # Slope and standard error over every suffix errors[i:] from suffix sums; logs relative to
+    # the last value keep a flat tail exactly zero, and a one- or two-point suffix (NaN) is flat.
+    logs = np.log(np.maximum(errors, floor or np.finfo(float).tiny))
+    logs -= logs[-1]
+    index = np.arange(errors.size, dtype=float)
+    count = errors.size - index
+    sums = np.cumsum(np.stack([index, logs, index * logs, logs**2])[:, ::-1], axis=1)[:, ::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = count * (count**2 - 1) / 12  # centered sum of squared indices
+        covariance = sums[2] - sums[0] * sums[1] / count
+        slope = covariance / spread
+        residual = np.maximum(sums[3] - sums[1] ** 2 / count - slope * covariance, 0.0)
+        falling = slope < -3.0 * np.sqrt(residual / (count - 2) / spread)
+    end = errors.size if settled[0] else int(np.argmax(settled & ~falling))
     start = int(math.floor(end * (1.0 - FIT_TAIL_FRACTION))) if end * FIT_TAIL_FRACTION >= 10 else 0
     usable = np.arange(start, end)[errors[start:end] > floor]
     if usable.size < 10:

@@ -60,12 +60,10 @@ def assemble(path):
         problem = build_problem(config)
     except ValueError as exc:  # the solved optimizer fails its gradient-sum check
         raise AnalysisError(f"the solved optimizer is not exact: {exc}") from exc
-    params = resolve_params(config, problem)
-    schedule = build_schedule(config, params.m)
-    x0 = initial_states(config, problem)
+    schedule = build_schedule(config)
     if schedule.n != problem.n:
         raise ConfigError(f"the problem has {problem.n} agents but the schedule mixes {schedule.n}")
-    return config, problem, params, schedule, x0
+    return config, problem, resolve_params(config, problem), schedule, initial_states(config, problem)
 
 
 def cmd_run(args) -> int:

@@ -259,8 +259,8 @@ def resolve_params(config: RunConfig, problem: Problem) -> AlgorithmParams:
         raise ConfigError(str(exc)) from exc
 
 
-def build_schedule(config: RunConfig, rounds_per_iteration: int) -> GossipSchedule:
-    return GossipSchedule(config.schedule_kind, config.schedule_matrices, config.schedule_seed, rounds_per_iteration)
+def build_schedule(config: RunConfig) -> GossipSchedule:
+    return GossipSchedule(config.schedule_kind, config.schedule_matrices, config.schedule_seed)
 
 
 def initial_states(config: RunConfig, problem: Problem) -> np.ndarray:

@@ -5,8 +5,8 @@ weight agent i applies to the message received from agent j, and a zero
 entry means no link from j to i exists in that round. Schedules supply the
 per-round matrix for iteration k and round l, either as a constant matrix,
 a cycling list, or a seeded random choice from a list. ``round_indices``
-gives one iteration's matrix indices in one call; ``matrix_at`` is its
-one-round view.
+gives one iteration's m matrix indices in one call; ``matrix_at`` is the
+one-round view of a constant or random schedule.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class GossipSchedule:
     Kinds:
       - "constant": always the single matrix in the list.
       - "cyclic": matrices cycle with the global round counter
-        ``k * rounds_per_iteration + (l - 1)``.
+        ``k * m + (l - 1)``, for the run's m passed to ``round_indices``.
       - "random": uniform seeded choice from the list, keyed on (seed, k, l).
 
     Every row and column sum of every matrix must be within
@@ -100,7 +100,7 @@ class GossipSchedule:
 
     KINDS = ("constant", "cyclic", "random")
 
-    def __init__(self, kind, matrices, seed=0, rounds_per_iteration=None):
+    def __init__(self, kind, matrices, seed=0):
         if kind not in self.KINDS:
             raise ConfigError(f"unknown schedule kind {kind!r}, expected one of {self.KINDS}")
         matrices = tuple(matrices)
@@ -119,21 +119,17 @@ class GossipSchedule:
                 )
         if kind == "constant" and len(matrices) != 1:
             raise ConfigError("constant schedule takes exactly one matrix")
-        if kind == "cyclic":
-            if rounds_per_iteration is None or rounds_per_iteration < 1:
-                raise ConfigError("cyclic schedule needs rounds_per_iteration >= 1")
         self.kind = kind
         self.matrices = matrices
         self.seed = int(seed)
-        self.rounds_per_iteration = rounds_per_iteration
 
     @classmethod
     def constant(cls, matrix: GossipMatrix) -> "GossipSchedule":
         return cls("constant", (matrix,))
 
     @classmethod
-    def cyclic(cls, matrices, rounds_per_iteration: int) -> "GossipSchedule":
-        return cls("cyclic", matrices, rounds_per_iteration=rounds_per_iteration)
+    def cyclic(cls, matrices) -> "GossipSchedule":
+        return cls("cyclic", matrices)
 
     @classmethod
     def random_choice(cls, matrices, seed: int) -> "GossipSchedule":
@@ -144,24 +140,10 @@ class GossipSchedule:
         return self.matrices[0].n
 
 
-def check_rounds(schedule: GossipSchedule, rounds: int):
-    """Raise ``ConfigError`` if a cyclic schedule would not count a run's ``rounds`` per iteration
-    globally: with another ``rounds_per_iteration``, iterations would reuse or skip rounds of the cycle."""
-    if schedule.kind == "cyclic" and schedule.rounds_per_iteration != rounds:
-        raise ConfigError(
-            f"cyclic schedule counts {schedule.rounds_per_iteration} rounds per iteration but the run takes m = {rounds}"
-        )
-
-
 def _indices(schedule: GossipSchedule, iteration: int, rounds: range) -> np.ndarray:
-    # The one place a schedule picks its matrices: their indices at rounds
-    # ``rounds`` (each l >= 1) of iteration k >= 0.
-    count = len(schedule.matrices)
+    # Matrix indices of a constant or random schedule at rounds ``rounds`` (each l >= 1) of iteration k >= 0.
     if schedule.kind == "constant":
         return np.zeros(len(rounds), dtype=np.intp)
-    if schedule.kind == "cyclic":
-        first = iteration * schedule.rounds_per_iteration - 1
-        return np.arange(first + rounds.start, first + rounds.stop, dtype=np.intp) % count
     # Counter-based draw: a keyed hash of "seed:k:l", so the choice at any
     # (k, l) is independent of query order. The "seed:k:" prefix is hashed
     # once per call and each round's hash continues a copy of it.
@@ -170,29 +152,33 @@ def _indices(schedule: GossipSchedule, iteration: int, rounds: range) -> np.ndar
     for p, l in enumerate(rounds):
         draw = prefix.copy()
         draw.update(str(l).encode())
-        indices[p] = int.from_bytes(draw.digest(), "big") % count
+        indices[p] = int.from_bytes(draw.digest(), "big") % len(schedule.matrices)
     return indices
 
 
 def round_indices(schedule: GossipSchedule, iteration: int, rounds: int) -> np.ndarray:
     """Indices into ``schedule.matrices`` of rounds 1..``rounds`` of iteration ``iteration`` (k >= 0).
 
-    Entry l - 1 names the matrix of round l, as ``matrix_at`` does, so a
-    runner reads one row per iteration instead of looking up each round.
+    Entry l - 1 names the matrix of round l. ``rounds`` is the run's m: a
+    cyclic schedule takes global round ``iteration * rounds + l - 1``.
     """
     if iteration < 0:
         raise ValueError(f"iteration index must be >= 0, got {iteration}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if schedule.kind == "cyclic":
+        return np.arange(iteration * rounds, (iteration + 1) * rounds, dtype=np.intp) % len(schedule.matrices)
     return _indices(schedule, iteration, range(1, rounds + 1))
 
 
 def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> GossipMatrix:
-    """Mixing matrix for iteration ``iteration`` (k >= 0), round ``round_index`` (l >= 1)."""
+    """Mixing matrix of a constant or random schedule at iteration k >= 0, round l >= 1."""
     if iteration < 0:
         raise ValueError(f"iteration index must be >= 0, got {iteration}")
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
+    if schedule.kind == "cyclic":
+        raise ValueError("a cyclic schedule's round depends on the run's m; read it from round_indices")
     return schedule.matrices[_indices(schedule, iteration, range(round_index, round_index + 1))[0]]
 
 

@@ -52,7 +52,7 @@ class RunTrace:
         """Trace allocated for ``iterations`` with validated initial states in slot 0.
 
         x0 has shape (n, d); y0 defaults to zeros and its rows must sum to
-        zero. The runner fills the other slots and the gradient count.
+        zero; both must be finite. The runner fills the rest of the trace.
         """
         x = np.asarray(x0, dtype=float)
         if x.ndim != 2:
@@ -60,6 +60,8 @@ class RunTrace:
         y = np.zeros_like(x) if y0 is None else np.asarray(y0, dtype=float)
         if y.shape != x.shape:
             raise ConfigError(f"y0 shape {y.shape} does not match x0 shape {x.shape}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ConfigError("initial states x0 and y0 must be finite")
         if np.linalg.norm(y.sum(axis=0)) > 1e-12 * max(1.0, np.abs(y).max()):
             raise ConfigError("initial correction states must sum to zero across agents")
         n, d = x.shape

@@ -84,11 +84,10 @@ def corpus(pair, pair_sigma) -> list[CorpusRun]:
     )
 
     problem, cp = quad(5, 3, 1.0, 9.0, seed=11)
-    params_probe = gg.AlgorithmParams.derive(cp.alpha, cp.rho, pair_sigma)
     add(
         "quad-1-9-cyclic-pair",
         problem=problem,
-        schedule=gg.GossipSchedule.cyclic([W1, W2], rounds_per_iteration=params_probe.m),
+        schedule=gg.GossipSchedule.cyclic([W1, W2]),
         alpha=cp.alpha,
         rho=cp.rho,
         sigma=pair_sigma,

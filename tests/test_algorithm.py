@@ -151,15 +151,40 @@ class TestRun:
         with pytest.raises(ConfigError):
             gg.run_algorithm(problem, schedule, params, np.zeros((5, 2)), 3, y0=np.ones((5, 2)))
 
-    def test_cyclic_schedule_must_cycle_on_m(self, pair, pair_sigma):
-        # A 3-round cycle at m = 6 would give iteration 1 the rows [1, 0, 1, 0, 1, 0]
-        # where the global round counter gives [0, 1, 0, 1, 0, 1].
+    @pytest.mark.parametrize("mode", ["vectorized", "netsim"])
+    @pytest.mark.parametrize("bad", ["inf-in-x0", "nan-in-y0"])
+    def test_non_finite_initial_state_rejected(self, pair, mode, bad):
+        # A NaN row sum would pass the sum-to-zero check: NaN > tol is False.
+        problem = gg.random_quadratic_problem(5, 2, 1.0, 2.0, seed=1)
+        schedule = gg.GossipSchedule.constant(pair[0])
+        params = gg.AlgorithmParams.derive(1.0, 0.4, 0.73)
+        x0, y0 = np.zeros((5, 2)), np.zeros((5, 2))
+        if bad == "inf-in-x0":
+            x0[2, 1] = np.inf
+        else:
+            y0[3, 0] = np.nan
+        runner = gg.run_netsim if mode == "netsim" else gg.run_algorithm
+        with pytest.raises(ConfigError, match="finite"):
+            runner(problem, schedule, params, x0, 3, y0=y0)
+
+    @pytest.mark.parametrize("mode", ["vectorized", "netsim"])
+    def test_cyclic_schedule_must_cycle_on_m(self, pair, pair_sigma, mode):
+        # A cyclic schedule built without m cycles on the run's global round
+        # counter k * m + l - 1: at m = 6, iteration 1 reads [0, 1, 0, 1, 0, 1]
+        # (a 3-round count would have given it [1, 0, 1, 0, 1, 0]).
         problem = gg.random_quadratic_problem(5, 3, 1.0, 3.0, seed=7)
         params = gg.AlgorithmParams.derive(0.5, 0.5, pair_sigma)
         assert params.m == 6
-        schedule = gg.GossipSchedule.cyclic(list(pair), rounds_per_iteration=3)
-        with pytest.raises(ConfigError, match="3 rounds per iteration but the run takes m = 6"):
-            gg.run_algorithm(problem, schedule, params, np.zeros((5, 3)), 2)
+        schedule = gg.GossipSchedule.cyclic(list(pair))
+        assert gg.round_indices(schedule, 1, params.m).tolist() == [0, 1, 0, 1, 0, 1]
+        x0 = np.random.default_rng(3).standard_normal((5, 3))
+        runner = gg.run_netsim if mode == "netsim" else gg.run_algorithm
+        trace = runner(problem, schedule, params, x0, 3)
+        reference = per_round_reference(problem, schedule, params, x0, 3)
+        for got, want in zip((trace.x, trace.y, trace.v, trace.u), reference):
+            assert np.abs(got - want).max() <= 1e-12
+        if mode == "netsim":  # edge sets are numbered in order of first use: W1, then W2
+            assert trace.edge_set_ids[1].tolist() == [0, 1, 0, 1, 0, 1]
 
     def test_zero_sum_y0_accepted(self, pair):
         problem = gg.random_quadratic_problem(5, 2, 1.0, 2.0, seed=1)
@@ -187,8 +212,9 @@ def per_round_reference(problem, schedule, params, x0, iterations):
     xs, ys, vs, us = [x], [y], [], []
     for k in range(iterations):
         v = x
+        row = gg.round_indices(schedule, k, params.m)
         for round_index in range(1, params.m + 1):
-            v = gg.matrix_at(schedule, k, round_index).weights @ v
+            v = schedule.matrices[row[round_index - 1]].weights @ v
         u = v - params.alpha * problem.gradient(v)
         y = y + x - v
         x = u - params.lam * y

@@ -181,3 +181,12 @@ class TestFitRate:
         rate = gg.fit_rate(errors)
         assert rate <= params.rho + 0.02
         assert rate == pytest.approx(gg.fit_rate(errors[:40]), abs=0.01)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_slow_tail_after_fast_transient(self, noise):
+        # Four halvings from 3 to 0.375, then 20,000 steps at 0.9999 down to
+        # about 0.05: every tail value is within 10x of every later one, yet
+        # the tail is still falling, so it is the tail that is fitted.
+        errors = np.concatenate([3 * 0.5 ** np.arange(4), 0.375 * 0.9999 ** np.arange(20001)])
+        errors *= 1 + noise * np.random.default_rng(8).uniform(-1.0, 1.0, errors.size)
+        assert gg.fit_rate(errors) == pytest.approx(0.9999, abs=1e-5 if noise else 1e-6)

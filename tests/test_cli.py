@@ -146,6 +146,23 @@ class TestRunCommand:
             assert rv[:3] == rn[:3]
             assert float(rv[3]) == pytest.approx(float(rn[3]), abs=1e-12)
 
+    def test_cyclic_config_runs_in_both_modes(self, tmp_path):
+        # configs/quadratic.ini with its pair cycled, not drawn: the schedule
+        # is built without m and follows the run's m = 6.
+        text = (CONFIGS / "quadratic.ini").read_text()
+        assert text.count("kind = random") == 1 and text.count("seed = 42\n") == 1
+        config = tmp_path / "cyclic.ini"
+        config.write_text(text.replace("kind = random", "kind = cyclic").replace("seed = 42\n", ""))
+        rows = {}
+        for mode in ("vectorized", "netsim"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["run", str(config), "--mode", mode, "--output", str(out)]) == 0
+            rows[mode] = [row for row in read_csv(out)[1] if row[2] != "centralized"]
+        vec, net = rows["vectorized"], rows["netsim"]
+        assert [int(row[1]) for row in vec[::5]] == list(range(0, 61 * 6, 6))
+        assert [row[:3] for row in vec] == [row[:3] for row in net]
+        assert max(abs(float(rv[3]) - float(rn[3])) for rv, rn in zip(vec, net)) <= 1e-12
+
     def test_equal_curvature_bounds_converge_in_one_step(self, tmp_path):
         config = write_quadratic_config(tmp_path / "q.ini", mu=2.0, L=2.0, iterations=6)
         out = tmp_path / "trace.csv"

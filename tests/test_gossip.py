@@ -136,14 +136,14 @@ class TestSchedule:
             assert gg.matrix_at(schedule, k, l) is pair[0]
 
     def test_cyclic_follows_global_round_counter(self, pair):
-        A, B = pair
-        schedule = gg.GossipSchedule.cyclic([A, B], rounds_per_iteration=3)
-        # global rounds 0, 1, 2 inside iteration 0
-        assert gg.matrix_at(schedule, 0, 1) is A
-        assert gg.matrix_at(schedule, 0, 2) is B
-        assert gg.matrix_at(schedule, 0, 3) is A
-        # iteration 1 continues the counter at global round 3
-        assert gg.matrix_at(schedule, 1, 1) is B
+        schedule = gg.GossipSchedule.cyclic(list(pair))
+        # At m = 3, iteration 0 takes global rounds 0, 1, 2 and iteration 1
+        # continues the counter at global round 3.
+        assert gg.round_indices(schedule, 0, 3).tolist() == [0, 1, 0]
+        assert gg.round_indices(schedule, 1, 3).tolist() == [1, 0, 1]
+        # One round alone does not know the run's m.
+        with pytest.raises(ValueError, match="round_indices"):
+            gg.matrix_at(schedule, 0, 1)
 
     def test_random_replay_is_identical(self, pair):
         schedule = gg.GossipSchedule.random_choice(list(pair), seed=7)
@@ -177,10 +177,6 @@ class TestSchedule:
         broken = gg.GossipMatrix([[0.9, 0.0], [0.0, 1.0]])
         with pytest.raises(ConfigError):
             gg.GossipSchedule.constant(broken)
-
-    def test_cyclic_needs_rounds_per_iteration(self, pair):
-        with pytest.raises(ConfigError):
-            gg.GossipSchedule("cyclic", list(pair))
 
     def test_round_and_iteration_bounds(self, pair):
         schedule = gg.GossipSchedule.constant(pair[0])
