@@ -21,9 +21,8 @@ import numpy as np
 
 from . import analysis
 from .algorithm import centralized_gd, comm_rounds, run_algorithm
-from .config import build_problem, build_schedule, initial_states, load_run_config, resolve_params
+from .config import build_problem, build_schedule, initial_states, load_run_config, resolve_params, schedule_gap
 from .errors import AnalysisError, ConfigError, DegenerateCurvatureError, SingularPointError
-from .gossip import spectral_gap
 from .netsim import run_netsim
 from .objective import check_contraction, sample_ball
 
@@ -66,8 +65,17 @@ def assemble(path):
     return config, problem, resolve_params(config, problem), schedule, initial_states(config, problem)
 
 
+def true_gap(config, params, schedule) -> float:
+    """The schedule's largest spectral gap; under ``sigma = auto`` it is params.sigma, computed once already."""
+    return params.sigma if config.sigma == "auto" else schedule_gap(schedule.matrices)
+
+
 def cmd_run(args) -> int:
     config, problem, params, schedule, x0 = assemble(args.config)
+    gap = true_gap(config, params, schedule)
+    if params.sigma < gap:
+        # m was derived from sigma, so sigma^m <= sigma0 would not hold for the true gap.
+        raise ConfigError(f"sigma = {params.sigma:.6g} is below the schedule's spectral gap {gap:.6g}")
     runner = run_netsim if (args.mode or config.mode) == "netsim" else run_algorithm
     xstar = problem.optimizer
     # Overflow is caught by the finiteness check below, not by numpy warnings.
@@ -118,7 +126,7 @@ def cmd_grid(args) -> int:
 def cmd_validate(args) -> int:
     config, problem, params, schedule, _ = assemble(args.config)
 
-    actual_gap = max(spectral_gap(W) for W in schedule.matrices)
+    actual_gap = true_gap(config, params, schedule)
     checks: list[tuple[str, bool, str]] = [
         (
             "spectral gap within bound",

@@ -223,11 +223,16 @@ def build_problem(config: RunConfig) -> Problem:
     return config.localization.problem()
 
 
+def schedule_gap(matrices) -> float:
+    """Largest spectral gap of a schedule's matrices: the least sigma that bounds every round."""
+    return max(spectral_gap(W) for W in matrices)
+
+
 def resolve_params(config: RunConfig, problem: Problem) -> AlgorithmParams:
     """Fill in auto values: sigma from the schedule matrices, alpha/rho from the problem."""
     sigma = config.sigma
     if sigma == "auto":
-        sigma = max(spectral_gap(W) for W in config.schedule_matrices)
+        sigma = schedule_gap(config.schedule_matrices)
     # Out-of-range values (a curvature ratio that rounds to 1, an m too small) surface as ValueError.
     try:
         alpha, rho = config.alpha, config.rho

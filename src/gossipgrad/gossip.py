@@ -63,25 +63,43 @@ def ring_matrix(n: int) -> GossipMatrix:
     return GossipMatrix(W)
 
 
+def _shifts(row: np.ndarray) -> np.ndarray:
+    # View whose window s is ``row`` shifted left by s (s = 0..n): row i of its circulant is window n - i.
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), row.size)
+
+
+def is_circulant(W: np.ndarray) -> bool:
+    """Whether each row of square W is row 0 shifted right by its index: ``W[i, j] == W[0, (j - i) % n]``."""
+    if not np.array_equal(W[1:, 0], W[0, :0:-1]):  # column 0 is row 0 reversed: most matrices fail here in O(n)
+        return False
+    return bool(np.array_equal(W[1:], _shifts(W[0])[-2:0:-1]))
+
+
 def spectral_gap(matrix) -> float:
     """Induced 2-norm of W - (1/n) * ones, the per-round disagreement contraction.
 
     Accepts a GossipMatrix or a raw square array. Zero means one round
     reaches exact consensus; values below 1 mean disagreement shrinks. A
-    symmetric W takes the symmetric eigensolver, any other the SVD. Both
-    err by a small multiple of n * eps, so a gap that close to 1 is
-    reported as exactly 1: a disconnected or periodic mixture never mixes,
-    and no round count can be derived from its roundoff.
+    circulant W (every ring) is normal, so its gap is the largest modulus in
+    the discrete Fourier transform of the deviation's row 0, in O(n log n).
+    Any other symmetric W takes the symmetric eigensolver, any other the
+    SVD. Each errs by a small multiple of n * eps, so a gap that close to 1
+    is reported as exactly 1: a disconnected or periodic mixture never
+    mixes, and no round count can be derived from its roundoff.
     """
     W = matrix.weights if isinstance(matrix, GossipMatrix) else np.asarray(matrix, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ConfigError(f"spectral gap needs a square matrix, got shape {W.shape}")
-    deviation = W - 1.0 / W.shape[0]
-    if np.array_equal(deviation, deviation.T):
-        gap = float(np.abs(np.linalg.eigvalsh(deviation)).max())
+    n = W.shape[0]
+    if is_circulant(W):
+        gap = float(np.abs(np.fft.fft(W[0] - 1.0 / n)).max())
     else:
-        gap = float(np.linalg.norm(deviation, 2))
-    return 1.0 if abs(1.0 - gap) <= GAP_ROUNDOFF * W.shape[0] else gap
+        deviation = W - 1.0 / n
+        if np.array_equal(deviation, deviation.T):
+            gap = float(np.abs(np.linalg.eigvalsh(deviation)).max())
+        else:
+            gap = float(np.linalg.norm(deviation, 2))
+    return 1.0 if abs(1.0 - gap) <= GAP_ROUNDOFF * n else gap
 
 
 class GossipSchedule:
@@ -182,19 +200,53 @@ def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> Gos
     return schedule.matrices[_indices(schedule, iteration, range(round_index, round_index + 1))[0]]
 
 
+def _circulant_power(row: np.ndarray, rounds: int) -> np.ndarray:
+    # W^rounds of the symmetric circulant W with row 0 ``row``, from its real spectrum.
+    n = row.size
+    lags = np.flatnonzero(row)
+    weights = row[lags]
+    # Half-angles pi * l * k / n, with l * k reduced mod n so every angle stays below pi.
+    half = np.pi / n * (np.outer(lags, np.arange(n)) % n)
+    slack = 1.0 - weights.sum()
+    one_minus = 2.0 * weights @ np.sin(half) ** 2 + slack  # 1 - lambda_k
+    one_plus = 2.0 * weights @ np.cos(half) ** 2 + slack  # 1 + lambda_k
+    negative = one_plus < one_minus
+    distance = np.minimum(np.where(negative, one_plus, one_minus), 1.0)
+    with np.errstate(divide="ignore"):  # lambda_k = 0 gives log(0) = -inf and a zero power
+        power = np.exp(rounds * np.log1p(-distance))
+    if rounds % 2:
+        power[negative] *= -1.0
+    first = np.fft.ifft(power).real
+    first = 0.5 * (first + np.roll(first[::-1], 1))  # first[j] and first[-j] are one sum, so exactly equal
+    return np.ascontiguousarray(_shifts(first)[:0:-1])
+
+
 def mixing_product(matrix: GossipMatrix, rounds: int) -> np.ndarray:
     """W^rounds of one mixing matrix, the m-round product of a one-matrix schedule.
 
-    Left-to-right binary powering, O(n^3 log rounds) in two alternating
-    n x n buffers; at rounds = 1 that is W's own read-only values. Every
-    power of an exactly symmetric W is symmetric in exact arithmetic, so
-    its squares are taken as ``power @ power.T``, which numpy hands to BLAS
-    ``syrk`` at about half the flops of a general square; the multiplies by
-    W, and every square of a non-symmetric W, stay ``gemm``.
+    A symmetric circulant W (every ring and complete matrix) is diagonal in
+    the Fourier basis with real eigenvalues lambda_k, so its power is the
+    circulant whose row 0 is the inverse DFT of lambda_k^rounds, in
+    O(n^2) time. Each lambda_k^rounds is taken as exp(rounds * log1p(-d))
+    with d the smaller of 1 - lambda_k and 1 + lambda_k, each summed
+    directly from sin^2 and cos^2 terms of the row: an eigenvalue rounded
+    by one ulp near 1 would err rounds-fold in its power, while d keeps its
+    relative precision.
+
+    Every other W, and rounds = 1, keeps left-to-right binary powering,
+    O(n^3 log rounds) in two alternating n x n buffers; at rounds = 1 that
+    is W's own read-only values. Every power of an exactly symmetric W is
+    symmetric in exact arithmetic, so its squares are taken as
+    ``power @ power.T``, which numpy hands to BLAS ``syrk`` at about half
+    the flops of a general square; the multiplies by W, and every square of
+    a non-symmetric W, stay ``gemm``.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     W = matrix.weights
+    row = W[0]
+    if rounds > 1 and is_circulant(W) and np.array_equal(row, np.roll(row[::-1], 1)):
+        return _circulant_power(row, rounds)
     symmetric = np.array_equal(W, W.T)
     buffers = (np.empty_like(W), np.empty_like(W))
     power = W

@@ -168,8 +168,12 @@ class TestFitRate:
     def test_roundoff_plateau_is_cut(self):
         # A converged ring-100 run sits on a roundoff plateau far above
         # 100 * eps * errors[0] for most of its iterations; fitting the
-        # plateau would report a rate near 1.
-        ring = gg.ring_matrix(100)
+        # plateau would report a rate near 1. The agents are relabelled so
+        # that W is not circulant: W^m is then formed by binary powering,
+        # whose roundoff sets the plateau (the circulant closed form has
+        # almost none).
+        p = np.random.default_rng(0).permutation(100)
+        ring = gg.GossipMatrix(gg.ring_matrix(100).weights[np.ix_(p, p)])
         problem = gg.random_quadratic_problem(100, 3, 1.0, 3.0, seed=5)
         cp = gg.params_from_one_point_convexity(gg.StrongSmoothParams(1.0, 3.0))
         params = gg.AlgorithmParams.derive(cp.alpha, cp.rho, gg.spectral_gap(ring))

@@ -353,6 +353,38 @@ class TestRunCommand:
         assert err.startswith("numerical failure:") and reason in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_sigma_below_true_gap_exits_2(self, tmp_path, capsys, quadratic_config_path):
+        # m derived from sigma = 0.5 leaves the pair's true gap (0.7853) to the m above sigma0.
+        text = quadratic_config_path.read_text()
+        assert text.count("sigma = auto") == 1
+        path = tmp_path / "tight.ini"
+        path.write_text(text.replace("sigma = auto", "sigma = 0.5"))
+        out = tmp_path / "x.csv"
+        assert main(["run", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: sigma = 0.5 is below the schedule's spectral gap 0.785334\n"
+        assert not out.exists()
+        assert main(["validate", str(path)]) == 1
+        assert "FAIL  spectral gap within bound: actual 0.785334 vs configured 0.500000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("sigma", ["auto", "0.79"])
+    def test_one_spectral_gap_per_matrix(self, tmp_path, monkeypatch, quadratic_config_path, command, sigma):
+        calls = []
+
+        def counted(W):
+            calls.append(W)
+            return gg.spectral_gap(W)
+
+        # Wherever a module binds the name, so that no call goes uncounted.
+        for module in ("gossipgrad.config", "gossipgrad.cli"):
+            monkeypatch.setattr(f"{module}.spectral_gap", counted, raising=False)
+        path = tmp_path / "q.ini"
+        path.write_text(quadratic_config_path.read_text().replace("sigma = auto", f"sigma = {sigma}"))
+        args = ["--output", str(tmp_path / "x.csv")] if command == "run" else []
+        assert main([command, str(path), *args]) == 0
+        assert len(calls) == 2  # the five-agent pair
+
     def test_validate_fails_where_run_cannot_cancel_gradients(self, tmp_path, capsys, quadratic_config_path):
         # mu = 1e-8 passes the optimizer's own gradient-sum check but not the
         # fixed point's cancellation check that run applies.

@@ -5,6 +5,7 @@ import pytest
 
 import gossipgrad as gg
 from gossipgrad.errors import ConfigError
+from gossipgrad.gossip import is_circulant
 
 # Frozen against a dense SVD of the deviation matrix (see test_gap_matches_svd_oracle).
 GAP_FIRST = 0.7288689868556625
@@ -19,6 +20,18 @@ def svd_gap(W: np.ndarray) -> float:
 def sum_deviations(W: gg.GossipMatrix) -> tuple[float, float]:
     """Largest deviation from 1 of the row sums and of the column sums."""
     return float(np.abs(W.weights.sum(axis=1) - 1.0).max()), float(np.abs(W.weights.sum(axis=0) - 1.0).max())
+
+
+def circulant(row) -> np.ndarray:
+    """The matrix whose row i is ``row`` shifted right by i, written out entry by entry."""
+    n = len(row)
+    return np.array([[row[(j - i) % n] for j in range(n)] for i in range(n)], dtype=float)
+
+
+def permuted_ring(n: int, seed: int) -> tuple[np.ndarray, gg.GossipMatrix]:
+    """(p, ring_matrix(n) with its agents relabelled by p): the ring's spectrum, but not circulant."""
+    p = np.random.default_rng(seed).permutation(n)
+    return p, gg.GossipMatrix(gg.ring_matrix(n).weights[np.ix_(p, p)])
 
 
 def random_doubly_stochastic(n: int, k: int, seed: int) -> gg.GossipMatrix:
@@ -83,6 +96,49 @@ class TestSpectralGap:
         W = gg.ring_matrix(400).weights
         expected = np.linalg.norm(W - 1.0 / 400, 2)
         assert gg.spectral_gap(W) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "W",
+        [
+            *(gg.ring_matrix(n).weights for n in (1, 2, 3, 6, 400, 1000)),
+            circulant([0.5, 0.5] + [0.0] * 10),  # directed ring: not symmetric
+            circulant([1.2, -0.1] + [0.0] * 7 + [-0.1]),  # symmetric, negative weights
+            circulant([0.6, 0.5, -0.2, 0.1, 0.0]),  # neither
+            np.eye(5),
+        ],
+        ids=["ring-1", "ring-2", "ring-3", "ring-6", "ring-400", "ring-1000", "directed", "negative", "mixed", "eye"],
+    )
+    def test_circulant_gap_matches_lapack(self, W):
+        # A circulant takes the Fourier gap; LAPACK is the reference for every kind.
+        assert is_circulant(W)
+        deviation = W - 1.0 / W.shape[0]
+        if np.array_equal(deviation, deviation.T):
+            expected = float(np.abs(np.linalg.eigvalsh(deviation)).max())
+        else:
+            expected = float(np.linalg.svd(deviation, compute_uv=False)[0])
+        if abs(1.0 - expected) <= 16 * np.finfo(float).eps * W.shape[0]:
+            expected = 1.0
+        assert gg.spectral_gap(W) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+
+class TestIsCirculant:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 400])
+    def test_rings_and_complete_matrices_are_circulant(self, n):
+        assert is_circulant(gg.ring_matrix(n).weights)
+        assert is_circulant(gg.complete_matrix(n).weights)
+
+    def test_written_out_circulants(self):
+        assert is_circulant(circulant([0.6, 0.5, -0.2, 0.1, 0.0]))
+        assert is_circulant(np.eye(4))
+
+    def test_other_matrices_are_not(self, pair):
+        assert not any(is_circulant(W.weights) for W in pair)
+        assert not is_circulant(permuted_ring(40, seed=0)[1].weights)
+        # Column 0 matches a circulant's, a later row does not.
+        W = circulant([0.6, 0.5, -0.2, 0.1, 0.0])
+        W[2, 3] += 1.0
+        assert np.array_equal(W[1:, 0], W[0, :0:-1])
+        assert not is_circulant(W)
 
 
 class TestValidation:
@@ -199,6 +255,7 @@ def written_out_product(schedule, iteration, rounds):
 
 MIXING_SCHEDULES = {
     "constant-ring": lambda: gg.GossipSchedule.constant(gg.ring_matrix(40)),
+    "constant-permuted-ring": lambda: gg.GossipSchedule.constant(permuted_ring(40, seed=0)[1]),
     "constant-birkhoff": lambda: gg.GossipSchedule.constant(random_doubly_stochastic(6, 3, seed=4)),
 }
 
@@ -209,8 +266,8 @@ def symmetric_birkhoff(n: int, k: int, seed: int) -> gg.GossipMatrix:
     return gg.GossipMatrix((B + B.T) / 2)
 
 
-def ring_power_closed_form(n: int, rounds: int, x: np.ndarray) -> np.ndarray:
-    """ring_matrix(n)^rounds @ x in extended precision, from the ring's circulant spectrum.
+def ring_power_closed_form(n: int, rounds: int) -> np.ndarray:
+    """ring_matrix(n)^rounds in extended precision, from the ring's circulant spectrum.
 
     Eigenvalue k is lambda_k = (1 + 2 cos(2 pi k / n)) / 3 with the Fourier
     basis, so the power is circulant: entry (i, j) depends only on
@@ -221,16 +278,18 @@ def ring_power_closed_form(n: int, rounds: int, x: np.ndarray) -> np.ndarray:
     eigenvalues = (1 + 2 * np.cos(two_pi * k / n)) / 3
     # (k * r) mod n keeps every angle in [0, 2 pi), where cos is evaluated precisely.
     column = (np.cos(two_pi * (np.outer(k, k) % n) / n) * eigenvalues[:, None] ** rounds).sum(axis=0) / n
-    power = column[(k[:, None] - k[None, :]) % n]
-    return power @ x.astype(np.longdouble)
+    return column[(k[:, None] - k[None, :]) % n]
 
 
 class TestMixingProduct:
     def test_fixtures_cover_both_square_branches(self):
-        # A symmetric W squares through syrk (power @ power.T), any other through gemm.
+        # A symmetric circulant W takes the Fourier closed form; any other
+        # symmetric W squares through syrk (power @ power.T), any other through gemm.
         ring = MIXING_SCHEDULES["constant-ring"]().matrices[0].weights
+        permuted = MIXING_SCHEDULES["constant-permuted-ring"]().matrices[0].weights
         birkhoff = MIXING_SCHEDULES["constant-birkhoff"]().matrices[0].weights
-        assert np.array_equal(ring, ring.T)
+        assert np.array_equal(ring, ring.T) and is_circulant(ring)
+        assert np.array_equal(permuted, permuted.T) and not is_circulant(permuted)
         assert not np.array_equal(birkhoff, birkhoff.T)
 
     @pytest.mark.parametrize("matrix", [gg.ring_matrix(40), symmetric_birkhoff(6, 3, seed=4)], ids=["ring", "birkhoff"])
@@ -247,7 +306,7 @@ class TestMixingProduct:
         m = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring)).m
         assert m == 16434
         x = np.random.default_rng(3).standard_normal((n, 2))
-        exact = ring_power_closed_form(n, m, x)
+        exact = ring_power_closed_form(n, m) @ x.astype(np.longdouble)
         assert np.abs(gg.mixing_product(ring, m) @ x - exact).max() <= 1e-13
 
     @pytest.mark.parametrize("kind", sorted(MIXING_SCHEDULES))
@@ -260,8 +319,35 @@ class TestMixingProduct:
         assert np.abs(product.sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(product.sum(axis=1) - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [40, 100, 400])
+    def test_ring_power_at_its_derived_m(self, n):
+        # The closed form is exact to about one ulp: no m-fold growth of the eigenvalues' roundoff.
+        ring = gg.ring_matrix(n)
+        m = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring)).m
+        power = gg.mixing_product(ring, m)
+        assert np.abs(power - ring_power_closed_form(n, m)).max() <= 2e-15
+        assert np.abs(power.sum(axis=0) - 1.0).max() <= 1e-15
+        assert np.abs(power.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.array_equal(power, power.T)
+
+    def test_permuted_ring_is_powered(self):
+        # Same spectrum as the ring, but not circulant: binary powering, whose error grows with m.
+        p, permuted = permuted_ring(100, seed=0)
+        m = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(permuted)).m
+        assert m == 1027
+        exact = ring_power_closed_form(100, m)[np.ix_(p, p)]
+        assert np.abs(gg.mixing_product(permuted, m) - exact).max() <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_complete_matrix_power_has_zero_eigenvalues(self):
+        # Every eigenvalue but one is 0, whose log is -inf: the power is still 1/n, with no warning.
+        power = gg.mixing_product(gg.complete_matrix(7), 5)
+        assert np.abs(power - 1.0 / 7).max() <= 1e-15
+
     def test_one_round_is_the_matrix(self, pair):
         assert np.array_equal(gg.mixing_product(pair[0], 1), pair[0].weights)
+        ring = gg.ring_matrix(40)
+        assert np.array_equal(gg.mixing_product(ring, 1), ring.weights)
 
     @pytest.mark.parametrize("kind", sorted(MIXING_SCHEDULES))
     def test_rounds_must_be_positive(self, kind):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import gossipgrad as gg
 from gossipgrad.analysis import DECREASE_TOL
+from gossipgrad.gossip import is_circulant
 
 seeds = st.integers(0, 2**32 - 1)
 common = settings(deadline=None)
@@ -82,6 +83,29 @@ class TestProductGapProperties:
         m = gg.comm_rounds(rho, sigma)
         assert gg.spectral_gap(gg.mixing_product(schedule.matrices[0], m)) <= gg.sigma0(rho)
 
+
+
+class TestCirculantProperties:
+    """A symmetric circulant's power and gap, from its Fourier spectrum, against LAPACK and binary powering."""
+
+    @staticmethod
+    def symmetric_circulant(n, rng):
+        # Row 0 with row[l] == row[n - l]; about half of the distinct weights are zero.
+        half = rng.random(n // 2 + 1) * (rng.random(n // 2 + 1) < 0.5)
+        half[0] += rng.random()
+        row = half[np.minimum(np.arange(n), n - np.arange(n))]
+        row /= row.sum()
+        return np.array([np.roll(row, i) for i in range(n)])
+
+    @common
+    @given(n=st.integers(1, 30), m=st.integers(2, 2000), seed=seeds)
+    def test_power_and_gap_match_lapack(self, n, m, seed):
+        W = self.symmetric_circulant(n, np.random.default_rng(seed))
+        assert is_circulant(W) and np.array_equal(W, W.T)
+        assert np.isclose(gg.spectral_gap(W), lapack_gap(W), rtol=1e-12, atol=1e-15)
+        power = gg.mixing_product(gg.GossipMatrix(W), m)
+        assert is_circulant(power) and np.array_equal(power, power.T)
+        assert np.abs(power - np.linalg.matrix_power(W, m)).max() <= 1e-12
 
 
 class TestRoundIndexProperties:
