@@ -182,9 +182,9 @@ def run_algorithm(
     """Vectorized reference execution for ``iterations`` iterations.
 
     x0 has shape (n, d); y0 defaults to zeros and must have blocks summing to
-    zero. A single-matrix schedule mixes with W^m, formed once per run, in
-    place of m rounds per iteration; a symmetric W squares there through
-    BLAS ``syrk``, at about half the flops of a general square.
+    zero. A single-matrix schedule mixes with W^m, formed once per run by
+    ``mixing_product`` (in closed form for a ring or complete matrix), in
+    place of m rounds per iteration.
     """
     mixer = power_mixer if len(schedule.matrices) == 1 else round_mixer
     return run(problem, schedule, params, x0, iterations, y0, mixer)
@@ -195,9 +195,10 @@ def centralized_gd(problem: Problem, alpha: float, x0, iterations: int) -> np.nd
     x = np.array(x0, dtype=float)
     if x.shape != (problem.dimension,):
         raise ConfigError(f"x0 has shape {x.shape}, expected ({problem.dimension},)")
+    stack = problem.at(x)  # a view of x, so it follows the in-place steps
     trajectory = np.empty((iterations + 1, problem.dimension))
     trajectory[0] = x
     for k in range(iterations):
-        x = x - alpha * (problem.gradient(problem.at(x)).sum(axis=0) / problem.n)
+        np.subtract(x, alpha * (problem.gradient(stack).sum(axis=0) / problem.n), out=x)
         trajectory[k + 1] = x
     return trajectory

@@ -189,7 +189,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # numpy refuses a configured size before it touches memory
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SingularPointError, DegenerateCurvatureError, AnalysisError) as exc:

@@ -125,9 +125,9 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
         sections = {name: dict(parser[name]) for name in parser.sections()}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     read = ["problem", "schedule", "algorithm", "run"]
 

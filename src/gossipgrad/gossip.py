@@ -47,32 +47,28 @@ class GossipMatrix:
 
 def complete_matrix(n: int) -> GossipMatrix:
     """Uniform averaging over the complete graph: every entry 1/n."""
-    return GossipMatrix(np.full((n, n), 1.0 / n))
+    return GossipMatrix(np.broadcast_to(1.0 / max(n, 1), (n, n)))  # GossipMatrix rejects n < 1
 
 
 def ring_matrix(n: int) -> GossipMatrix:
     """Symmetric ring with weight 1/3 on self and each of the two neighbors."""
-    if n == 1:
-        return GossipMatrix([[1.0]])
-    if n == 2:
-        return GossipMatrix([[0.5, 0.5], [0.5, 0.5]])
-    W = np.zeros((n, n))
-    agents = np.arange(n)
-    for offset in (-1, 0, 1):
-        W[agents, (agents + offset) % n] = 1.0 / 3.0
-    return GossipMatrix(W)
+    if n <= 2:
+        return complete_matrix(n)
+    row = np.zeros(n)
+    row[[0, 1, -1]] = 1.0 / 3.0
+    return GossipMatrix(_circulant(row))
 
 
-def _shifts(row: np.ndarray) -> np.ndarray:
-    # View whose window s is ``row`` shifted left by s (s = 0..n): row i of its circulant is window n - i.
-    return np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), row.size)
+def _circulant(row: np.ndarray) -> np.ndarray:
+    # Read-only view of the circulant whose row i is ``row`` shifted right by i, i.e. ``row`` shifted left by n - i.
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), row.size)[:0:-1]
 
 
 def is_circulant(W: np.ndarray) -> bool:
     """Whether each row of square W is row 0 shifted right by its index: ``W[i, j] == W[0, (j - i) % n]``."""
     if not np.array_equal(W[1:, 0], W[0, :0:-1]):  # column 0 is row 0 reversed: most matrices fail here in O(n)
         return False
-    return bool(np.array_equal(W[1:], _shifts(W[0])[-2:0:-1]))
+    return bool(np.array_equal(W, _circulant(W[0])))
 
 
 def spectral_gap(matrix) -> float:
@@ -218,7 +214,7 @@ def _circulant_power(row: np.ndarray, rounds: int) -> np.ndarray:
         power[negative] *= -1.0
     first = np.fft.ifft(power).real
     first = 0.5 * (first + np.roll(first[::-1], 1))  # first[j] and first[-j] are one sum, so exactly equal
-    return np.ascontiguousarray(_shifts(first)[:0:-1])
+    return np.ascontiguousarray(_circulant(first))
 
 
 def mixing_product(matrix: GossipMatrix, rounds: int) -> np.ndarray:

@@ -73,9 +73,7 @@ class Problem:
         x = np.ascontiguousarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
-        stack = np.ndarray((self.n, self.dimension), dtype=float, buffer=x, strides=(0, x.itemsize))
-        stack.setflags(write=False)
-        return stack
+        return np.broadcast_to(x, (self.n, self.dimension))
 
 
 @dataclass(frozen=True)

@@ -243,7 +243,34 @@ class TestLargeM:
         assert trace.row_communications == ring.n * params.m * 5
 
 
+def per_step_gd(problem, alpha: float, x0, iterations: int) -> np.ndarray:
+    # centralized_gd written out with a fresh at() stack and a fresh x each step.
+    x = np.array(x0, dtype=float)
+    trajectory = [x]
+    for _ in range(iterations):
+        x = x - alpha * (problem.gradient(problem.at(x)).sum(axis=0) / problem.n)
+        trajectory.append(x)
+    return np.array(trajectory)
+
+
 class TestCentralizedGd:
+    @pytest.mark.parametrize("kind", ["quadratic", "localization"])
+    def test_equals_per_step_stack_loop(self, kind):
+        if kind == "quadratic":
+            problem = gg.random_quadratic_problem(5, 3, 1.0, 3.0, seed=7)
+            alpha, x0 = 0.5, np.array([4.0, -1.0, 2.5])
+        else:
+            cfg = gg.LocalizationConfig.sampled(5, seed=293)
+            problem, alpha, x0 = cfg.problem(), 2.0, cfg.positions.mean(axis=0)
+        trajectory = gg.centralized_gd(problem, alpha, x0, 60)
+        assert np.array_equal(trajectory, per_step_gd(problem, alpha, x0, 60))
+
+    def test_leaves_x0_unchanged(self):
+        problem = gg.random_quadratic_problem(3, 4, 1.0, 3.0, seed=9)
+        x0 = np.ones(4) * 4.0
+        gg.centralized_gd(problem, 0.5, x0, 10)
+        assert np.array_equal(x0, np.ones(4) * 4.0)
+
     def test_exact_one_step_convergence(self):
         problem = gg.QuadraticObjective(np.array([[1.0]]), np.zeros((1, 1)))
         trajectory = gg.centralized_gd(problem, 1.0, np.array([5.0]), 3)

@@ -340,6 +340,40 @@ class TestRunCommand:
         assert err.startswith("config error: cannot write output") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "old,new,commands",
+        [
+            # A (10**13 + 1, 5, 3) trace stack: 1.07 PiB. validate never allocates a trace.
+            ("iterations = 60", "iterations = 10000000000000", ["run"]),
+            # A 10**7-agent complete matrix: 728 TiB.
+            ("source = five-agent-pair", "source = complete\nn = 10000000", ["run", "validate"]),
+        ],
+        ids=["iterations", "complete-n"],
+    )
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys, old, new, commands):
+        # Each size exceeds the address space, so numpy refuses it before touching memory.
+        text = (CONFIGS / "quadratic.ini").read_text()
+        assert text.count(old) == 1
+        bad = tmp_path / "huge.ini"
+        bad.write_text(text.replace(old, new))
+        out = tmp_path / "x.csv"
+        for command in commands:
+            args = [command, str(bad)] + (["--output", str(out)] if command == "run" else [])
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bytes.ini"
+        bad.write_bytes((CONFIGS / "quadratic.ini").read_bytes() + b"\xff")
+        out = tmp_path / "x.csv"
+        for command in (["run", str(bad), "--output", str(out)], ["validate", str(bad)]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot parse config {bad}: 'utf-8' codec") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "mu,L,reason",
         [("1e-8", "1.0", "correction fixed point"), ("1e-6", "1e6", "solved optimizer is not exact")],
         ids=["fixed-point", "optimizer-check"],

@@ -389,9 +389,14 @@ def loop_built_ring(n: int) -> np.ndarray:
 
 
 class TestBuiltins:
-    @pytest.mark.parametrize("n", [1, 2, 3, 6, 400])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 40, 400])
     def test_ring_matches_loop_built_matrix(self, n):
         assert np.array_equal(gg.ring_matrix(n).weights, loop_built_ring(n))
+
+    @pytest.mark.parametrize("builder", [gg.ring_matrix, gg.complete_matrix], ids=["ring", "complete"])
+    def test_zero_agents_rejected(self, builder):
+        with pytest.raises(ConfigError, match="at least one agent"):
+            builder(0)
 
     def test_ring_is_doubly_stochastic(self):
         for n in (1, 2, 3, 6):

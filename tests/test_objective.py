@@ -153,6 +153,23 @@ class TestProblem:
         assert np.allclose(problem.gradient(problem.at(x)).sum(axis=0) / problem.n, expected)
         assert np.mean(problem.value(problem.at(x))) == pytest.approx(np.mean([f.value(x) for f in views]))
 
+    def test_at_is_a_read_only_zero_stride_view(self):
+        problem = gg.random_quadratic_problem(4, 3, 1.0, 2.0, seed=0)
+        x = np.array([1.0, -2.0, 0.5])
+        stack = problem.at(x)
+        assert stack.shape == (4, 3) and stack.strides[0] == 0
+        assert np.array_equal(stack, np.tile(x, (4, 1)))
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0] = 0.0
+        # A view of x itself: centralized_gd steps x in place under one stack.
+        x[1] = 7.0
+        assert np.array_equal(stack[:, 1], np.full(4, 7.0))
+        with pytest.raises(ValueError, match="shape"):
+            problem.at(np.zeros(2))
+        with pytest.raises(ValueError, match="shape"):
+            problem.at(np.zeros((4, 3)))
+
     def test_generator_spectrum_inside_band(self):
         for shared in (True, False):
             problem = gg.random_quadratic_problem(5, 4, 1.0, 3.0, seed=2, shared_hessian=shared)
