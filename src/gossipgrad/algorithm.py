@@ -15,9 +15,10 @@ the threshold sigma0(rho) = (sqrt(1 + rho) - sqrt(1 - rho)) / 2.
 
 Both execution paths share one run loop, ``run``, and one update rule,
 ``algorithm_iteration``; they differ only in the mixer that maps x_i(k) to
-v(i, m). The vectorized mixers live here: W^m formed once per run for a
-one-matrix schedule, else one dense product per round. The message-passing
-mixer lives in ``netsim``.
+v(i, m). The vectorized mixers live here: W^m of a one-matrix schedule,
+applied by its Fourier spectrum for a ring or complete matrix and as a
+product formed once per run otherwise, else one dense product per round.
+The message-passing mixer lives in ``netsim``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 # matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
-from .gossip import GossipSchedule, matrix_at, mixing_product, round_indices  # noqa: F401
+from .gossip import GossipSchedule, circulant_spectrum_power, matrix_at, mixing_product, round_indices  # noqa: F401
 from .objective import Problem
 from .trace import RunTrace
 
@@ -126,9 +127,22 @@ def algorithm_iteration(problem: Problem, params: AlgorithmParams, mix, x: np.nd
 
 
 def power_mixer(schedule: GossipSchedule, m: int):
-    """Mixing by W^m of a one-matrix schedule, formed once by ``mixing_product``: one product per iteration."""
-    power = mixing_product(schedule.matrices[0], m)
-    return lambda iteration, x: power @ x
+    """Mixing by W^m of a one-matrix schedule, one application per iteration.
+
+    A symmetric circulant W (every ring and complete matrix) at m > 1 is
+    diagonal in the Fourier basis: its spectrum's m-th power is computed
+    once, and each iteration mixes by one rfft/irfft pair along the agent
+    axis, O(n d log n), with no n x n matrix formed. Any other W, and m = 1,
+    mixes by one product with ``mixing_product(W, m)``, formed once.
+    """
+    W = schedule.matrices[0]
+    spectrum = circulant_spectrum_power(W.weights, m) if m > 1 else None
+    if spectrum is None:
+        power = mixing_product(W, m)
+        return lambda iteration, x: power @ x
+    n = W.n
+    half = spectrum[: n // 2 + 1, None]  # the real spectrum is even, so rfft's half of it is all irfft reads
+    return lambda iteration, x: np.fft.irfft(np.fft.rfft(x, axis=0) * half, n, axis=0)
 
 
 def round_mixer(schedule: GossipSchedule, m: int):
@@ -182,9 +196,10 @@ def run_algorithm(
     """Vectorized reference execution for ``iterations`` iterations.
 
     x0 has shape (n, d); y0 defaults to zeros and must have blocks summing to
-    zero. A single-matrix schedule mixes with W^m, formed once per run by
-    ``mixing_product`` (in closed form for a ring or complete matrix), in
-    place of m rounds per iteration.
+    zero. A single-matrix schedule mixes with W^m in place of m rounds per
+    iteration (``power_mixer``): a ring or complete matrix by one FFT pair
+    per iteration, with no n x n power formed, any other matrix by one
+    product with ``mixing_product``, formed once per run.
     """
     mixer = power_mixer if len(schedule.matrices) == 1 else round_mixer
     return run(problem, schedule, params, x0, iterations, y0, mixer)

@@ -68,7 +68,9 @@ def is_circulant(W: np.ndarray) -> bool:
     """Whether each row of square W is row 0 shifted right by its index: ``W[i, j] == W[0, (j - i) % n]``."""
     if not np.array_equal(W[1:, 0], W[0, :0:-1]):  # column 0 is row 0 reversed: most matrices fail here in O(n)
         return False
-    return bool(np.array_equal(W, _circulant(W[0])))
+    # A block of about 64k entries at a time, so the comparison makes no n x n boolean temporary.
+    circulant, step = _circulant(W[0]), max(1, 2**16 // W.shape[0])
+    return all(np.array_equal(W[i : i + step], circulant[i : i + step]) for i in range(0, W.shape[0], step))
 
 
 def spectral_gap(matrix) -> float:
@@ -196,8 +198,18 @@ def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> Gos
     return schedule.matrices[_indices(schedule, iteration, range(round_index, round_index + 1))[0]]
 
 
-def _circulant_power(row: np.ndarray, rounds: int) -> np.ndarray:
-    # W^rounds of the symmetric circulant W with row 0 ``row``, from its real spectrum.
+def circulant_spectrum_power(W: np.ndarray, rounds: int) -> np.ndarray | None:
+    """lambda_k^rounds, k = 0..n-1, of a symmetric circulant W; None for any other W.
+
+    lambda_k, the DFT of row 0, is real for a symmetric circulant. Each
+    power is exp(rounds * log1p(-d)) with d the smaller of 1 - lambda_k and
+    1 + lambda_k, each summed directly from sin^2 and cos^2 terms of the
+    row: an eigenvalue rounded by one ulp near 1 would err rounds-fold in
+    its power, while d keeps its relative precision.
+    """
+    row = W[0]
+    if not (is_circulant(W) and np.array_equal(row, np.roll(row[::-1], 1))):
+        return None
     n = row.size
     lags = np.flatnonzero(row)
     weights = row[lags]
@@ -212,9 +224,7 @@ def _circulant_power(row: np.ndarray, rounds: int) -> np.ndarray:
         power = np.exp(rounds * np.log1p(-distance))
     if rounds % 2:
         power[negative] *= -1.0
-    first = np.fft.ifft(power).real
-    first = 0.5 * (first + np.roll(first[::-1], 1))  # first[j] and first[-j] are one sum, so exactly equal
-    return np.ascontiguousarray(_circulant(first))
+    return power
 
 
 def mixing_product(matrix: GossipMatrix, rounds: int) -> np.ndarray:
@@ -222,12 +232,10 @@ def mixing_product(matrix: GossipMatrix, rounds: int) -> np.ndarray:
 
     A symmetric circulant W (every ring and complete matrix) is diagonal in
     the Fourier basis with real eigenvalues lambda_k, so its power is the
-    circulant whose row 0 is the inverse DFT of lambda_k^rounds, in
-    O(n^2) time. Each lambda_k^rounds is taken as exp(rounds * log1p(-d))
-    with d the smaller of 1 - lambda_k and 1 + lambda_k, each summed
-    directly from sin^2 and cos^2 terms of the row: an eigenvalue rounded
-    by one ulp near 1 would err rounds-fold in its power, while d keeps its
-    relative precision.
+    circulant whose row 0 is the inverse DFT of the
+    ``circulant_spectrum_power`` spectrum, in O(n^2) time for its n x n
+    copy. The vectorized run never forms this matrix: ``power_mixer``
+    applies the spectrum to each iteration's states directly.
 
     Every other W, and rounds = 1, keeps left-to-right binary powering,
     O(n^3 log rounds) in two alternating n x n buffers; at rounds = 1 that
@@ -240,9 +248,11 @@ def mixing_product(matrix: GossipMatrix, rounds: int) -> np.ndarray:
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     W = matrix.weights
-    row = W[0]
-    if rounds > 1 and is_circulant(W) and np.array_equal(row, np.roll(row[::-1], 1)):
-        return _circulant_power(row, rounds)
+    spectrum = circulant_spectrum_power(W, rounds) if rounds > 1 else None
+    if spectrum is not None:
+        first = np.fft.ifft(spectrum).real
+        first = 0.5 * (first + np.roll(first[::-1], 1))  # first[j] and first[-j] are one sum, so exactly equal
+        return np.ascontiguousarray(_circulant(first))
     symmetric = np.array_equal(W, W.T)
     buffers = (np.empty_like(W), np.empty_like(W))
     power = W

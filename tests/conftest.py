@@ -44,6 +44,21 @@ def iterations_for(rho: float, decades: float = 12.5, floor: int = 24, cap: int 
     return min(cap, max(floor, int(decades * math.log(10) / -math.log(rho))))
 
 
+def ring_power_closed_form(n: int, rounds: int) -> np.ndarray:
+    """ring_matrix(n)^rounds in extended precision for n >= 3, from the ring's circulant spectrum.
+
+    Eigenvalue k is lambda_k = (1 + 2 cos(2 pi k / n)) / 3 with the Fourier
+    basis, so the power is circulant: entry (i, j) depends only on
+    r = (i - j) mod n and equals (1/n) sum_k lambda_k^rounds cos(2 pi k r / n).
+    """
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    k = np.arange(n)
+    eigenvalues = (1 + 2 * np.cos(two_pi * k / n)) / 3
+    # (k * r) mod n keeps every angle in [0, 2 pi), where cos is evaluated precisely.
+    column = (np.cos(two_pi * (np.outer(k, k) % n) / n) * eigenvalues[:, None] ** rounds).sum(axis=0) / n
+    return column[(k[:, None] - k[None, :]) % n]
+
+
 def make_run(problem, schedule, alpha, rho, sigma, seed, iterations=None, m_override=None) -> CorpusRun:
     params = gg.AlgorithmParams.derive(alpha, rho, sigma, m_override=m_override)
     rng = np.random.default_rng(seed)

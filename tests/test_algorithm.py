@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gossipgrad as gg
+from conftest import ring_power_closed_form
+from gossipgrad.algorithm import power_mixer
 from gossipgrad.errors import ConfigError
 
 
@@ -226,7 +229,9 @@ def per_round_reference(problem, schedule, params, x0, iterations):
 
 
 class TestLargeM:
-    """A single-matrix schedule mixes with W^m formed once per run; it must match m explicit rounds."""
+    """A single-matrix schedule mixes with W^m once per iteration: a ring or complete matrix by its
+    spectrum's m-th power, with no n x n matrix formed, any other by W^m formed once per run. Either
+    must match m explicit rounds and the exact power."""
 
     def test_ring_100_matches_per_round_loop(self):
         ring = gg.ring_matrix(100)
@@ -241,6 +246,40 @@ class TestLargeM:
             assert np.abs(got - want).max() <= 1e-12
         assert trace.gradient_evaluations == ring.n * 5
         assert trace.row_communications == ring.n * params.m * 5
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rounds", [2, 3, 164, "derived"])
+    @pytest.mark.parametrize(
+        "builder, n",
+        [(gg.ring_matrix, n) for n in (1, 2, 3, 4, 5, 8, 41, 400)] + [(gg.complete_matrix, n) for n in (2, 7)],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_spectral_mixer_matches_exact_power(self, builder, n, rounds):
+        # Odd rounds on an even ring raise its eigenvalue -1/3 to an odd power; a complete matrix has zero eigenvalues.
+        matrix = builder(n)
+        m = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(matrix)).m if rounds == "derived" else rounds
+        x = np.random.default_rng(n).standard_normal((n, 3))
+        mixed = power_mixer(gg.GossipSchedule.constant(matrix), m)(0, x)
+        if builder is gg.ring_matrix and n >= 3:
+            exact = ring_power_closed_form(n, m) @ x.astype(np.longdouble)
+        else:  # ring_matrix(n) for n <= 2 is the complete matrix, whose every power is the exact average
+            exact = np.broadcast_to(x.astype(np.longdouble).mean(axis=0), x.shape)
+        assert np.abs(mixed - exact).max() <= 1e-13
+
+    def test_ring_2000_mixes_without_an_n_by_n_power(self):
+        # W^m of this ring alone would take 32 MB; its spectrum and one iteration take far less.
+        ring = gg.ring_matrix(2000)
+        schedule = gg.GossipSchedule.constant(ring)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring))
+        problem = gg.random_quadratic_problem(ring.n, 2, 1.0, 3.0, seed=9)
+        x0 = np.random.default_rng(4).standard_normal((ring.n, 2))
+        tracemalloc.start()
+        try:
+            gg.run_algorithm(problem, schedule, params, x0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def per_step_gd(problem, alpha: float, x0, iterations: int) -> np.ndarray:

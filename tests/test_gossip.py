@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gossipgrad as gg
+from conftest import ring_power_closed_form
 from gossipgrad.errors import ConfigError
 from gossipgrad.gossip import is_circulant
 
@@ -139,6 +140,10 @@ class TestIsCirculant:
         W[2, 3] += 1.0
         assert np.array_equal(W[1:, 0], W[0, :0:-1])
         assert not is_circulant(W)
+        # Row 0 and column 0 are the 400-ring's, the last row is not: it is compared in the last block of rows.
+        W = gg.ring_matrix(400).weights.copy()
+        W[-1, 200] = 1e-300
+        assert not is_circulant(W)
 
 
 class TestValidation:
@@ -264,21 +269,6 @@ def symmetric_birkhoff(n: int, k: int, seed: int) -> gg.GossipMatrix:
     # B + B.T is exactly symmetric: floating-point addition commutes.
     B = random_doubly_stochastic(n, k, seed).weights
     return gg.GossipMatrix((B + B.T) / 2)
-
-
-def ring_power_closed_form(n: int, rounds: int) -> np.ndarray:
-    """ring_matrix(n)^rounds in extended precision, from the ring's circulant spectrum.
-
-    Eigenvalue k is lambda_k = (1 + 2 cos(2 pi k / n)) / 3 with the Fourier
-    basis, so the power is circulant: entry (i, j) depends only on
-    r = (i - j) mod n and equals (1/n) sum_k lambda_k^rounds cos(2 pi k r / n).
-    """
-    two_pi = 8 * np.arctan(np.longdouble(1))
-    k = np.arange(n)
-    eigenvalues = (1 + 2 * np.cos(two_pi * k / n)) / 3
-    # (k * r) mod n keeps every angle in [0, 2 pi), where cos is evaluated precisely.
-    column = (np.cos(two_pi * (np.outer(k, k) % n) / n) * eigenvalues[:, None] ** rounds).sum(axis=0) / n
-    return column[(k[:, None] - k[None, :]) % n]
 
 
 class TestMixingProduct:

@@ -1,7 +1,8 @@
 """Property tests: spectral and product gaps against LAPACK and the round-count
-formula, schedule index rows against a written-out draw and ``matrix_at``,
-message passing against the vectorized path, batched against per-agent
-gradients, and the stacked certificate against its per-iteration formula."""
+formula, the spectral mixer against a long-double reference, schedule index
+rows against a written-out draw and ``matrix_at``, message passing against the
+vectorized path, batched against per-agent gradients, and the stacked
+certificate against its per-iteration formula."""
 
 import hashlib
 from dataclasses import replace
@@ -13,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gossipgrad as gg
+from gossipgrad.algorithm import power_mixer
 from gossipgrad.analysis import DECREASE_TOL
 from gossipgrad.gossip import is_circulant
 
@@ -106,6 +108,37 @@ class TestCirculantProperties:
         power = gg.mixing_product(gg.GossipMatrix(W), m)
         assert is_circulant(power) and np.array_equal(power, power.T)
         assert np.abs(power - np.linalg.matrix_power(W, m)).max() <= 1e-12
+
+
+class TestCirculantMixerProperties:
+    """The spectral mixer on symmetric circulants with a few lags, against a long-double spectral reference."""
+
+    DENOMINATOR = 2**19  # weights are multiples of 2^-19, so each row sums to exactly 1 in either precision
+
+    @common
+    @given(
+        n=st.integers(1, 64),
+        lags=st.lists(st.tuples(st.integers(1, 63), st.integers(0, 2**16)), max_size=4),
+        m=st.integers(2, 10**5),
+        seed=seeds,
+    )
+    def test_mixer_matches_long_double_spectrum(self, n, lags, m, seed):
+        counts = np.zeros(n, dtype=np.int64)
+        for lag, count in lags:
+            counts[lag % n] += count
+            counts[-lag % n] += count
+        counts[0] += self.DENOMINATOR - counts.sum()  # the self weight takes the rest; it may be zero
+        row = counts / self.DENOMINATOR
+        W = np.array([np.roll(row, i) for i in range(n)])
+        # lambda_k = sum_l row[l] cos(2 pi k l / n); W^m[i, j] = (1/n) sum_k lambda_k^m cos(2 pi k (i - j) / n).
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        k = np.arange(n)
+        cosines = np.cos(two_pi * (np.outer(k, k) % n) / n)  # (k * l) mod n keeps each angle in [0, 2 pi)
+        column = cosines @ (cosines @ row.astype(np.longdouble)) ** m / n
+        x = np.random.default_rng(seed).standard_normal((n, 2))
+        exact = column[(k[:, None] - k[None, :]) % n] @ x.astype(np.longdouble)
+        mixed = power_mixer(gg.GossipSchedule.constant(gg.GossipMatrix(W)), m)(0, x)
+        assert np.abs(mixed - exact).max() <= 1e-13
 
 
 class TestRoundIndexProperties:
