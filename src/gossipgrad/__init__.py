@@ -38,6 +38,7 @@ from .gossip import (
     mixing_product,
     ring_matrix,
     round_indices,
+    round_table,
     spectral_gap,
 )
 from .localization import (

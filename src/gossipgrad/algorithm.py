@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 # matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
-from .gossip import GossipSchedule, circulant_spectrum_power, matrix_at, mixing_product, round_indices  # noqa: F401
+from .gossip import GossipSchedule, circulant_spectrum_power, matrix_at, mixing_product, round_table  # noqa: F401
 from .objective import Problem
 from .trace import RunTrace
 
@@ -126,8 +126,10 @@ def algorithm_iteration(problem: Problem, params: AlgorithmParams, mix, x: np.nd
     return x_next, y_next, v, u
 
 
-def power_mixer(schedule: GossipSchedule, m: int):
+def power_mixer(schedule: GossipSchedule, m: int, iterations: int | None = None):
     """Mixing by W^m of a one-matrix schedule, one application per iteration.
+
+    One power serves every iteration, so ``iterations`` is not read.
 
     A symmetric circulant W (every ring and complete matrix) at m > 1 is
     diagonal in the Fourier basis: its spectrum's m-th power is computed
@@ -145,13 +147,15 @@ def power_mixer(schedule: GossipSchedule, m: int):
     return lambda iteration, x: np.fft.irfft(np.fft.rfft(x, axis=0) * half, n, axis=0)
 
 
-def round_mixer(schedule: GossipSchedule, m: int):
-    """Mixing by m dense rounds per iteration, read from one ``round_indices`` row."""
+def round_mixer(schedule: GossipSchedule, m: int, iterations: int):
+    """Mixing by m dense rounds per iteration, read from the run's ``round_table``, drawn once."""
+    rows = round_table(schedule, iterations, m).tolist()
+    weights = [W.weights for W in schedule.matrices]
 
     def mix(iteration, v):
         # ``dot`` makes the same BLAS call as ``@`` with less per-call overhead.
-        for index in round_indices(schedule, iteration, m).tolist():
-            v = schedule.matrices[index].weights.dot(v)
+        for index in rows[iteration]:
+            v = weights[index].dot(v)
         return v
 
     return mix
@@ -168,14 +172,15 @@ def run(
 ) -> RunTrace:
     """The run loop of both execution paths: checks, then ``iterations`` iterations into one trace.
 
-    ``mixer(schedule, m)`` builds the run's ``mix(iteration, x) -> v`` once,
-    after the agent counts are checked. Gradient evaluations are counted per
+    ``mixer(schedule, m, iterations)`` builds the run's
+    ``mix(iteration, x) -> v`` once, after the trace is allocated and the
+    agent counts are checked. Gradient evaluations are counted per
     agent and asserted to be one per iteration.
     """
     trace = RunTrace.start(x0, y0, iterations, params)
     if problem.n != trace.n or schedule.n != trace.n:
         raise ConfigError(f"agent count mismatch: states {trace.n}, problem {problem.n}, schedule {schedule.n}")
-    mix = mixer(schedule, params.m)
+    mix = mixer(schedule, params.m, iterations)
     calls_before = problem.gradient_calls.copy()
     x, y = trace.x[0], trace.y[0]
     for k in range(iterations):

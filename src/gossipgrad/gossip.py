@@ -4,9 +4,10 @@ A gossip matrix W holds one round of mixing weights: ``W[i, j]`` is the
 weight agent i applies to the message received from agent j, and a zero
 entry means no link from j to i exists in that round. Schedules supply the
 per-round matrix for iteration k and round l, either as a constant matrix,
-a cycling list, or a seeded random choice from a list. ``round_indices``
-gives one iteration's m matrix indices in one call; ``matrix_at`` is the
-one-round view of a constant or random schedule.
+a cycling list, or a seeded random choice from a list. ``round_table``
+gives a whole run's matrix indices in one call, ``round_indices`` one
+iteration's row of it, and ``matrix_at`` is the one-round view of a
+constant or random schedule.
 """
 
 from __future__ import annotations
@@ -156,20 +157,41 @@ class GossipSchedule:
         return self.matrices[0].n
 
 
-def _indices(schedule: GossipSchedule, iteration: int, rounds: range) -> np.ndarray:
-    # Matrix indices of a constant or random schedule at rounds ``rounds`` (each l >= 1) of iteration k >= 0.
-    if schedule.kind == "constant":
-        return np.zeros(len(rounds), dtype=np.intp)
-    # Counter-based draw: a keyed hash of "seed:k:l", so the choice at any
-    # (k, l) is independent of query order. The "seed:k:" prefix is hashed
-    # once per call and each round's hash continues a copy of it.
-    prefix = hashlib.blake2b(f"{schedule.seed}:{iteration}:".encode(), digest_size=8)
-    indices = np.empty(len(rounds), dtype=np.intp)
-    for p, l in enumerate(rounds):
-        draw = prefix.copy()
-        draw.update(str(l).encode())
-        indices[p] = int.from_bytes(draw.digest(), "big") % len(schedule.matrices)
-    return indices
+def _digests(schedule: GossipSchedule, iterations, labels):
+    # For each iteration k >= 0, the joined 8-byte blake2b digests of "seed:k:l" for each round label
+    # str(l).encode(), l >= 1. Counter-based, so the draw at any (k, l) is independent of query order.
+    # The "seed:k:" prefix is hashed once per iteration and each round's hash continues a copy of it.
+    seed = hashlib.blake2b(f"{schedule.seed}:".encode(), digest_size=8)
+    for k in iterations:
+        prefix = seed.copy()
+        prefix.update(b"%d:" % k)
+        copy = prefix.copy
+        digests = []
+        append = digests.append
+        for label in labels:
+            draw = copy()
+            draw.update(label)
+            append(draw.digest())
+        yield b"".join(digests)
+
+
+def _table(schedule: GossipSchedule, iterations: range, rounds: int) -> np.ndarray:
+    # Matrix indices of rounds 1..rounds of each iteration in ``iterations``, one row per iteration.
+    # The table is allocated before any hashing, so a size numpy cannot allocate fails at once.
+    table = np.zeros((len(iterations), rounds), dtype=np.int64)
+    count = len(schedule.matrices)
+    if schedule.kind == "cyclic":
+        start, stop = iterations.start * rounds, iterations.stop * rounds
+        np.remainder(np.arange(start, stop, dtype=np.int64).reshape(table.shape), count, out=table)
+    elif schedule.kind == "random":
+        # Each row's digests go straight into the table's bytes; one numpy step reads them
+        # as big-endian integers and takes them mod K.
+        raw, width = memoryview(table.view(np.uint8).ravel()), 8 * rounds
+        labels = [str(l).encode() for l in range(1, rounds + 1)]
+        for p, digests in enumerate(_digests(schedule, iterations, labels)):
+            raw[p * width : (p + 1) * width] = digests
+        np.remainder(table.view(">u8"), count, out=table, casting="unsafe")
+    return table
 
 
 def round_indices(schedule: GossipSchedule, iteration: int, rounds: int) -> np.ndarray:
@@ -182,9 +204,20 @@ def round_indices(schedule: GossipSchedule, iteration: int, rounds: int) -> np.n
         raise ValueError(f"iteration index must be >= 0, got {iteration}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if schedule.kind == "cyclic":
-        return np.arange(iteration * rounds, (iteration + 1) * rounds, dtype=np.intp) % len(schedule.matrices)
-    return _indices(schedule, iteration, range(1, rounds + 1))
+    return _table(schedule, range(iteration, iteration + 1), rounds)[0]
+
+
+def round_table(schedule: GossipSchedule, iterations: int, rounds: int) -> np.ndarray:
+    """The ``(iterations, rounds)`` matrix indices of a whole run: row k is ``round_indices(schedule, k, rounds)``.
+
+    Drawn once per run, so the mixers and the locality audit index rows of
+    one table instead of drawing each iteration anew.
+    """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    return _table(schedule, range(iterations), rounds)
 
 
 def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> GossipMatrix:
@@ -195,7 +228,10 @@ def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> Gos
         raise ValueError(f"round index must be >= 1, got {round_index}")
     if schedule.kind == "cyclic":
         raise ValueError("a cyclic schedule's round depends on the run's m; read it from round_indices")
-    return schedule.matrices[_indices(schedule, iteration, range(round_index, round_index + 1))[0]]
+    if schedule.kind == "constant":
+        return schedule.matrices[0]
+    (digest,) = _digests(schedule, [iteration], [str(round_index).encode()])
+    return schedule.matrices[int.from_bytes(digest, "big") % len(schedule.matrices)]
 
 
 def circulant_spectrum_power(W: np.ndarray, rounds: int) -> np.ndarray | None:
@@ -213,11 +249,19 @@ def circulant_spectrum_power(W: np.ndarray, rounds: int) -> np.ndarray | None:
     n = row.size
     lags = np.flatnonzero(row)
     weights = row[lags]
-    # Half-angles pi * l * k / n, with l * k reduced mod n so every angle stays below pi.
-    half = np.pi / n * (np.outer(lags, np.arange(n)) % n)
+    one_minus = np.zeros(n)
+    one_plus = np.zeros(n)
+    # About 64k half-angles at a time, so a dense circulant makes no (lags x n) table; a ring's 3 lags are one block.
+    step = max(1, 2**16 // n)
+    for start in range(0, lags.size, step):
+        block = slice(start, start + step)
+        # Half-angles pi * l * k / n, with l * k reduced mod n so every angle stays below pi.
+        half = np.pi / n * (np.outer(lags[block], np.arange(n)) % n)
+        one_minus += 2.0 * weights[block] @ np.sin(half) ** 2
+        one_plus += 2.0 * weights[block] @ np.cos(half) ** 2
     slack = 1.0 - weights.sum()
-    one_minus = 2.0 * weights @ np.sin(half) ** 2 + slack  # 1 - lambda_k
-    one_plus = 2.0 * weights @ np.cos(half) ** 2 + slack  # 1 + lambda_k
+    one_minus += slack  # 1 - lambda_k
+    one_plus += slack  # 1 + lambda_k
     negative = one_plus < one_minus
     distance = np.minimum(np.where(negative, one_plus, one_minus), 1.0)
     with np.errstate(divide="ignore"):  # lambda_k = 0 gives log(0) = -inf and a zero power

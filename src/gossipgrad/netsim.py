@@ -9,8 +9,8 @@ the current mixing matrix, and the payloads addressed to it. A round has two
 phases: deliver every message, copied from the senders' pre-round values,
 then let every agent fold what it received, in ascending sender order with
 its own value at its own index. A round plan, built once per run for each
-distinct schedule matrix and found by the matrix index in the iteration's
-``round_indices`` row, fixes the messages and every agent's fold. A round is
+distinct schedule matrix used and found by the round's entry in the run's
+edge-set ids, fixes the messages and every agent's fold. A round is
 three numpy calls, with no Python loop over its fold steps: take the
 senders' pre-round rows straight into the plan's inbox, multiply by the
 weights, reduce over the inbox slots. It costs ``O(n * width * d)`` with
@@ -21,11 +21,12 @@ point, and equals agent i's own ``agent(i)`` view bit for bit.
 Every round that uses one matrix delivers that matrix's edge set, so the
 delivery ledger is kept compact: one int32 edge-set id per round, an
 ``(iterations, m)`` array of ``4 * iterations * m`` bytes, plus the distinct
-``(|E|, 2)`` edge sets, one per round plan. That compact ledger is the one
-the locality audit reads; ``RunTrace.deliveries`` is a read-only expansion of
-it into ``(messages, 4)`` rows. The audit judges each distinct (matrix, edge
-set) pair once, so it costs one ``round_indices`` row per iteration,
-however many messages a round carries. The runner has no tampering hook:
+``(|E|, 2)`` edge sets, one per round plan. Both the ids and the audit's
+expected links come from one ``round_table`` of the run, drawn once. That
+compact ledger is the one the locality audit reads; ``RunTrace.deliveries``
+is a read-only expansion of it into ``(messages, 4)`` rows. The audit judges
+each distinct (matrix, edge set) pair once, however many rounds and
+messages carry it. The runner has no tampering hook:
 tests that check the audit edit the ledger, not the runner.
 
 This path exists to prove the algorithm is decentralized and to serve as an
@@ -42,7 +43,7 @@ import numpy as np
 from .algorithm import run
 from .errors import ConfigError
 # matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
-from .gossip import GossipSchedule, matrix_at, round_indices  # noqa: F401
+from .gossip import GossipSchedule, matrix_at, round_table  # noqa: F401
 from .objective import Problem
 from .trace import RunTrace
 
@@ -88,6 +89,12 @@ def round_plan(W: np.ndarray, d: int) -> RoundPlan:
     return RoundPlan(edges, sources, weights, np.empty((width, n, d)))
 
 
+def _first_listing(schedule: GossipSchedule, iterations: int, m: int) -> np.ndarray:
+    """The run's ``round_table``, with a matrix listed twice in the schedule named by its first listing."""
+    first = np.array([schedule.matrices.index(W) for W in schedule.matrices], dtype=np.intp)
+    return first[round_table(schedule, iterations, m)]
+
+
 def run_netsim(
     problem: Problem,
     schedule: GossipSchedule,
@@ -97,16 +104,26 @@ def run_netsim(
     y0: np.ndarray | None = None,
 ) -> RunTrace:
     """Message-passing execution; trace schema identical to the vectorized path, plus the compact ledger."""
-    plans: dict = {}  # GossipMatrix -> (edge-set id, RoundPlan), for this run only
-    edge_set_ids = np.empty((iterations, params.m), dtype=np.int32)
+    edge_set_ids = rows = plans = used = None  # the run's ledger, its rows and the plans, set by ``mixer``
+
+    def mixer(schedule, m, iterations):
+        nonlocal edge_set_ids, rows, plans, used
+        table = _first_listing(schedule, iterations, m)
+        # Edge-set ids in order of first use: id e plans matrix ``used[e]``.
+        listed, first_use = np.unique(table, return_index=True)
+        used = listed[np.argsort(first_use)]
+        plan_id = np.zeros(len(schedule.matrices), dtype=np.int32)
+        plan_id[used] = np.arange(len(used), dtype=np.int32)
+        edge_set_ids = plan_id[table]
+        rows = edge_set_ids.tolist()
+        plans = [None] * len(used)  # built on first use, so the mixer forms no plan up front
+        return mix
 
     def mix(k, v):
-        for l, index in enumerate(round_indices(schedule, k, params.m).tolist()):
-            matrix = schedule.matrices[index]
-            entry = plans.get(matrix)
-            if entry is None:
-                entry = plans[matrix] = (len(plans), round_plan(matrix.weights, v.shape[1]))
-            edge_set_ids[k, l], plan = entry
+        for e in rows[k]:
+            plan = plans[e]
+            if plan is None:
+                plan = plans[e] = round_plan(schedule.matrices[used[e]].weights, v.shape[1])
             # Delivery: every payload is a copy of the sender's pre-round
             # value (synchronous barrier), so agent order cannot matter.
             # Every index is in range by construction: "clip" writes straight
@@ -121,10 +138,9 @@ def run_netsim(
             v = np.add.reduce(plan.inbox, axis=0)
         return v
 
-    # Plans are built on first use, so the mixer forms nothing up front.
-    trace = run(problem, schedule, params, x0, iterations, y0, lambda schedule, m: mix)
+    trace = run(problem, schedule, params, x0, iterations, y0, mixer)
     trace.edge_set_ids = edge_set_ids
-    trace.edge_sets = tuple(plan.edges for _, plan in plans.values())
+    trace.edge_sets = tuple(plan.edges for plan in plans)
     return trace
 
 
@@ -179,13 +195,14 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     Reads the compact ledger the run stored, ``trace.edge_set_ids`` and
     ``trace.edge_sets``, and recounts it against the schedule: each round
     must carry exactly one message per nonzero off-diagonal weight. The
-    expected links are derived from the schedule's ``round_indices`` alone,
+    expected links are derived from the schedule's own ``round_table``,
     never from the runner's edges. Each distinct (matrix, edge set) pair is
-    judged once, so a round costs one lookup and an iteration one
-    ``round_indices`` row. Violations list the offending deliveries in ledger
-    order, then the missing deliveries in round order. Raises ``ConfigError``
-    on a trace without a ledger, whose edge-set ids are not one valid id per
-    round, or whose edge sets are not integer (sender, receiver) rows.
+    judged once and its links counted once per round that carries it; only
+    the rounds of a failing pair are expanded. Violations list the offending
+    deliveries in ledger order, then the missing deliveries in round order.
+    Raises ``ConfigError`` on a trace without a ledger, whose edge-set ids
+    are not one valid id per round, or whose edge sets are not integer
+    (sender, receiver) rows.
     """
     m, iterations = trace.params.m, trace.iterations
     ids, edge_sets = trace.edge_set_ids, trace.edge_sets
@@ -198,20 +215,22 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     if not all(edges.ndim == 2 and edges.shape[1] == 2 and edges.dtype.kind in "iu" for edges in edge_sets):
         raise ConfigError("every edge set must be an integer (|E|, 2) array of (sender, receiver) rows")
 
-    verdicts: dict = {}  # (GossipMatrix, edge-set id) -> _judge's verdict, for this audit only
+    # One key per round, in round order: its matrix, by first listing, and the edge set it delivered.
+    sets = len(edge_sets)
+    keys = (_first_listing(schedule, iterations, m) * sets + ids).ravel()
+    pairs, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    verdicts = [_judge(schedule.matrices[key // sets].weights, edge_sets[key % sets]) for key in pairs.tolist()]
+    expected = sum(links * count for (links, _, _), count in zip(verdicts, counts.tolist()))
+    # Only the rounds of a failing pair are expanded, in round order.
+    failing = np.array([bool(bad_rows or absent) for _, bad_rows, absent in verdicts], dtype=bool)
+    rounds = np.flatnonzero(failing[inverse])
     flagged = []
     missing = []
-    expected = 0
-    for k, row_ids in enumerate(ids.tolist()):
-        for l, (index, e) in enumerate(zip(round_indices(schedule, k, m).tolist(), row_ids), start=1):
-            matrix = schedule.matrices[index]
-            verdict = verdicts.get((matrix, e))
-            if verdict is None:
-                verdict = verdicts[matrix, e] = _judge(matrix.weights, edge_sets[e])
-            links, bad_rows, absent = verdict
-            expected += links
-            flagged += [((k, l, s, t), reason) for s, t, reason in bad_rows]
-            missing += [((k, l, s, t), "expected delivery missing") for s, t in absent]
+    for r, pair in zip(rounds.tolist(), inverse[rounds].tolist()):
+        k, l = divmod(r, m)
+        _, bad_rows, absent = verdicts[pair]
+        flagged += [((k, l + 1, s, t), reason) for s, t, reason in bad_rows]
+        missing += [((k, l + 1, s, t), "expected delivery missing") for s, t in absent]
     sizes = np.array([len(edges) for edges in edge_sets], dtype=np.int64)
     violations = flagged + missing
     return AuditReport(

@@ -7,6 +7,7 @@ import pytest
 import gossipgrad as gg
 from conftest import ring_power_closed_form
 from gossipgrad.algorithm import power_mixer
+from gossipgrad.gossip import circulant_spectrum_power
 from gossipgrad.errors import ConfigError
 
 
@@ -280,6 +281,35 @@ class TestLargeM:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_complete_2000_spectrum_in_bounded_memory(self):
+        # Its 2,000 lags would make a 2,000 x 2,000 half-angle table (32 MB, and 64 MB with its sin^2 copy).
+        matrix = gg.complete_matrix(2000)
+        x = np.random.default_rng(5).standard_normal((matrix.n, 2))
+        tracemalloc.start()
+        try:
+            mixed = power_mixer(gg.GossipSchedule.constant(matrix), 3)(0, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.abs(mixed - x.mean(axis=0)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4, 41, 400, 2000])
+    @pytest.mark.parametrize("rounds", [2, 3, 1027, 16434])
+    def test_ring_spectrum_equals_one_table_sums(self, n, rounds):
+        # A ring's three lags are one block, so its spectrum is the one-table formula's, bit for bit.
+        row = gg.ring_matrix(n).weights[0]
+        lags = np.flatnonzero(row)
+        half = np.pi / n * (np.outer(lags, np.arange(n)) % n)
+        slack = 1.0 - row[lags].sum()
+        one_minus = 2.0 * row[lags] @ np.sin(half) ** 2 + slack
+        one_plus = 2.0 * row[lags] @ np.cos(half) ** 2 + slack
+        negative = one_plus < one_minus
+        with np.errstate(divide="ignore"):
+            want = np.exp(rounds * np.log1p(-np.minimum(np.where(negative, one_plus, one_minus), 1.0)))
+        want[negative] *= -1.0 if rounds % 2 else 1.0
+        assert np.array_equal(circulant_spectrum_power(gg.ring_matrix(n).weights, rounds), want)
 
 
 def per_step_gd(problem, alpha: float, x0, iterations: int) -> np.ndarray:

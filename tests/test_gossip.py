@@ -1,10 +1,12 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gossipgrad as gg
 from conftest import ring_power_closed_form
+from gossipgrad.config import build_schedule, load_run_config
 from gossipgrad.errors import ConfigError
 from gossipgrad.gossip import is_circulant
 
@@ -219,6 +221,23 @@ class TestSchedule:
         backward = {(k, l): gg.matrix_at(schedule, k, l) for k in reversed(range(10)) for l in reversed(range(1, 4))}
         assert forward == backward
 
+    def test_shipped_quadratic_draws_are_pinned(self):
+        # Literal draws of the shipped config: a change here changes every shipped CSV.
+        schedule = build_schedule(load_run_config(Path(__file__).resolve().parent.parent / "configs" / "quadratic.ini"))
+        assert (schedule.kind, schedule.seed, len(schedule.matrices)) == ("random", 42, 2)
+        rows = [[0, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0], [1, 1, 0, 1, 0, 0]]
+        assert gg.round_table(schedule, 3, 6).tolist() == rows
+        for k, row in enumerate(rows):
+            assert gg.round_indices(schedule, k, 6).tolist() == row
+            assert [schedule.matrices.index(gg.matrix_at(schedule, k, l)) for l in range(1, 7)] == row
+
+    @pytest.mark.parametrize("kind", ["constant", "cyclic", "random"])
+    def test_unallocatable_table_fails_before_drawing(self, pair, kind):
+        # 10**13 iterations of 6 rounds: 480 TB of indices, refused at once rather than hashed round by round.
+        schedule = gg.GossipSchedule(kind, pair[:1] if kind == "constant" else pair, seed=1)
+        with pytest.raises(MemoryError):
+            gg.round_table(schedule, 10**13, 6)
+
     def test_different_seeds_differ(self, pair):
         a = gg.GossipSchedule.random_choice(list(pair), seed=1)
         b = gg.GossipSchedule.random_choice(list(pair), seed=2)
@@ -249,6 +268,10 @@ class TestSchedule:
             gg.round_indices(schedule, -1, 1)
         with pytest.raises(ValueError):
             gg.round_indices(schedule, 0, 0)
+        with pytest.raises(ValueError):
+            gg.round_table(schedule, -1, 1)
+        with pytest.raises(ValueError):
+            gg.round_table(schedule, 1, 0)
 
 
 def written_out_product(schedule, iteration, rounds):

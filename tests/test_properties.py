@@ -1,8 +1,9 @@
 """Property tests: spectral and product gaps against LAPACK and the round-count
 formula, the spectral mixer against a long-double reference, schedule index
-rows against a written-out draw and ``matrix_at``, message passing against the
-vectorized path, batched against per-agent gradients, and the stacked
-certificate against its per-iteration formula."""
+rows against a written-out draw and ``matrix_at`` and the run's table against
+its rows, message passing against the vectorized path, the locality audit
+against a per-round audit, batched against per-agent gradients, and the
+stacked certificate against its per-iteration formula."""
 
 import hashlib
 from dataclasses import replace
@@ -166,6 +167,23 @@ class TestRoundIndexProperties:
                     assert schedule.matrices[row[l - 1]] is gg.matrix_at(schedule, k, l)
 
 
+    @common
+    @given(
+        kind=st.sampled_from(["constant", "cyclic", "random"]),
+        count=st.integers(1, 4),
+        rounds=st.integers(1, 50),
+        iterations=st.integers(0, 20),
+        seed=seeds,
+    )
+    def test_table_stacks_the_rows(self, kind, count, rounds, iterations, seed):
+        matrices = [gg.complete_matrix(2) for _ in range(1 if kind == "constant" else count)]
+        schedule = gg.GossipSchedule(kind, matrices, seed=seed)
+        table = gg.round_table(schedule, iterations, rounds)
+        assert table.shape == (iterations, rounds) and table.dtype == np.intp
+        rows = [gg.round_indices(schedule, k, rounds).tolist() for k in range(iterations)]
+        assert table.tolist() == rows
+
+
 def reference_index(schedule, k, l, m):
     """The matrix index of round l of iteration k in a run of m rounds per iteration, written out per schedule kind."""
     if schedule.kind == "constant":
@@ -259,6 +277,89 @@ class TestNetsimProperties:
         assert not report.passed
         assert report.violations == (((it, l, *pair.tolist()), reason),)
         assert report.message_count - report.expected_count == len(tampered) - len(edges)
+
+
+def per_round_audit(trace, schedule):
+    """The locality audit written out round by round: (passed, violations, message count, expected count)."""
+    n, m = schedule.n, trace.params.m
+    flagged, missing, messages, expected = [], [], 0, 0
+    for k in range(trace.iterations):
+        for l, index in enumerate(gg.round_indices(schedule, k, m).tolist(), start=1):
+            W = schedule.matrices[index].weights
+            edges = trace.edge_sets[trace.edge_set_ids[k, l - 1]].tolist()
+            messages += len(edges)
+            seen = set()
+            for s, r in edges:
+                if not (0 <= s < n and 0 <= r < n):
+                    reason = "delivery outside the run"
+                elif s == r:
+                    reason = "self-delivery"
+                elif W[r, s] == 0.0:
+                    reason = "delivery across a zero-weight link"
+                elif (s, r) in seen:
+                    reason = "duplicate delivery"
+                else:
+                    reason = None
+                if 0 <= s < n and 0 <= r < n:
+                    seen.add((s, r))
+                if reason:
+                    flagged.append(((k, l, s, r), reason))
+            for r in range(n):
+                for s in range(n):
+                    if s != r and W[r, s] != 0.0:
+                        expected += 1
+                        if (s, r) not in seen:
+                            missing.append(((k, l, s, r), "expected delivery missing"))
+    violations = tuple(flagged + missing)
+    return not violations, violations, messages, expected
+
+
+class TestAuditProperties:
+    """The locality audit, judged once per distinct (matrix, edge set) pair, against ``per_round_audit``."""
+
+    @common
+    @given(
+        n=st.integers(2, 8),
+        count=st.integers(1, 3),
+        listed_twice=st.booleans(),
+        kind=st.sampled_from(["cyclic", "random"]),
+        m=st.integers(1, 5),
+        iterations=st.integers(1, 4),
+        tamper=st.sampled_from(["none", "delete", "self", "duplicate", "outside"]),
+        seed=seeds,
+    )
+    def test_matches_per_round_audit(self, n, count, listed_twice, kind, m, iterations, tamper, seed):
+        rng = np.random.default_rng(seed)
+        matrices = [gg.GossipMatrix(birkhoff_mixture(n, int(rng.integers(1, 4)), rng)) for _ in range(count)]
+        if listed_twice:
+            matrices.append(matrices[0])
+        schedule = gg.GossipSchedule(kind, matrices, seed=seed)
+        problem = gg.random_quadratic_problem(n, 2, 1.0, 3.0, seed)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 1e-3, m_override=m)
+        net = gg.run_netsim(problem, schedule, params, rng.standard_normal((n, 2)), iterations)
+        assert len(net.edge_sets) <= count  # a matrix listed twice has one plan and one edge set
+
+        # The tampered copy of one edge set replaces the delivered set in about half of the rounds.
+        edges = net.edge_sets[rng.integers(len(net.edge_sets))]
+        if tamper == "delete":
+            assume(len(edges) > 0)
+            edges = np.delete(edges, rng.integers(len(edges)), axis=0)
+        elif tamper == "self":
+            edges = np.vstack([edges, np.full((1, 2), rng.integers(n), dtype=np.int32)])
+        elif tamper == "duplicate":
+            assume(len(edges) > 0)
+            edges = np.vstack([edges, edges[rng.integers(len(edges))][None]])
+        elif tamper == "outside":
+            edges = np.vstack([edges, np.array([[rng.choice([-1, n]), rng.integers(n)]], dtype=np.int32)])
+        ids = net.edge_set_ids.copy()
+        ids[rng.random(ids.shape) < 0.5] = len(net.edge_sets)
+        tampered = replace(net, edge_set_ids=ids, edge_sets=net.edge_sets + (edges,))
+
+        for trace in (net, tampered):
+            report = gg.locality_audit(trace, schedule)
+            got = (report.passed, report.violations, report.message_count, report.expected_count)
+            assert got == per_round_audit(trace, schedule)
+        assert gg.locality_audit(net, schedule).passed
 
 
 def assert_rows_match_views(family, X):
