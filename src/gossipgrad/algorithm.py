@@ -138,7 +138,7 @@ def power_mixer(schedule: GossipSchedule, m: int, iterations: int | None = None)
     mixes by one product with ``mixing_product(W, m)``, formed once.
     """
     W = schedule.matrices[0]
-    spectrum = circulant_spectrum_power(W.weights, m) if m > 1 else None
+    spectrum = circulant_spectrum_power(W, m) if m > 1 else None
     if spectrum is None:
         power = mixing_product(W, m)
         return lambda iteration, x: power @ x

@@ -91,10 +91,13 @@ def cmd_run(args) -> int:
         print("numerical failure: the run produced non-finite errors or energies", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    # One block of n rows per iteration: the iteration's head and tail are formatted once and joined
+    # between the rows' "agent,%.17g" cells, so each row adds only its agent id and its error.
+    cells = [f"{i},%.17g" for i in range(errors.shape[1])]
     lines = ["iter,step,agent,error,lyapunov"]
     for k, (row, energy) in enumerate(zip(errors.tolist(), energies)):
-        head, tail = f"{k},{k * params.m},", f",{_fmt(energy)}"  # shared by the iteration's n rows
-        lines.extend(f"{head}{i},{_fmt(error)}{tail}" for i, error in enumerate(row))
+        head, tail = f"{k},{k * params.m},", f",{_fmt(energy)}"
+        lines.append(head + (tail + "\n" + head).join(cells) % tuple(row) + tail)
     lines.extend(f"{k},{k},centralized,{_fmt(error)}," for k, error in enumerate(central_err.tolist()))
     _write_lines(args.output or config.output, lines)
     return EXIT_OK
@@ -159,16 +162,15 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all_passed else EXIT_VALIDATION
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gossipgrad", description=__doc__.strip().splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_run(sub):
     p_run = sub.add_parser("run", help="run a configured experiment and write the CSV trace")
     p_run.add_argument("config")
     p_run.add_argument("--output", default=None, help="CSV path (default from config, '-' for stdout)")
     p_run.add_argument("--mode", choices=("vectorized", "netsim"), default=None)
     p_run.set_defaults(handler=cmd_run)
 
+
+def _add_grid(sub):
     p_grid = sub.add_parser("grid", aliases=["rates"], help="m over a (rho, sigma) grid; rates adds rho**(1/m)")
     p_grid.add_argument("--rho-min", type=float, default=0.05)
     p_grid.add_argument("--rho-max", type=float, default=0.95)
@@ -178,15 +180,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--output", default="-")
     p_grid.set_defaults(handler=cmd_grid)
 
+
+def _add_validate(sub):
     p_val = sub.add_parser("validate", help="check the assumptions behind a config")
     p_val.add_argument("config")
     p_val.set_defaults(handler=cmd_validate)
+
+
+# Each subcommand name and alias, with the function that adds its subparser; in help order.
+SUBCOMMANDS = {"run": _add_run, "grid": _add_grid, "rates": _add_grid, "validate": _add_validate}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; for a subcommand name or alias ``command``, with that subcommand's parser alone.
+
+    A subparser's prog, usage, help and errors do not depend on its
+    siblings, and the one-subcommand parser prints every subcommand in its
+    own usage line (shown for unrecognized arguments), so a command line
+    whose first word is ``command`` gets the same text and exit code from
+    either parser. Any other first word (an option, an unknown command,
+    none) takes every subparser, whose names its errors list.
+    """
+    parser = argparse.ArgumentParser(prog="gossipgrad", description=__doc__.strip().splitlines()[0])
+    one = command in SUBCOMMANDS
+    # The metavar argparse prints for all the choices. The full parser keeps the default, None, since its
+    # errors for a missing or unknown command would name the metavar in place of "command".
+    metavar = "{" + ",".join(SUBCOMMANDS) + "}" if one else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for add in [SUBCOMMANDS[command]] if one else dict.fromkeys(SUBCOMMANDS.values()):
+        add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigError, MemoryError) as exc:  # numpy refuses a configured size before it touches memory

@@ -13,6 +13,7 @@ constant or random schedule.
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,9 @@ class GossipMatrix:
     """One round of mixing weights over n agents.
 
     The matrix is stored dense and made read-only; negative weights are
-    allowed (a schedule constrains only the row and column sums).
+    allowed (a schedule constrains only the row and column sums). Whether
+    it is circulant is checked on first use and kept, so the gap and the
+    power of one matrix scan its n x n weights once between them.
     """
 
     def __init__(self, weights):
@@ -41,6 +44,11 @@ class GossipMatrix:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    @cached_property
+    def circulant(self) -> bool:
+        """``is_circulant`` of the weights, which are read-only, so one scan serves every later read."""
+        return is_circulant(self.weights)
 
     def __repr__(self):
         return f"GossipMatrix(n={self.n})"
@@ -77,7 +85,8 @@ def is_circulant(W: np.ndarray) -> bool:
 def spectral_gap(matrix) -> float:
     """Induced 2-norm of W - (1/n) * ones, the per-round disagreement contraction.
 
-    Accepts a GossipMatrix or a raw square array. Zero means one round
+    Accepts a GossipMatrix, whose circulant record it reads, or a raw
+    square array, which it scans. Zero means one round
     reaches exact consensus; values below 1 mean disagreement shrinks. A
     circulant W (every ring) is normal, so its gap is the largest modulus in
     the discrete Fourier transform of the deviation's row 0, in O(n log n).
@@ -86,11 +95,15 @@ def spectral_gap(matrix) -> float:
     is reported as exactly 1: a disconnected or periodic mixture never
     mixes, and no round count can be derived from its roundoff.
     """
-    W = matrix.weights if isinstance(matrix, GossipMatrix) else np.asarray(matrix, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ConfigError(f"spectral gap needs a square matrix, got shape {W.shape}")
+    if isinstance(matrix, GossipMatrix):
+        W, circulant = matrix.weights, matrix.circulant
+    else:
+        W = np.asarray(matrix, dtype=float)
+        if W.ndim != 2 or W.shape[0] != W.shape[1]:
+            raise ConfigError(f"spectral gap needs a square matrix, got shape {W.shape}")
+        circulant = is_circulant(W)
     n = W.shape[0]
-    if is_circulant(W):
+    if circulant:
         gap = float(np.abs(np.fft.fft(W[0] - 1.0 / n)).max())
     else:
         deviation = W - 1.0 / n
@@ -234,17 +247,23 @@ def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> Gos
     return schedule.matrices[int.from_bytes(digest, "big") % len(schedule.matrices)]
 
 
-def circulant_spectrum_power(W: np.ndarray, rounds: int) -> np.ndarray | None:
+def circulant_spectrum_power(matrix, rounds: int) -> np.ndarray | None:
     """lambda_k^rounds, k = 0..n-1, of a symmetric circulant W; None for any other W.
 
-    lambda_k, the DFT of row 0, is real for a symmetric circulant. Each
-    power is exp(rounds * log1p(-d)) with d the smaller of 1 - lambda_k and
-    1 + lambda_k, each summed directly from sin^2 and cos^2 terms of the
-    row: an eigenvalue rounded by one ulp near 1 would err rounds-fold in
-    its power, while d keeps its relative precision.
+    ``matrix`` is a GossipMatrix, whose circulant record is read, or a raw
+    square array, which is scanned. lambda_k, the DFT of row 0, is real for
+    a symmetric circulant. Each power is exp(rounds * log1p(-d)) with d the
+    smaller of 1 - lambda_k and 1 + lambda_k, each summed directly from
+    sin^2 and cos^2 terms of the row: an eigenvalue rounded by one ulp near
+    1 would err rounds-fold in its power, while d keeps its relative
+    precision.
     """
+    if isinstance(matrix, GossipMatrix):
+        W, circulant = matrix.weights, matrix.circulant
+    else:
+        W, circulant = matrix, is_circulant(matrix)
     row = W[0]
-    if not (is_circulant(W) and np.array_equal(row, np.roll(row[::-1], 1))):
+    if not (circulant and np.array_equal(row, np.roll(row[::-1], 1))):
         return None
     n = row.size
     lags = np.flatnonzero(row)
@@ -292,7 +311,7 @@ def mixing_product(matrix: GossipMatrix, rounds: int) -> np.ndarray:
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     W = matrix.weights
-    spectrum = circulant_spectrum_power(W, rounds) if rounds > 1 else None
+    spectrum = circulant_spectrum_power(matrix, rounds) if rounds > 1 else None
     if spectrum is not None:
         first = np.fft.ifft(spectrum).real
         first = 0.5 * (first + np.roll(first[::-1], 1))  # first[j] and first[-j] are one sum, so exactly equal

@@ -2,7 +2,7 @@
 
 Both execution paths (vectorized and message-passing) fill the same trace:
 agent states x and y after every iteration, the post-communication points v
-and post-gradient points u inside every iteration, and the resource counters.
+and post-gradient points u inside every iteration, and the gradient-evaluation count.
 The message-passing path also keeps its delivery ledger, compactly: one
 edge-set id per round and the distinct edge sets. ``deliveries`` is a
 read-only expansion of that ledger, one row per message.
@@ -94,11 +94,6 @@ class RunTrace:
     @property
     def dimension(self) -> int:
         return self.x.shape[2]
-
-    @property
-    def row_communications(self) -> int:
-        """Mixing-row reads of the run: each agent reads its row once per round."""
-        return self.n * self.params.m * self.iterations
 
     def errors(self, xstar) -> np.ndarray:
         """Per-agent distance to ``xstar``: shape (iterations + 1, n)."""

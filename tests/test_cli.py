@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gossipgrad as gg
-from gossipgrad.cli import assemble, main
+from gossipgrad import cli
+from gossipgrad.cli import assemble, build_parser, main
 from gossipgrad.config import load_run_config, parse_entry, parse_rows
 
 
@@ -41,6 +42,46 @@ UNREAD_IDS = [
     "schedule-n-under-pair", "schedule-seed-under-cyclic", "problem-mu-under-localization",
     "problem-d-under-localization", "localization-section-in-quadratic", "positions-beside-n-and-seed",
 ]
+# Command lines that argparse answers by itself: help, usage and argument errors, each with its exit code.
+PARSER_ONLY = [
+    ["--help"],
+    ["run", "--help"],
+    ["grid", "--help"],
+    ["rates", "--help"],
+    ["validate", "--help"],
+    [],
+    ["nosuch"],
+    ["run"],
+    ["run", "X", "--mode", "bad"],
+    ["grid", "--resolution", "x"],
+    ["run", "X", "--bogus"],
+    ["rates", "--bogus"],
+]
+# A constant 120-agent ring: agent ids run to three digits and m = 1,479 rounds per iteration.
+RING_120 = """
+[problem]
+kind = quadratic
+n = 120
+d = 3
+mu = 1.0
+L = 3.0
+seed = 7
+
+[schedule]
+kind = constant
+source = ring
+n = 120
+
+[algorithm]
+alpha = auto
+rho = auto
+sigma = auto
+
+[run]
+iterations = 3
+seed = 1
+x0 = random
+"""
 
 
 def read_csv(path):
@@ -108,6 +149,32 @@ class TestParsing:
         assert loc.m_override == 6
         quad = load_run_config(quadratic_config_path)
         assert quad.problem_kind == "quadratic"
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ONLY, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_main_answers_as_the_full_parser(self, capsys, argv):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exited:
+                parse(list(argv))
+            return exited.value.code, *capsys.readouterr()
+
+        assert outcome(main) == outcome(build_parser().parse_args)
+
+    @pytest.mark.parametrize("command", ["run", "grid", "rates", "validate"])
+    def test_main_builds_only_the_named_subparser(self, monkeypatch, capsys, command):
+        def unnamed(sub):
+            raise AssertionError("built the parser of a subcommand the command line does not name")
+
+        named = cli.SUBCOMMANDS[command]
+        for name, add in list(cli.SUBCOMMANDS.items()):
+            if add is not named:
+                monkeypatch.setitem(cli.SUBCOMMANDS, name, unnamed)
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        # An alias is shown under the name it aliases.
+        assert capsys.readouterr().out.startswith(f"usage: gossipgrad {command.replace('rates', 'grid')} [-h]")
 
 
 class TestRunCommand:
@@ -420,6 +487,22 @@ class TestRunCommand:
         assert main([command, str(path), *args]) == 0
         assert len(calls) == 2  # the five-agent pair
 
+    @pytest.mark.parametrize("sigma", ["auto", "0.9995"])
+    def test_one_circulant_scan_per_ring_run(self, tmp_path, monkeypatch, sigma):
+        # The gap (from sigma = auto or from the check against an explicit sigma) and the
+        # spectral mixer both read the ring's one recorded scan.
+        calls, scan = [], gg.gossip.is_circulant
+
+        def counted(W):
+            calls.append(W)
+            return scan(W)
+
+        monkeypatch.setattr("gossipgrad.gossip.is_circulant", counted)
+        path = tmp_path / "ring.ini"
+        path.write_text(RING_120.replace("sigma = auto", f"sigma = {sigma}"))
+        assert main(["run", str(path), "--mode", "vectorized", "--output", str(tmp_path / "x.csv")]) == 0
+        assert len(calls) == 1
+
     def test_validate_fails_where_run_cannot_cancel_gradients(self, tmp_path, capsys, quadratic_config_path):
         # mu = 1e-8 passes the optimizer's own gradient-sum check but not the
         # fixed point's cancellation check that run applies.
@@ -512,11 +595,14 @@ x0 = 0.5, 1.7
 
 class TestCsvRendering:
     @pytest.mark.parametrize("mode", ["vectorized", "netsim"])
-    @pytest.mark.parametrize("name", ["quadratic", "localization"])
+    @pytest.mark.parametrize("name", ["quadratic", "localization", "ring-120"])
     def test_csv_equals_per_row_reference(self, tmp_path, name, mode):
         # The CSV is rendered row by row from the same trace, and the
         # centralized rows from gradient descent on a broadcast point.
         path = CONFIGS / f"{name}.ini"
+        if name == "ring-120":
+            path = tmp_path / "ring.ini"
+            path.write_text(RING_120)
         out = tmp_path / "run.csv"
         assert main(["run", str(path), "--mode", mode, "--output", str(out)]) == 0
         config, problem, params, schedule, x0 = assemble(path)
