@@ -56,7 +56,6 @@ from .objective import (
     QuadraticObjective,
     StrongSmoothParams,
     check_contraction,
-    finite_difference_gradient,
     params_from_one_point_convexity,
     random_quadratic_problem,
     sample_ball,

@@ -53,7 +53,10 @@ def _write_lines(path: str | None, lines: list[str]):
 
 
 def assemble(path):
-    """(config, problem, params, schedule, x0) from the config at ``path``, as ``run`` and ``validate`` need them."""
+    """(config, problem, params, schedule, x0, gap) from the config at ``path``, as ``run`` and ``validate`` need them.
+
+    gap is the schedule's largest spectral gap, computed once; under ``sigma = auto`` it is params.sigma.
+    """
     config = load_run_config(path)
     try:
         problem = build_problem(config)
@@ -62,17 +65,12 @@ def assemble(path):
     schedule = build_schedule(config)
     if schedule.n != problem.n:
         raise ConfigError(f"the problem has {problem.n} agents but the schedule mixes {schedule.n}")
-    return config, problem, resolve_params(config, problem), schedule, initial_states(config, problem)
-
-
-def true_gap(config, params, schedule) -> float:
-    """The schedule's largest spectral gap; under ``sigma = auto`` it is params.sigma, computed once already."""
-    return params.sigma if config.sigma == "auto" else schedule_gap(schedule.matrices)
+    gap = schedule_gap(schedule.matrices)
+    return config, problem, resolve_params(config, problem, gap), schedule, initial_states(config, problem), gap
 
 
 def cmd_run(args) -> int:
-    config, problem, params, schedule, x0 = assemble(args.config)
-    gap = true_gap(config, params, schedule)
+    config, problem, params, schedule, x0, gap = assemble(args.config)
     if params.sigma < gap:
         # m was derived from sigma, so sigma^m <= sigma0 would not hold for the true gap.
         raise ConfigError(f"sigma = {params.sigma:.6g} is below the schedule's spectral gap {gap:.6g}")
@@ -127,14 +125,13 @@ def cmd_grid(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config, problem, params, schedule, _ = assemble(args.config)
+    config, problem, params, _, _, gap = assemble(args.config)
 
-    actual_gap = true_gap(config, params, schedule)
     checks: list[tuple[str, bool, str]] = [
         (
             "spectral gap within bound",
-            actual_gap <= params.sigma,
-            f"actual {actual_gap:.6f} vs configured {params.sigma:.6f}",
+            gap <= params.sigma,
+            f"actual {gap:.6f} vs configured {params.sigma:.6f}",
         )
     ]
 

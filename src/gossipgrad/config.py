@@ -228,11 +228,9 @@ def schedule_gap(matrices) -> float:
     return max(spectral_gap(W) for W in matrices)
 
 
-def resolve_params(config: RunConfig, problem: Problem) -> AlgorithmParams:
-    """Fill in auto values: sigma from the schedule matrices, alpha/rho from the problem."""
-    sigma = config.sigma
-    if sigma == "auto":
-        sigma = schedule_gap(config.schedule_matrices)
+def resolve_params(config: RunConfig, problem: Problem, gap: float) -> AlgorithmParams:
+    """Fill in auto values: sigma from ``gap``, the schedule's ``schedule_gap``; alpha/rho from the problem."""
+    sigma = gap if config.sigma == "auto" else config.sigma
     # Out-of-range values (a curvature ratio that rounds to 1, an m too small) surface as ValueError.
     try:
         alpha, rho = config.alpha, config.rho

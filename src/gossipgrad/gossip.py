@@ -85,25 +85,19 @@ def is_circulant(W: np.ndarray) -> bool:
 def spectral_gap(matrix) -> float:
     """Induced 2-norm of W - (1/n) * ones, the per-round disagreement contraction.
 
-    Accepts a GossipMatrix, whose circulant record it reads, or a raw
-    square array, which it scans. Zero means one round
-    reaches exact consensus; values below 1 mean disagreement shrinks. A
-    circulant W (every ring) is normal, so its gap is the largest modulus in
-    the discrete Fourier transform of the deviation's row 0, in O(n log n).
-    Any other symmetric W takes the symmetric eigensolver, any other the
-    SVD. Each errs by a small multiple of n * eps, so a gap that close to 1
-    is reported as exactly 1: a disconnected or periodic mixture never
-    mixes, and no round count can be derived from its roundoff.
+    ``matrix`` is a GossipMatrix, or a square array wrapped as one. Zero
+    means one round reaches exact consensus; values below 1 mean
+    disagreement shrinks. A circulant W (every ring) is normal, so its gap
+    is the largest modulus in the discrete Fourier transform of the
+    deviation's row 0, in O(n log n). Any other symmetric W takes the
+    symmetric eigensolver, any other the SVD. Each errs by a small multiple
+    of n * eps, so a gap that close to 1 is reported as exactly 1: a
+    disconnected or periodic mixture never mixes, and no round count can be
+    derived from its roundoff.
     """
-    if isinstance(matrix, GossipMatrix):
-        W, circulant = matrix.weights, matrix.circulant
-    else:
-        W = np.asarray(matrix, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ConfigError(f"spectral gap needs a square matrix, got shape {W.shape}")
-        circulant = is_circulant(W)
-    n = W.shape[0]
-    if circulant:
+    matrix = matrix if isinstance(matrix, GossipMatrix) else GossipMatrix(matrix)
+    W, n = matrix.weights, matrix.n
+    if matrix.circulant:
         gap = float(np.abs(np.fft.fft(W[0] - 1.0 / n)).max())
     else:
         deviation = W - 1.0 / n
@@ -170,24 +164,6 @@ class GossipSchedule:
         return self.matrices[0].n
 
 
-def _digests(schedule: GossipSchedule, iterations, labels):
-    # For each iteration k >= 0, the joined 8-byte blake2b digests of "seed:k:l" for each round label
-    # str(l).encode(), l >= 1. Counter-based, so the draw at any (k, l) is independent of query order.
-    # The "seed:k:" prefix is hashed once per iteration and each round's hash continues a copy of it.
-    seed = hashlib.blake2b(f"{schedule.seed}:".encode(), digest_size=8)
-    for k in iterations:
-        prefix = seed.copy()
-        prefix.update(b"%d:" % k)
-        copy = prefix.copy
-        digests = []
-        append = digests.append
-        for label in labels:
-            draw = copy()
-            draw.update(label)
-            append(draw.digest())
-        yield b"".join(digests)
-
-
 def _table(schedule: GossipSchedule, iterations: range, rounds: int) -> np.ndarray:
     # Matrix indices of rounds 1..rounds of each iteration in ``iterations``, one row per iteration.
     # The table is allocated before any hashing, so a size numpy cannot allocate fails at once.
@@ -197,12 +173,24 @@ def _table(schedule: GossipSchedule, iterations: range, rounds: int) -> np.ndarr
         start, stop = iterations.start * rounds, iterations.stop * rounds
         np.remainder(np.arange(start, stop, dtype=np.int64).reshape(table.shape), count, out=table)
     elif schedule.kind == "random":
-        # Each row's digests go straight into the table's bytes; one numpy step reads them
-        # as big-endian integers and takes them mod K.
+        # Round l of iteration k draws the 8-byte blake2b digest of "seed:k:l": counter-based, so the
+        # draw at any (k, l) is independent of query order. The "seed:k:" prefix is hashed once per
+        # iteration and each round's hash continues a copy of it. Each row's digests go straight into
+        # the table's bytes; one numpy step reads them as big-endian integers and takes them mod K.
         raw, width = memoryview(table.view(np.uint8).ravel()), 8 * rounds
         labels = [str(l).encode() for l in range(1, rounds + 1)]
-        for p, digests in enumerate(_digests(schedule, iterations, labels)):
-            raw[p * width : (p + 1) * width] = digests
+        seed = hashlib.blake2b(f"{schedule.seed}:".encode(), digest_size=8)
+        for p, k in enumerate(iterations):
+            prefix = seed.copy()
+            prefix.update(b"%d:" % k)
+            copy = prefix.copy
+            digests = []
+            append = digests.append
+            for label in labels:
+                draw = copy()
+                draw.update(label)
+                append(draw.digest())
+            raw[p * width : (p + 1) * width] = b"".join(digests)
         np.remainder(table.view(">u8"), count, out=table, casting="unsafe")
     return table
 
@@ -234,36 +222,33 @@ def round_table(schedule: GossipSchedule, iterations: int, rounds: int) -> np.nd
 
 
 def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> GossipMatrix:
-    """Mixing matrix of a constant or random schedule at iteration k >= 0, round l >= 1."""
+    """Mixing matrix of a constant or random schedule at iteration k >= 0, round l >= 1.
+
+    It reads the last entry of an ``l``-round table row, so it costs l hashes.
+    """
     if iteration < 0:
         raise ValueError(f"iteration index must be >= 0, got {iteration}")
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
     if schedule.kind == "cyclic":
         raise ValueError("a cyclic schedule's round depends on the run's m; read it from round_indices")
-    if schedule.kind == "constant":
-        return schedule.matrices[0]
-    (digest,) = _digests(schedule, [iteration], [str(round_index).encode()])
-    return schedule.matrices[int.from_bytes(digest, "big") % len(schedule.matrices)]
+    return schedule.matrices[_table(schedule, range(iteration, iteration + 1), round_index)[0, -1]]
 
 
 def circulant_spectrum_power(matrix, rounds: int) -> np.ndarray | None:
     """lambda_k^rounds, k = 0..n-1, of a symmetric circulant W; None for any other W.
 
-    ``matrix`` is a GossipMatrix, whose circulant record is read, or a raw
-    square array, which is scanned. lambda_k, the DFT of row 0, is real for
-    a symmetric circulant. Each power is exp(rounds * log1p(-d)) with d the
-    smaller of 1 - lambda_k and 1 + lambda_k, each summed directly from
-    sin^2 and cos^2 terms of the row: an eigenvalue rounded by one ulp near
-    1 would err rounds-fold in its power, while d keeps its relative
-    precision.
+    ``matrix`` is a GossipMatrix, or a square array wrapped as one.
+    lambda_k, the DFT of row 0, is real for a symmetric circulant. Each
+    power is exp(rounds * log1p(-d)) with d the smaller of 1 - lambda_k and
+    1 + lambda_k, each summed directly from sin^2 and cos^2 terms of the
+    row: an eigenvalue rounded by one ulp near 1 would err rounds-fold in
+    its power, while d keeps its relative precision. ``power_mixer`` is its
+    one user in a run.
     """
-    if isinstance(matrix, GossipMatrix):
-        W, circulant = matrix.weights, matrix.circulant
-    else:
-        W, circulant = matrix, is_circulant(matrix)
-    row = W[0]
-    if not (circulant and np.array_equal(row, np.roll(row[::-1], 1))):
+    matrix = matrix if isinstance(matrix, GossipMatrix) else GossipMatrix(matrix)
+    row = matrix.weights[0]
+    if not (matrix.circulant and np.array_equal(row, np.roll(row[::-1], 1))):
         return None
     n = row.size
     lags = np.flatnonzero(row)
@@ -293,29 +278,16 @@ def circulant_spectrum_power(matrix, rounds: int) -> np.ndarray | None:
 def mixing_product(matrix: GossipMatrix, rounds: int) -> np.ndarray:
     """W^rounds of one mixing matrix, the m-round product of a one-matrix schedule.
 
-    A symmetric circulant W (every ring and complete matrix) is diagonal in
-    the Fourier basis with real eigenvalues lambda_k, so its power is the
-    circulant whose row 0 is the inverse DFT of the
-    ``circulant_spectrum_power`` spectrum, in O(n^2) time for its n x n
-    copy. The vectorized run never forms this matrix: ``power_mixer``
-    applies the spectrum to each iteration's states directly.
-
-    Every other W, and rounds = 1, keeps left-to-right binary powering,
-    O(n^3 log rounds) in two alternating n x n buffers; at rounds = 1 that
-    is W's own read-only values. Every power of an exactly symmetric W is
-    symmetric in exact arithmetic, so its squares are taken as
-    ``power @ power.T``, which numpy hands to BLAS ``syrk`` at about half
-    the flops of a general square; the multiplies by W, and every square of
-    a non-symmetric W, stay ``gemm``.
+    Left-to-right binary powering, O(n^3 log rounds) in two alternating
+    n x n buffers; at rounds = 1 that is W's own read-only values. Every
+    power of an exactly symmetric W is symmetric in exact arithmetic, so its
+    squares are taken as ``power @ power.T``, which numpy hands to BLAS
+    ``syrk`` at about half the flops of a general square; the multiplies by
+    W, and every square of a non-symmetric W, stay ``gemm``.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     W = matrix.weights
-    spectrum = circulant_spectrum_power(matrix, rounds) if rounds > 1 else None
-    if spectrum is not None:
-        first = np.fft.ifft(spectrum).real
-        first = 0.5 * (first + np.roll(first[::-1], 1))  # first[j] and first[-j] are one sum, so exactly equal
-        return np.ascontiguousarray(_circulant(first))
     symmetric = np.array_equal(W, W.T)
     buffers = (np.empty_like(W), np.empty_like(W))
     power = W

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigError
 
 CONTRACTION_SLACK = 1e-9
-FD_STEP = 1e-6
 GRADIENT_SUM_TOL = 1e-6
 
 
@@ -204,17 +203,6 @@ def sample_ball(center, radius: float, count: int, seed: int) -> np.ndarray:
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radii = radius * rng.random(count) ** (1.0 / d)
     return center + radii[:, None] * directions
-
-
-def finite_difference_gradient(objective, x, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of one agent's view at x (d,), the model-free oracle."""
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for j in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[j] = step
-        grad[j] = (objective.value(x + e) - objective.value(x - e)) / (2.0 * step)
-    return grad
 
 
 def _random_symmetric(rng: np.random.Generator, eigs: np.ndarray) -> np.ndarray:

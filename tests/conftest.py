@@ -17,6 +17,9 @@ import pytest
 
 import gossipgrad as gg
 
+FD_STEP = 1e-6
+
+
 
 @pytest.fixture(scope="session")
 def pair():
@@ -57,6 +60,17 @@ def ring_power_closed_form(n: int, rounds: int) -> np.ndarray:
     # (k * r) mod n keeps every angle in [0, 2 pi), where cos is evaluated precisely.
     column = (np.cos(two_pi * (np.outer(k, k) % n) / n) * eigenvalues[:, None] ** rounds).sum(axis=0) / n
     return column[(k[:, None] - k[None, :]) % n]
+
+
+def finite_difference_gradient(objective, x, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient of one agent's view at x (d,), the model-free oracle."""
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros_like(x)
+    for j in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[j] = step
+        grad[j] = (objective.value(x + e) - objective.value(x - e)) / (2.0 * step)
+    return grad
 
 
 def make_run(problem, schedule, alpha, rho, sigma, seed, iterations=None, m_override=None) -> CorpusRun:

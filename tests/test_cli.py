@@ -266,7 +266,7 @@ class TestRunCommand:
         text = localization_config_path.read_text().replace("m = 6\n", "")
         config = tmp_path / "derived.ini"
         config.write_text(text)
-        cfg, _, params, _, _ = assemble(config)
+        cfg, _, params, _, _, _ = assemble(config)
         assert cfg.m_override is None
         assert params.m == 4
         out = tmp_path / "derived.csv"
@@ -538,7 +538,7 @@ class TestRunCommand:
     def test_user_stepsize_resolves_its_true_contraction(self, tmp_path):
         config = tmp_path / "alpha.ini"
         config.write_text((CONFIGS / "quadratic.ini").read_text().replace("alpha = auto", "alpha = 0.4"))
-        _, problem, params, schedule, x0 = assemble(config)
+        _, problem, params, schedule, x0, _ = assemble(config)
         # max(|1 - 0.4 * 1|, |1 - 0.4 * 3|) = 0.6, not the auto (L - mu) / (L + mu) = 0.5
         assert params.rho == 0.6 and params.m == 5
         trace = gg.run_algorithm(problem, schedule, params, x0, 60)
@@ -605,7 +605,7 @@ class TestCsvRendering:
             path.write_text(RING_120)
         out = tmp_path / "run.csv"
         assert main(["run", str(path), "--mode", mode, "--output", str(out)]) == 0
-        config, problem, params, schedule, x0 = assemble(path)
+        config, problem, params, schedule, x0, _ = assemble(path)
         runner = gg.run_netsim if mode == "netsim" else gg.run_algorithm
         trace = runner(problem, schedule, params, x0, config.iterations)
         xstar = problem.optimizer

@@ -8,7 +8,7 @@ import gossipgrad as gg
 from conftest import ring_power_closed_form
 from gossipgrad.config import build_schedule, load_run_config
 from gossipgrad.errors import ConfigError
-from gossipgrad.gossip import is_circulant
+from gossipgrad.gossip import circulant_spectrum_power, is_circulant
 
 # Frozen against a dense SVD of the deviation matrix (see test_gap_matches_svd_oracle).
 GAP_FIRST = 0.7288689868556625
@@ -79,6 +79,9 @@ class TestSpectralGap:
     def test_rejects_non_square(self):
         with pytest.raises(ConfigError):
             gg.spectral_gap(np.ones((2, 3)))
+        # Not "not circulant" (None): a non-square array is no gossip matrix at all.
+        with pytest.raises(ConfigError):
+            circulant_spectrum_power(np.ones((2, 3)), 2)
 
     def test_gap_within_roundoff_of_one_is_one(self):
         # Disconnected blocks: LAPACK gives 0.9999999999999998, which would
@@ -296,8 +299,8 @@ def symmetric_birkhoff(n: int, k: int, seed: int) -> gg.GossipMatrix:
 
 class TestMixingProduct:
     def test_fixtures_cover_both_square_branches(self):
-        # A symmetric circulant W takes the Fourier closed form; any other
-        # symmetric W squares through syrk (power @ power.T), any other through gemm.
+        # A symmetric W squares through syrk (power @ power.T), any other through gemm.
+        # The ring and the permuted ring share a spectrum, but only the ring is circulant.
         ring = MIXING_SCHEDULES["constant-ring"]().matrices[0].weights
         permuted = MIXING_SCHEDULES["constant-permuted-ring"]().matrices[0].weights
         birkhoff = MIXING_SCHEDULES["constant-birkhoff"]().matrices[0].weights
@@ -332,19 +335,8 @@ class TestMixingProduct:
         assert np.abs(product.sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(product.sum(axis=1) - 1.0).max() <= 1e-12
 
-    @pytest.mark.parametrize("n", [40, 100, 400])
-    def test_ring_power_at_its_derived_m(self, n):
-        # The closed form is exact to about one ulp: no m-fold growth of the eigenvalues' roundoff.
-        ring = gg.ring_matrix(n)
-        m = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring)).m
-        power = gg.mixing_product(ring, m)
-        assert np.abs(power - ring_power_closed_form(n, m)).max() <= 2e-15
-        assert np.abs(power.sum(axis=0) - 1.0).max() <= 1e-15
-        assert np.abs(power.sum(axis=1) - 1.0).max() <= 1e-15
-        assert np.array_equal(power, power.T)
-
     def test_permuted_ring_is_powered(self):
-        # Same spectrum as the ring, but not circulant: binary powering, whose error grows with m.
+        # Same spectrum as the ring, but not circulant: its power matches the ring's, permuted.
         p, permuted = permuted_ring(100, seed=0)
         m = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(permuted)).m
         assert m == 1027
@@ -353,7 +345,7 @@ class TestMixingProduct:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_complete_matrix_power_has_zero_eigenvalues(self):
-        # Every eigenvalue but one is 0, whose log is -inf: the power is still 1/n, with no warning.
+        # Every eigenvalue but one is 0: the power is still 1/n, with no warning.
         power = gg.mixing_product(gg.complete_matrix(7), 5)
         assert np.abs(power - 1.0 / 7).max() <= 1e-15
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gossipgrad as gg
+from conftest import finite_difference_gradient
 from gossipgrad.errors import ConfigError, DegenerateCurvatureError, SingularPointError
 
 
@@ -82,7 +83,7 @@ class TestResidualObjective:
             i = int(rng.integers(0, cfg.n))
             f = cfg.problem().agent(i)
             exact = f.gradient(x)
-            numeric = gg.finite_difference_gradient(f, x)
+            numeric = finite_difference_gradient(f, x)
             assert np.linalg.norm(numeric - exact) <= 1e-5 * max(1.0, np.linalg.norm(exact))
             checked += 1
 

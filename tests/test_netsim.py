@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -76,22 +77,29 @@ class TestEquivalence:
     def test_ring_400_at_its_derived_m_matches_vectorized(self):
         n = 400
         ring = gg.ring_matrix(n)
-        problem = gg.random_quadratic_problem(n, 2, 1.0, 3.0, seed=4)
+        problem = gg.random_quadratic_problem(n, 1, 1.0, 3.0, seed=4)
         schedule = gg.GossipSchedule.constant(ring)
         params = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring))
         assert params.m == 16434
-        x0 = np.random.default_rng(5).standard_normal((n, 2))
+        x0 = np.random.default_rng(5).standard_normal((n, 1))
         vec = gg.run_algorithm(problem, schedule, params, x0, 1)
-        net = gg.run_netsim(problem, schedule, params, x0, 1)
+        tracemalloc.start()
+        try:
+            net = gg.run_netsim(problem, schedule, params, x0, 1)
+            report = gg.locality_audit(net, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         for key in ("x", "y", "v", "u"):
             assert np.abs(getattr(vec, key) - getattr(net, key)).max() <= 1e-12, key
-        report = gg.locality_audit(net, schedule)
         assert report.passed
         assert report.message_count == report.expected_count == params.m * 2 * n == 13_147_200
         # One int32 id per round plus the ring's single edge set: 72,136 bytes
-        # stored for 13.1 M messages, which expand to 210 MB.
+        # stored for 13.1 M messages, which expand to 210 MB. The run and the
+        # audit of the compact ledger stay within a few MB.
         assert net.edge_set_ids.nbytes == 4 * params.m and len(net.edge_sets) == 1
         assert net.edge_set_ids.nbytes + net.edge_sets[0].nbytes == 72_136
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("mode", ["vectorized", "netsim"])
     @pytest.mark.parametrize("iterations", [0, 3])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gossipgrad as gg
+from conftest import finite_difference_gradient
 
 
 def eigenvalue_contraction(A: np.ndarray, alpha: float) -> float:
@@ -115,7 +116,7 @@ class TestQuadraticObjective:
         rng = np.random.default_rng(seed + 10)
         for _ in range(5):
             x = rng.standard_normal(4) * 3.0
-            numeric = gg.finite_difference_gradient(f, x)
+            numeric = finite_difference_gradient(f, x)
             exact = f.gradient(x)
             assert np.linalg.norm(numeric - exact) <= 1e-5 * max(1.0, np.linalg.norm(exact))
 

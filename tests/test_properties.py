@@ -89,7 +89,7 @@ class TestProductGapProperties:
 
 
 class TestCirculantProperties:
-    """A symmetric circulant's power and gap, from its Fourier spectrum, against LAPACK and binary powering."""
+    """A symmetric circulant's gap, from its Fourier spectrum, against LAPACK, and its power against numpy's."""
 
     @staticmethod
     def symmetric_circulant(n, rng):
@@ -107,7 +107,6 @@ class TestCirculantProperties:
         assert is_circulant(W) and np.array_equal(W, W.T)
         assert np.isclose(gg.spectral_gap(W), lapack_gap(W), rtol=1e-12, atol=1e-15)
         power = gg.mixing_product(gg.GossipMatrix(W), m)
-        assert is_circulant(power) and np.array_equal(power, power.T)
         assert np.abs(power - np.linalg.matrix_power(W, m)).max() <= 1e-12
 
 
@@ -143,8 +142,9 @@ class TestCirculantMixerProperties:
 
 
 class TestRoundIndexProperties:
-    """One iteration's index row against the written-out draw, and against ``matrix_at``
-    round by round where a round alone names its matrix (constant and random schedules)."""
+    """One iteration's index row against ``reference_index``, the independently written-out draw.
+    ``matrix_at`` reads the same table as the row, so it is checked only for agreement, round by
+    round where a round alone names its matrix (constant and random schedules)."""
 
     @common
     @given(
