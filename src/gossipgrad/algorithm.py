@@ -144,6 +144,7 @@ def power_mixer(schedule: GossipSchedule, m: int, iterations: int | None = None)
         return lambda iteration, x: power @ x
     n = W.n
     half = spectrum[: n // 2 + 1, None]  # the real spectrum is even, so rfft's half of it is all irfft reads
+    half[0] = 1.0  # lambda_0 of a doubly stochastic W is 1, even where its 1/n weights sum to 1 - 1 ulp
     return lambda iteration, x: np.fft.irfft(np.fft.rfft(x, axis=0) * half, n, axis=0)
 
 

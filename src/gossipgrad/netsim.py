@@ -12,11 +12,12 @@ its own value at its own index. A round plan, built once per run for each
 distinct schedule matrix used and found by the round's entry in the run's
 edge-set ids, fixes the messages and every agent's fold. A round is
 three numpy calls, with no Python loop over its fold steps: take the
-senders' pre-round rows straight into the plan's inbox, multiply by the
-weights, reduce over the inbox slots. It costs ``O(n * width * d)`` with
-``width`` the longest row. After its m rounds, each iteration makes one call
-to the problem's gradient; row i of that call reads only agent i's data and
-point, and equals agent i's own ``agent(i)`` view bit for bit.
+senders' pre-round rows straight into the run's one inbox, sized to its
+widest plan, multiply by the weights, reduce over the inbox slots. It costs
+``O(n * width * d)`` with ``width`` the longest row. After its m rounds, each
+iteration makes one call to the problem's gradient; row i of that call reads
+only agent i's data and point, and equals agent i's own ``agent(i)`` view bit
+for bit.
 
 Every round that uses one matrix delivers that matrix's edge set, so the
 delivery ledger is kept compact: one int32 edge-set id per round, an
@@ -56,14 +57,13 @@ class RoundPlan:
     its own value at its own index, else the payload from sender j, which
     rides the edge ``(j, i)``. Slot ``p`` adds ``weights[p, i] * v[sources[p, i]]``
     to agent i's total. Shorter rows are padded with agent i's own row at
-    weight 0. A round takes the senders' rows into ``inbox``, multiplies by
-    ``weights`` and sums over the slots.
+    weight 0. A round takes the senders' rows into the first ``width`` slots
+    of the run's one inbox, multiplies by ``weights`` and sums over the slots.
     """
 
     edges: np.ndarray  # (|E|, 2) int32 sender, receiver, in delivery order
     sources: np.ndarray  # (width, n) sending agent per slot
     weights: np.ndarray  # (width, n, d) row weight per slot, repeated over d
-    inbox: np.ndarray  # (width, n, d) round buffer
 
 
 def round_plan(W: np.ndarray, d: int) -> RoundPlan:
@@ -86,7 +86,7 @@ def round_plan(W: np.ndarray, d: int) -> RoundPlan:
     weights = np.zeros((width, n, d))
     sources[slot, agent] = sender
     weights[slot, agent] = W[agent, sender][:, None]
-    return RoundPlan(edges, sources, weights, np.empty((width, n, d)))
+    return RoundPlan(edges, sources, weights)
 
 
 def _first_listing(schedule: GossipSchedule, iterations: int, m: int) -> np.ndarray:
@@ -104,10 +104,10 @@ def run_netsim(
     y0: np.ndarray | None = None,
 ) -> RunTrace:
     """Message-passing execution; trace schema identical to the vectorized path, plus the compact ledger."""
-    edge_set_ids = rows = plans = used = None  # the run's ledger, its rows and the plans, set by ``mixer``
+    edge_set_ids = rows = plans = steps = None  # the run's ledger, its rows, plans and round steps, set by ``mixer``
 
     def mixer(schedule, m, iterations):
-        nonlocal edge_set_ids, rows, plans, used
+        nonlocal edge_set_ids, rows, plans, steps
         table = _first_listing(schedule, iterations, m)
         # Edge-set ids in order of first use: id e plans matrix ``used[e]``.
         listed, first_use = np.unique(table, return_index=True)
@@ -116,26 +116,29 @@ def run_netsim(
         plan_id[used] = np.arange(len(used), dtype=np.int32)
         edge_set_ids = plan_id[table]
         rows = edge_set_ids.tolist()
-        plans = [None] * len(used)  # built on first use, so the mixer forms no plan up front
+        shape = np.shape(x0)  # (n, d), as the run's start has checked
+        plans = [round_plan(schedule.matrices[i].weights, shape[1]) for i in used.tolist()]
+        # One inbox per run, as wide as its widest plan. Each plan rounds in a
+        # leading slice, which is C-contiguous, so ``take`` writes into it in place.
+        inbox = np.empty((max((len(plan.sources) for plan in plans), default=0), *shape))
+        steps = [(plan.sources, plan.weights, inbox[: len(plan.sources)]) for plan in plans]
         return mix
 
     def mix(k, v):
         for e in rows[k]:
-            plan = plans[e]
-            if plan is None:
-                plan = plans[e] = round_plan(schedule.matrices[used[e]].weights, v.shape[1])
+            sources, weights, slots = steps[e]
             # Delivery: every payload is a copy of the sender's pre-round
             # value (synchronous barrier), so agent order cannot matter.
             # Every index is in range by construction: "clip" writes straight
             # into ``out``, where "raise" would buffer.
-            v.take(plan.sources, axis=0, out=plan.inbox, mode="clip")
+            v.take(sources, axis=0, out=slots, mode="clip")
             # Fold: every agent sums its row in ascending sender order. numpy
             # reduces an outer axis one step after another, so the sum equals
             # the sequential fold bit for bit. Only a (width, 1, 1) block
             # would be summed pairwise, and that needs n = 1, whose row has
             # width 1.
-            np.multiply(plan.inbox, plan.weights, out=plan.inbox)
-            v = np.add.reduce(plan.inbox, axis=0)
+            np.multiply(slots, weights, out=slots)
+            v = np.add.reduce(slots, axis=0)
         return v
 
     trace = run(problem, schedule, params, x0, iterations, y0, mixer)

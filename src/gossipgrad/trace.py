@@ -3,6 +3,7 @@
 Both execution paths (vectorized and message-passing) fill the same trace:
 agent states x and y after every iteration, the post-communication points v
 and post-gradient points u inside every iteration, and the gradient-evaluation count.
+The four stacks are views of one block, allocated once per run.
 The message-passing path also keeps its delivery ledger, compactly: one
 edge-set id per round and the distinct edge sets. ``deliveries`` is a
 read-only expansion of that ledger, one row per message.
@@ -51,6 +52,9 @@ class RunTrace:
     def start(cls, x0, y0, iterations: int, params) -> "RunTrace":
         """Trace allocated for ``iterations`` with validated initial states in slot 0.
 
+        x, y, v and u are consecutive C-contiguous views of one
+        ``(4 * iterations + 2, n, d)`` block.
+
         x0 has shape (n, d); y0 defaults to zeros and its rows must sum to
         zero; both must be finite. The runner fills the rest of the trace.
         """
@@ -64,15 +68,10 @@ class RunTrace:
             raise ConfigError("initial states x0 and y0 must be finite")
         if np.linalg.norm(y.sum(axis=0)) > 1e-12 * max(1.0, np.abs(y).max()):
             raise ConfigError("initial correction states must sum to zero across agents")
-        n, d = x.shape
-        trace = cls(
-            x=np.empty((iterations + 1, n, d)),
-            y=np.empty((iterations + 1, n, d)),
-            v=np.empty((iterations, n, d)),
-            u=np.empty((iterations, n, d)),
-            params=params,
-            gradient_evaluations=0,
-        )
+        # One block for the four stacks: each run makes one large allocation, not four.
+        block = np.empty((4 * iterations + 2, *x.shape))
+        xs, ys, v, u = np.split(block, [iterations + 1, 2 * iterations + 2, 3 * iterations + 2])
+        trace = cls(x=xs, y=ys, v=v, u=u, params=params, gradient_evaluations=0)
         trace.x[0], trace.y[0] = x, y
         return trace
 

@@ -189,6 +189,20 @@ class TestRun:
         if mode == "netsim":  # edge sets are numbered in order of first use: W1, then W2
             assert trace.edge_set_ids[1].tolist() == [0, 1, 0, 1, 0, 1]
 
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_trace_stacks_share_one_block(self, iterations):
+        trace = gg.RunTrace.start(np.ones((5, 2)), None, iterations, params=None)
+        base = trace.x.base
+        assert base is not None and base.shape == (4 * iterations + 2, 5, 2)
+        for key, length in (("x", iterations + 1), ("y", iterations + 1), ("v", iterations), ("u", iterations)):
+            stack = getattr(trace, key)
+            assert stack.base is base, key
+            assert stack.shape == (length, 5, 2) and stack.dtype == float, key
+            assert stack.flags.c_contiguous and stack.flags.writeable, key
+        stacks = [trace.x, trace.y, trace.v, trace.u]
+        assert sum(stack.nbytes for stack in stacks) == base.nbytes
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(stacks) for b in stacks[i + 1 :])
+
     def test_zero_sum_y0_accepted(self, pair):
         problem = gg.random_quadratic_problem(5, 2, 1.0, 2.0, seed=1)
         schedule = gg.GossipSchedule.constant(pair[0])
@@ -292,6 +306,17 @@ class TestLargeM:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert np.abs(mixed - x.mean(axis=0)).max() <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1027, 16434])
+    def test_complete_2000_keeps_the_average(self, m):
+        # Its 1/n weights sum to 1 - 4.4e-16, so a computed lambda_0^m would scale the average by up to 1 + 7.3e-12.
+        matrix = gg.complete_matrix(2000)
+        x = 3.0 + np.random.default_rng(m).standard_normal((matrix.n, 2))
+        mixed = power_mixer(gg.GossipSchedule.constant(matrix), m)(0, x)
+        # Averaged in long double: a float64 mean of 2,000 equal values is itself off by up to about 5e-14.
+        average = x.astype(np.longdouble).mean(axis=0)
+        assert np.abs(mixed.astype(np.longdouble).mean(axis=0) / average - 1.0).max() <= 1e-14
 
     @pytest.mark.parametrize("n", [3, 4, 41, 400, 2000])
     @pytest.mark.parametrize("rounds", [2, 3, 1027, 16434])

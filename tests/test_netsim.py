@@ -101,6 +101,28 @@ class TestEquivalence:
         assert net.edge_set_ids.nbytes + net.edge_sets[0].nbytes == 72_136
         assert peak < 8 * 2**20
 
+    def test_plans_share_one_inbox(self):
+        # Six matrices with rows about 45 wide: one (width, n, d) inbox per plan would add five more inboxes.
+        rng = np.random.default_rng(4)
+        n, d = 100, 10
+        matrices = [metropolis_matrix(n, 0.3, rng) for _ in range(6)]
+        schedule = gg.GossipSchedule.random_choice(matrices, seed=4)
+        problem = gg.random_quadratic_problem(n, d, 1.0, 3.0, seed=4)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.01, m_override=2)
+        x0 = rng.standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            net = gg.run_netsim(problem, schedule, params, x0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(net.edge_sets) == 6
+        plans = [round_plan(W.weights, d) for W in matrices]
+        inbox = 8 * max(len(plan.sources) for plan in plans) * n * d
+        # The trace block and edge sets the run returns, the plans' tables, and one inbox with half another to spare.
+        kept = 8 * (4 * 4 + 2) * n * d + sum(edges.nbytes for edges in net.edge_sets)
+        assert peak < kept + sum(plan.sources.nbytes + plan.weights.nbytes for plan in plans) + 1.5 * inbox
+
     @pytest.mark.parametrize("mode", ["vectorized", "netsim"])
     @pytest.mark.parametrize("iterations", [0, 3])
     @pytest.mark.parametrize("problem_n", [4, 5], ids=["problem-vs-schedule", "x0-vs-problem"])
@@ -463,6 +485,19 @@ class TestFoldOrder:
         x0 = rng.standard_normal((n, d))
         net = gg.run_netsim(problem, schedule, params, x0, 2)
         reference = sequential_reference(problem, schedule, params, x0, 2)
+        for key in ("x", "y", "v", "u"):
+            assert np.array_equal(getattr(net, key), reference[key]), key
+
+    def test_mixed_widths_match_sequential_reference(self):
+        # Rows 3 wide and 40 wide share the run's inbox: each round folds a leading slice of it.
+        n, d = 40, 3
+        schedule = gg.GossipSchedule.random_choice([gg.ring_matrix(n), gg.complete_matrix(n)], seed=3)
+        assert set(gg.round_table(schedule, 4, 3).ravel().tolist()) == {0, 1}
+        problem = gg.random_quadratic_problem(n, d, 1.0, 3.0, seed=3, shared_hessian=False)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.01, m_override=3)
+        x0 = np.random.default_rng(3).standard_normal((n, d))
+        net = gg.run_netsim(problem, schedule, params, x0, 4)
+        reference = sequential_reference(problem, schedule, params, x0, 4)
         for key in ("x", "y", "v", "u"):
             assert np.array_equal(getattr(net, key), reference[key]), key
 
