@@ -37,7 +37,6 @@ from .gossip import (
     matrix_at,
     mixing_product,
     ring_matrix,
-    round_indices,
     round_table,
     spectral_gap,
 )

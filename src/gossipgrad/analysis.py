@@ -25,7 +25,10 @@ from .errors import AnalysisError, DegenerateFitError
 from .objective import Problem
 from .trace import RunTrace
 
-DECREASE_TOL = 1e-9
+# The decrease check allows V(k) - rho^2 V(k - 1) up to this share of V(k - 1), plus this share of V(0):
+# the second is the roundoff floor of a run's energies, so the check means the same at every data scale.
+DECREASE_RELATIVE = 1e-9
+DECREASE_FLOOR = 1e3 * np.finfo(float).eps
 YSTAR_MEAN_TOL = 1e-10
 FIT_TAIL_FRACTION = 0.5  # share of an error sequence's fall that fit_rate fits
 
@@ -100,12 +103,16 @@ def lyapunov_trace(trace: RunTrace, fp: FixedPoint, params) -> list[LyapunovReco
     """Energy along a run and the per-iteration decrease check.
 
     Record k carries value(k) and, for k >= 1, delta = value(k) - rho^2 *
-    value(k - 1); a compliant run keeps every delta below the tolerance.
+    value(k - 1); a compliant run keeps every delta at or below
+    ``DECREASE_RELATIVE * value(k - 1) + DECREASE_FLOOR * value(0)``. A run
+    started at the fixed point has value(0) = 0 and so no floor: its
+    roundoff is flagged.
     """
     values = lyapunov(trace.x, trace.y, params.lam, fp.xstar, fp.ystar)
-    deltas = [None] + (values[1:] - params.rho**2 * values[:-1]).tolist()
-    rows = enumerate(zip(values.tolist(), deltas))
-    return [LyapunovRecord(k, value, delta, delta is not None and delta > DECREASE_TOL) for k, (value, delta) in rows]
+    deltas = values[1:] - params.rho**2 * values[:-1]
+    flags = [False] + (deltas > DECREASE_RELATIVE * values[:-1] + DECREASE_FLOOR * values[0]).tolist()
+    rows = enumerate(zip(values.tolist(), [None] + deltas.tolist(), flags))
+    return [LyapunovRecord(k, value, delta, flag) for k, (value, delta, flag) in rows]
 
 
 def decrease_terms(trace: RunTrace, fp: FixedPoint, params) -> np.ndarray:

@@ -121,12 +121,14 @@ def load_run_config(path) -> RunConfig:
     read, and a config error.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path, encoding="utf-8")
+        # Opened here, not by ConfigParser.read, which skips a path it cannot open (a directory, say) in silence.
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle, source=str(path))
         sections = {name: dict(parser[name]) for name in parser.sections()}
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     read = ["problem", "schedule", "algorithm", "run"]

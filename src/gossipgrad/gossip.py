@@ -5,9 +5,8 @@ weight agent i applies to the message received from agent j, and a zero
 entry means no link from j to i exists in that round. Schedules supply the
 per-round matrix for iteration k and round l, either as a constant matrix,
 a cycling list, or a seeded random choice from a list. ``round_table``
-gives a whole run's matrix indices in one call, ``round_indices`` one
-iteration's row of it, and ``matrix_at`` is the one-round view of a
-constant or random schedule.
+gives a whole run's matrix indices in one call, and ``matrix_at`` is the
+one-round view of a constant or random schedule.
 """
 
 from __future__ import annotations
@@ -47,8 +46,13 @@ class GossipMatrix:
 
     @cached_property
     def circulant(self) -> bool:
-        """``is_circulant`` of the weights, which are read-only, so one scan serves every later read."""
-        return is_circulant(self.weights)
+        """Whether each row is row 0 shifted right by its index: ``W[i, j] == W[0, (j - i) % n]``."""
+        W = self.weights
+        if not np.array_equal(W[1:, 0], W[0, :0:-1]):  # column 0 is row 0 reversed: most matrices fail here in O(n)
+            return False
+        # A block of about 64k entries at a time, so the comparison makes no n x n boolean temporary.
+        circulant, step = _circulant(W[0]), max(1, 2**16 // W.shape[0])
+        return all(np.array_equal(W[i : i + step], circulant[i : i + step]) for i in range(0, W.shape[0], step))
 
     def __repr__(self):
         return f"GossipMatrix(n={self.n})"
@@ -71,15 +75,6 @@ def ring_matrix(n: int) -> GossipMatrix:
 def _circulant(row: np.ndarray) -> np.ndarray:
     # Read-only view of the circulant whose row i is ``row`` shifted right by i, i.e. ``row`` shifted left by n - i.
     return np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), row.size)[:0:-1]
-
-
-def is_circulant(W: np.ndarray) -> bool:
-    """Whether each row of square W is row 0 shifted right by its index: ``W[i, j] == W[0, (j - i) % n]``."""
-    if not np.array_equal(W[1:, 0], W[0, :0:-1]):  # column 0 is row 0 reversed: most matrices fail here in O(n)
-        return False
-    # A block of about 64k entries at a time, so the comparison makes no n x n boolean temporary.
-    circulant, step = _circulant(W[0]), max(1, 2**16 // W.shape[0])
-    return all(np.array_equal(W[i : i + step], circulant[i : i + step]) for i in range(0, W.shape[0], step))
 
 
 def spectral_gap(matrix) -> float:
@@ -114,7 +109,7 @@ class GossipSchedule:
     Kinds:
       - "constant": always the single matrix in the list.
       - "cyclic": matrices cycle with the global round counter
-        ``k * m + (l - 1)``, for the run's m passed to ``round_indices``.
+        ``k * m + (l - 1)``, for the run's m passed to ``round_table``.
       - "random": uniform seeded choice from the list, keyed on (seed, k, l).
 
     Every row and column sum of every matrix must be within
@@ -195,22 +190,11 @@ def _table(schedule: GossipSchedule, iterations: range, rounds: int) -> np.ndarr
     return table
 
 
-def round_indices(schedule: GossipSchedule, iteration: int, rounds: int) -> np.ndarray:
-    """Indices into ``schedule.matrices`` of rounds 1..``rounds`` of iteration ``iteration`` (k >= 0).
-
-    Entry l - 1 names the matrix of round l. ``rounds`` is the run's m: a
-    cyclic schedule takes global round ``iteration * rounds + l - 1``.
-    """
-    if iteration < 0:
-        raise ValueError(f"iteration index must be >= 0, got {iteration}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    return _table(schedule, range(iteration, iteration + 1), rounds)[0]
-
-
 def round_table(schedule: GossipSchedule, iterations: int, rounds: int) -> np.ndarray:
-    """The ``(iterations, rounds)`` matrix indices of a whole run: row k is ``round_indices(schedule, k, rounds)``.
+    """The ``(iterations, rounds)`` indices into ``schedule.matrices`` of a whole run.
 
+    Entry (k, l - 1) names the matrix of round l of iteration k. ``rounds``
+    is the run's m: a cyclic schedule takes global round ``k * rounds + l - 1``.
     Drawn once per run, so the mixers and the locality audit index rows of
     one table instead of drawing each iteration anew.
     """
@@ -231,7 +215,7 @@ def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> Gos
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
     if schedule.kind == "cyclic":
-        raise ValueError("a cyclic schedule's round depends on the run's m; read it from round_indices")
+        raise ValueError("a cyclic schedule's round depends on the run's m; read it from round_table")
     return schedule.matrices[_table(schedule, range(iteration, iteration + 1), round_index)[0, -1]]
 
 

@@ -90,10 +90,6 @@ class RunTrace:
     def n(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def dimension(self) -> int:
-        return self.x.shape[2]
-
     def errors(self, xstar) -> np.ndarray:
         """Per-agent distance to ``xstar``: shape (iterations + 1, n)."""
         xstar = np.asarray(xstar, dtype=float)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gossipgrad as gg
+from gossipgrad.analysis import DECREASE_FLOOR
 from gossipgrad.cli import assemble, main
 
 from conftest import finite_difference_gradient, iterations_for
@@ -166,11 +167,11 @@ def test_c09_message_passing_oracle(corpus):
         ok = ok and audit.passed and audit.message_count == audit.expected_count
         # per-iteration count: m rounds, one message per off-diagonal weight
         per_iteration = np.bincount(run.net_trace.deliveries[:, 0], minlength=run.trace.iterations)
+        table = gg.round_table(run.schedule, run.trace.iterations, run.params.m)
         for k in range(run.trace.iterations):
             expected = 0
-            row = gg.round_indices(run.schedule, k, run.params.m)
             for l in range(1, run.params.m + 1):
-                W = run.schedule.matrices[row[l - 1]].weights
+                W = run.schedule.matrices[table[k, l - 1]].weights
                 expected += int(np.count_nonzero(W)) - int(np.count_nonzero(np.diag(W)))
             ok = ok and per_iteration[k] == expected
     ok = ok and worst <= 1e-12
@@ -250,3 +251,54 @@ def test_c12_figure_data_generation(tmp_path):
         ok = ok and m == gg.comm_rounds(rho, sigma)
         ok = ok and math.isclose(rate, rho ** (1.0 / m), rel_tol=1e-12)
     report("C12", "figure-data-csvs", ok, f"{len(rows)} grid rows, byte-identical reruns")
+
+
+def claim_cases():
+    """(name, schedule, modes) at north-star scale: 100-ring schedules at m = 1,027, and a 400-ring at m = 16,434."""
+    ring = gg.ring_matrix(100)
+    p = np.random.default_rng(0).permutation(100)
+    relabelled = gg.GossipMatrix(ring.weights[np.ix_(p, p)])  # the ring's spectrum, not circulant
+    both = ("vectorized", "netsim")
+    return [
+        ("constant ring-100", gg.GossipSchedule.constant(ring), both),
+        ("cyclic ring-100", gg.GossipSchedule.cyclic([ring, relabelled]), both),
+        ("random ring-100", gg.GossipSchedule.random_choice([ring, relabelled], seed=5), both),
+        ("constant ring-400", gg.GossipSchedule.constant(gg.ring_matrix(400)), ("vectorized",)),
+    ]
+
+
+def test_c13_claim_at_hundreds_of_agents():
+    start = time.perf_counter()
+    runners = {"vectorized": gg.run_algorithm, "netsim": gg.run_netsim}
+    ok = True
+    details = []
+    for name, schedule, modes in claim_cases():
+        n = schedule.n
+        problem = gg.random_quadratic_problem(n, 5, 1.0, 3.0, seed=7)
+        cp = gg.params_from_one_point_convexity(gg.StrongSmoothParams(1.0, 3.0))
+        params = gg.AlgorithmParams.derive(cp.alpha, cp.rho, max(gg.spectral_gap(W) for W in schedule.matrices))
+        ok = ok and params.m == (1027 if n == 100 else 16434)
+        x0 = np.random.default_rng(1).standard_normal((n, 5))
+        fp = gg.fixed_point(problem, params)
+        error_floor = 1e-12 * max(1.0, float(np.linalg.norm(problem.optimizer)))
+        traces = {}
+        for mode in modes:
+            trace = traces[mode] = runners[mode](problem, schedule, params, x0, 60)
+            records = gg.lyapunov_trace(trace, fp, params)
+            v0 = records[0].value
+            flagged = sum(r.exceeds_tolerance for r in records)
+            margin = float(gg.decrease_terms(trace, fp, params).min())
+            errors = trace.errors(problem.optimizer)
+            rate = gg.fit_rate(errors.max(axis=1))
+            bound = gg.error_bound_constant(v0, params.lam) * params.rho ** np.arange(errors.shape[0])
+            ok = ok and flagged == 0 and margin >= -DECREASE_FLOOR * v0 and abs(rate - params.rho) <= 0.01
+            ok = ok and bool(np.all(errors <= bound[:, None] + error_floor))
+            details.append(f"{name} {mode}: rate {rate:.4f}, {flagged} flagged")
+        if "netsim" in traces:
+            net, vec = traces["netsim"], traces["vectorized"]
+            gap = max(float(np.abs(getattr(net, key) - getattr(vec, key)).max()) for key in "xyvu")
+            audit = gg.locality_audit(net, schedule)
+            ok = ok and gap <= 1e-12 and audit.passed and audit.message_count == audit.expected_count
+            details.append(f"{name} oracle {gap:.1e}")
+    elapsed = time.perf_counter() - start
+    report("C13", "claim-at-hundreds-of-agents", ok, f"{'; '.join(details)}, {elapsed:.2f} s")

@@ -179,7 +179,7 @@ class TestRun:
         params = gg.AlgorithmParams.derive(0.5, 0.5, pair_sigma)
         assert params.m == 6
         schedule = gg.GossipSchedule.cyclic(list(pair))
-        assert gg.round_indices(schedule, 1, params.m).tolist() == [0, 1, 0, 1, 0, 1]
+        assert gg.round_table(schedule, 2, params.m)[1].tolist() == [0, 1, 0, 1, 0, 1]
         x0 = np.random.default_rng(3).standard_normal((5, 3))
         runner = gg.run_netsim if mode == "netsim" else gg.run_algorithm
         trace = runner(problem, schedule, params, x0, 3)
@@ -227,9 +227,10 @@ def per_round_reference(problem, schedule, params, x0, iterations):
     """x, y, v, u of a run that mixes with m explicit rounds per iteration."""
     x, y = x0, np.zeros_like(x0)
     xs, ys, vs, us = [x], [y], [], []
+    table = gg.round_table(schedule, iterations, params.m)
     for k in range(iterations):
         v = x
-        row = gg.round_indices(schedule, k, params.m)
+        row = table[k]
         for round_index in range(1, params.m + 1):
             v = schedule.matrices[row[round_index - 1]].weights @ v
         u = v - params.alpha * problem.gradient(v)

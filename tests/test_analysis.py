@@ -1,10 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gossipgrad as gg
+from gossipgrad.cli import assemble
 from gossipgrad.errors import AnalysisError, DegenerateFitError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+RUNNERS = {"vectorized": gg.run_algorithm, "netsim": gg.run_netsim}
 
 
 def kron_energy_oracle(xbar: np.ndarray, ybar: np.ndarray, lam: float) -> float:
@@ -109,6 +114,42 @@ class TestLyapunovTrace:
             assert terms[:, 0].min() >= -1e-9, f"{run.name}: gradient-map contraction violated"
             assert terms[:, 1].min() >= -1e-9, f"{run.name}: consensus contraction violated"
             assert terms[:, 2].min() >= -1e-15, f"{run.name}: squared norm negative"
+
+
+def flagged(records) -> list[int]:
+    return [r.k for r in records if r.exceeds_tolerance]
+
+
+class TestDecreaseRule:
+    """The decrease check allows 1e-9 of V(k - 1) plus 1e3 eps of V(0), so it means the same at every data scale."""
+
+    @pytest.mark.parametrize("mode", sorted(RUNNERS))
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8])
+    def test_compliant_run_is_not_flagged_at_any_scale(self, mode, scale):
+        # configs/quadratic.ini's run with B, x* and x0 scaled together: the same run, its energies scale^2 larger.
+        config, problem, params, schedule, x0, _ = assemble(CONFIGS / "quadratic.ini")
+        scaled = gg.QuadraticObjective(problem.A, scale * problem.B, optimizer=scale * problem.optimizer)
+        trace = RUNNERS[mode](scaled, schedule, params, scale * x0, config.iterations)
+        records = gg.lyapunov_trace(trace, gg.fixed_point(scaled, params), params)
+        assert flagged(records) == []
+        if scale == 1e8:  # an absolute tolerance of 1e-9 flags this compliant run's roundoff
+            assert any(r.delta > 1e-9 for r in records[1:])
+
+    @pytest.mark.parametrize("mode", sorted(RUNNERS))
+    @pytest.mark.parametrize("rounds", [400, 800])
+    def test_runs_below_the_derived_m_are_flagged(self, mode, rounds):
+        # A constant 100-ring needs m = 1,027 at rho = 0.5; sigma declared as sigma0^(1/rounds) lets a run
+        # take about ``rounds`` (the float power makes 800 derive 801). The relative rule still flags an
+        # excess once it falls below 1e-9, so it flags every iteration the absolute 1e-9 does, and more.
+        problem = gg.random_quadratic_problem(100, 5, 1.0, 3.0, seed=7)
+        schedule = gg.GossipSchedule.constant(gg.ring_matrix(100))
+        params = gg.AlgorithmParams.derive(0.5, 0.5, gg.sigma0(0.5) ** (1.0 / rounds))
+        assert rounds <= params.m <= rounds + 1 < gg.comm_rounds(0.5, gg.spectral_gap(schedule.matrices[0]))
+        x0 = np.random.default_rng(1).standard_normal((100, 5))
+        trace = RUNNERS[mode](problem, schedule, params, x0, 60)
+        records = gg.lyapunov_trace(trace, gg.fixed_point(problem, params), params)
+        absolute = [r.k for r in records[1:] if r.delta > 1e-9]
+        assert absolute and set(absolute) < set(flagged(records))
 
 
 class TestErrorBound:

@@ -315,6 +315,14 @@ class TestRunCommand:
             ("quadratic", "source = five-agent-pair", f"source = five-agent-pair\nmatrix1 = {PAIR[0]}"),
             ("quadratic", "output = quadratic_trace.csv", "output = a%b.csv"),
             ("quadratic", "d = 3\nmu = 1.0", "d = 1\nmu = 1e-20"),
+            ("quadratic", "[schedule]\nkind = random\nsource = five-agent-pair\nseed = 42\n", ""),
+            ("localization", "[localization]\nn = 5\nseed = 293\ntarget = 1.0, 1.0\n", ""),
+            ("quadratic", "[problem]\nkind = quadratic\n", "[problem]\n"),
+            ("quadratic", "[schedule]\nkind = random\n", "[schedule]\n"),
+            ("quadratic", "L = 3.0", "L = 0.5"),
+            ("quadratic", "mu = 1.0", "mu = 0"),
+            ("quadratic", "source = five-agent-pair", "source = inline"),
+            ("quadratic", "mode = vectorized", "mode = typo"),
         ]
         + [row[:3] for row in UNREAD],
         ids=[
@@ -324,7 +332,9 @@ class TestRunCommand:
             "misspelled-key", "unknown-section", "d-zero", "iterations-zero", "localization-n-zero",
             "problem-seed-negative", "localization-seed-negative", "schedule-seed-negative", "run-seed-negative",
             "inline-matrix-gap", "matrix-without-inline",
-            "percent-in-value", "curvature-ratio",
+            "percent-in-value", "curvature-ratio", "schedule-section-missing", "localization-section-missing",
+            "problem-kind-missing", "schedule-kind-missing", "mu-above-L", "mu-zero", "inline-without-matrix",
+            "mode-typo",
         ]
         + UNREAD_IDS,
     )
@@ -388,6 +398,23 @@ class TestRunCommand:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {error}") and err.count("\n") == 1
 
+    def test_x0_forms_and_stdout_output(self, tmp_path, capsys):
+        # x0 = zeros and an explicit point per agent, each run once to a file and once to stdout.
+        explicit = np.arange(15.0).reshape(5, 3) / 4 - 1
+        rows = "; ".join(", ".join(map(str, row)) for row in explicit.tolist())
+        text = (CONFIGS / "quadratic.ini").read_text()
+        assert text.count("x0 = random") == 1
+        for name, spec, want in [("zeros", "zeros", np.zeros((5, 3))), ("explicit", rows, explicit)]:
+            path = tmp_path / f"{name}.ini"
+            path.write_text(text.replace("x0 = random", f"x0 = {spec}"))
+            x0 = assemble(path)[4]
+            assert x0.shape == (5, 3) and np.array_equal(x0, want), name
+            out = tmp_path / f"{name}.csv"
+            assert main(["run", str(path), "--output", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["run", str(path), "--output", "-"]) == 0
+            assert capsys.readouterr().out.encode() == out.read_bytes(), name
+
     def test_inline_pair_runs_as_the_builtin_pair(self, tmp_path):
         # matrix1..matrixK without gaps is read in number order.
         text = (CONFIGS / "quadratic.ini").read_text()
@@ -429,6 +456,19 @@ class TestRunCommand:
             assert main(args) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        # A directory named like a config, and a path that does not exist: each is one error naming the path,
+        # not the missing [problem] section of a config read as empty.
+        folder = tmp_path / "not-a-file.ini"
+        folder.mkdir()
+        out = tmp_path / "x.csv"
+        for path in (folder, tmp_path / "absent.ini"):
+            for command in (["run", str(path), "--output", str(out)], ["validate", str(path)]):
+                assert main(command) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"config error: cannot read config {path}: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
@@ -491,13 +531,14 @@ class TestRunCommand:
     def test_one_circulant_scan_per_ring_run(self, tmp_path, monkeypatch, sigma):
         # The gap (from sigma = auto or from the check against an explicit sigma) and the
         # spectral mixer both read the ring's one recorded scan.
-        calls, scan = [], gg.gossip.is_circulant
+        prop = vars(gg.GossipMatrix)["circulant"]
+        calls, scan = [], prop.func
 
-        def counted(W):
-            calls.append(W)
-            return scan(W)
+        def counted(matrix):
+            calls.append(matrix)
+            return scan(matrix)
 
-        monkeypatch.setattr("gossipgrad.gossip.is_circulant", counted)
+        monkeypatch.setattr(prop, "func", counted)
         path = tmp_path / "ring.ini"
         path.write_text(RING_120.replace("sigma = auto", f"sigma = {sigma}"))
         assert main(["run", str(path), "--mode", "vectorized", "--output", str(tmp_path / "x.csv")]) == 0

@@ -8,7 +8,7 @@ import gossipgrad as gg
 from conftest import ring_power_closed_form
 from gossipgrad.config import build_schedule, load_run_config
 from gossipgrad.errors import ConfigError
-from gossipgrad.gossip import circulant_spectrum_power, is_circulant
+from gossipgrad.gossip import circulant_spectrum_power
 
 # Frozen against a dense SVD of the deviation matrix (see test_gap_matches_svd_oracle).
 GAP_FIRST = 0.7288689868556625
@@ -116,7 +116,7 @@ class TestSpectralGap:
     )
     def test_circulant_gap_matches_lapack(self, W):
         # A circulant takes the Fourier gap; LAPACK is the reference for every kind.
-        assert is_circulant(W)
+        assert gg.GossipMatrix(W).circulant
         deviation = W - 1.0 / W.shape[0]
         if np.array_equal(deviation, deviation.T):
             expected = float(np.abs(np.linalg.eigvalsh(deviation)).max())
@@ -130,25 +130,25 @@ class TestSpectralGap:
 class TestIsCirculant:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 400])
     def test_rings_and_complete_matrices_are_circulant(self, n):
-        assert is_circulant(gg.ring_matrix(n).weights)
-        assert is_circulant(gg.complete_matrix(n).weights)
+        assert gg.ring_matrix(n).circulant
+        assert gg.complete_matrix(n).circulant
 
     def test_written_out_circulants(self):
-        assert is_circulant(circulant([0.6, 0.5, -0.2, 0.1, 0.0]))
-        assert is_circulant(np.eye(4))
+        assert gg.GossipMatrix(circulant([0.6, 0.5, -0.2, 0.1, 0.0])).circulant
+        assert gg.GossipMatrix(np.eye(4)).circulant
 
     def test_other_matrices_are_not(self, pair):
-        assert not any(is_circulant(W.weights) for W in pair)
-        assert not is_circulant(permuted_ring(40, seed=0)[1].weights)
+        assert not any(W.circulant for W in pair)
+        assert not permuted_ring(40, seed=0)[1].circulant
         # Column 0 matches a circulant's, a later row does not.
         W = circulant([0.6, 0.5, -0.2, 0.1, 0.0])
         W[2, 3] += 1.0
         assert np.array_equal(W[1:, 0], W[0, :0:-1])
-        assert not is_circulant(W)
+        assert not gg.GossipMatrix(W).circulant
         # Row 0 and column 0 are the 400-ring's, the last row is not: it is compared in the last block of rows.
         W = gg.ring_matrix(400).weights.copy()
         W[-1, 200] = 1e-300
-        assert not is_circulant(W)
+        assert not gg.GossipMatrix(W).circulant
 
 
 class TestValidation:
@@ -205,10 +205,9 @@ class TestSchedule:
         schedule = gg.GossipSchedule.cyclic(list(pair))
         # At m = 3, iteration 0 takes global rounds 0, 1, 2 and iteration 1
         # continues the counter at global round 3.
-        assert gg.round_indices(schedule, 0, 3).tolist() == [0, 1, 0]
-        assert gg.round_indices(schedule, 1, 3).tolist() == [1, 0, 1]
+        assert gg.round_table(schedule, 2, 3).tolist() == [[0, 1, 0], [1, 0, 1]]
         # One round alone does not know the run's m.
-        with pytest.raises(ValueError, match="round_indices"):
+        with pytest.raises(ValueError, match="round_table"):
             gg.matrix_at(schedule, 0, 1)
 
     def test_random_replay_is_identical(self, pair):
@@ -231,7 +230,6 @@ class TestSchedule:
         rows = [[0, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0], [1, 1, 0, 1, 0, 0]]
         assert gg.round_table(schedule, 3, 6).tolist() == rows
         for k, row in enumerate(rows):
-            assert gg.round_indices(schedule, k, 6).tolist() == row
             assert [schedule.matrices.index(gg.matrix_at(schedule, k, l)) for l in range(1, 7)] == row
 
     @pytest.mark.parametrize("kind", ["constant", "cyclic", "random"])
@@ -268,10 +266,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             gg.matrix_at(schedule, 0, 0)
         with pytest.raises(ValueError):
-            gg.round_indices(schedule, -1, 1)
-        with pytest.raises(ValueError):
-            gg.round_indices(schedule, 0, 0)
-        with pytest.raises(ValueError):
             gg.round_table(schedule, -1, 1)
         with pytest.raises(ValueError):
             gg.round_table(schedule, 1, 0)
@@ -304,8 +298,8 @@ class TestMixingProduct:
         ring = MIXING_SCHEDULES["constant-ring"]().matrices[0].weights
         permuted = MIXING_SCHEDULES["constant-permuted-ring"]().matrices[0].weights
         birkhoff = MIXING_SCHEDULES["constant-birkhoff"]().matrices[0].weights
-        assert np.array_equal(ring, ring.T) and is_circulant(ring)
-        assert np.array_equal(permuted, permuted.T) and not is_circulant(permuted)
+        assert np.array_equal(ring, ring.T) and gg.GossipMatrix(ring).circulant
+        assert np.array_equal(permuted, permuted.T) and not gg.GossipMatrix(permuted).circulant
         assert not np.array_equal(birkhoff, birkhoff.T)
 
     @pytest.mark.parametrize("matrix", [gg.ring_matrix(40), symmetric_birkhoff(6, 3, seed=4)], ids=["ring", "birkhoff"])

@@ -162,7 +162,7 @@ class TestLocalityAudit:
         x0 = np.random.default_rng(2).standard_normal((5, 2))
         K = 12
         trace = gg.run_netsim(problem, schedule, params, x0, K)
-        rows = np.stack([gg.round_indices(schedule, k, params.m) for k in range(K)])
+        rows = gg.round_table(schedule, K, params.m)
         assert set(rows.ravel().tolist()) == {0, 1, 2}
         assert len(trace.edge_sets) == 2
         ids = trace.edge_set_ids
@@ -340,9 +340,10 @@ def sequential_reference(problem, schedule, params, x0, iterations):
     views = [problem.agent(i) for i in range(n)]
     x, y = [row.copy() for row in x0], [np.zeros(d) for _ in range(n)]
     xs, ys, vs, us = [np.array(x)], [np.array(y)], [], []
+    table = gg.round_table(schedule, iterations, params.m)
     for k in range(iterations):
         v = [xi.copy() for xi in x]
-        row = gg.round_indices(schedule, k, params.m)
+        row = table[k]
         for round_index in range(1, params.m + 1):
             W = schedule.matrices[row[round_index - 1]].weights
             sent = [vi.copy() for vi in v]
