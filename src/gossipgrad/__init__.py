@@ -35,7 +35,6 @@ from .gossip import (
     GossipSchedule,
     complete_matrix,
     matrix_at,
-    mixing_product,
     ring_matrix,
     round_table,
     spectral_gap,

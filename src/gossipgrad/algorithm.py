@@ -16,9 +16,9 @@ the threshold sigma0(rho) = (sqrt(1 + rho) - sqrt(1 - rho)) / 2.
 Both execution paths share one run loop, ``run``, and one update rule,
 ``algorithm_iteration``; they differ only in the mixer that maps x_i(k) to
 v(i, m). The vectorized mixers live here: W^m of a one-matrix schedule,
-applied by its Fourier spectrum for a ring or complete matrix and as a
-product formed once per run otherwise, else one dense product per round.
-The message-passing mixer lives in ``netsim``.
+by its spectrum for a symmetric circulant at m > 1 and by
+``np.linalg.matrix_power`` for any other single matrix, else one dense
+product per round. The message-passing mixer lives in ``netsim``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 # matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
-from .gossip import GossipSchedule, circulant_spectrum_power, matrix_at, mixing_product, round_table  # noqa: F401
+from .gossip import GossipSchedule, circulant_spectrum_power, matrix_at, round_table  # noqa: F401
 from .objective import Problem
 from .trace import RunTrace
 
@@ -134,13 +134,13 @@ def power_mixer(schedule: GossipSchedule, m: int, iterations: int | None = None)
     A symmetric circulant W (every ring and complete matrix) at m > 1 is
     diagonal in the Fourier basis: its spectrum's m-th power is computed
     once, and each iteration mixes by one rfft/irfft pair along the agent
-    axis, O(n d log n), with no n x n matrix formed. Any other W, and m = 1,
-    mixes by one product with ``mixing_product(W, m)``, formed once.
+    axis, O(n d log n), with no n x n matrix formed. Any other single W
+    mixes by one product with ``np.linalg.matrix_power(W, m)``, formed once.
     """
     W = schedule.matrices[0]
     spectrum = circulant_spectrum_power(W, m) if m > 1 else None
     if spectrum is None:
-        power = mixing_product(W, m)
+        power = np.linalg.matrix_power(W.weights, m)
         return lambda iteration, x: power @ x
     n = W.n
     half = spectrum[: n // 2 + 1, None]  # the real spectrum is even, so rfft's half of it is all irfft reads
@@ -203,9 +203,9 @@ def run_algorithm(
 
     x0 has shape (n, d); y0 defaults to zeros and must have blocks summing to
     zero. A single-matrix schedule mixes with W^m in place of m rounds per
-    iteration (``power_mixer``): a ring or complete matrix by one FFT pair
-    per iteration, with no n x n power formed, any other matrix by one
-    product with ``mixing_product``, formed once per run.
+    iteration (``power_mixer``): a symmetric circulant at m > 1 by its
+    spectrum, one FFT pair per iteration, any other by one product with
+    ``np.linalg.matrix_power(W, m)``, formed once per run.
     """
     mixer = power_mixer if len(schedule.matrices) == 1 else round_mixer
     return run(problem, schedule, params, x0, iterations, y0, mixer)

@@ -25,8 +25,8 @@ from .errors import AnalysisError, DegenerateFitError
 from .objective import Problem
 from .trace import RunTrace
 
-# The decrease check allows V(k) - rho^2 V(k - 1) up to this share of V(k - 1), plus this share of V(0):
-# the second is the roundoff floor of a run's energies, so the check means the same at every data scale.
+# The decrease check allows V(k) - rho^2 V(k - 1) up to this share of V(k - 1), plus this share of V(0) + eps * S,
+# S the fixed point's own energy: a roundoff floor of a run's energies that means the same at every data scale.
 DECREASE_RELATIVE = 1e-9
 DECREASE_FLOOR = 1e3 * np.finfo(float).eps
 YSTAR_MEAN_TOL = 1e-10
@@ -104,13 +104,14 @@ def lyapunov_trace(trace: RunTrace, fp: FixedPoint, params) -> list[LyapunovReco
 
     Record k carries value(k) and, for k >= 1, delta = value(k) - rho^2 *
     value(k - 1); a compliant run keeps every delta at or below
-    ``DECREASE_RELATIVE * value(k - 1) + DECREASE_FLOOR * value(0)``. A run
-    started at the fixed point has value(0) = 0 and so no floor: its
-    roundoff is flagged.
+    ``DECREASE_RELATIVE * value(k - 1) + DECREASE_FLOOR * (value(0) + eps * S)``,
+    S the energy of (x*, y*) from 0, which keeps a floor where value(0) = 0.
     """
     values = lyapunov(trace.x, trace.y, params.lam, fp.xstar, fp.ystar)
+    scale = lyapunov(np.broadcast_to(fp.xstar, fp.ystar.shape), fp.ystar, params.lam)
+    floor = DECREASE_FLOOR * (values[0] + np.finfo(float).eps * scale)
     deltas = values[1:] - params.rho**2 * values[:-1]
-    flags = [False] + (deltas > DECREASE_RELATIVE * values[:-1] + DECREASE_FLOOR * values[0]).tolist()
+    flags = [False] + (deltas > DECREASE_RELATIVE * values[:-1] + floor).tolist()
     rows = enumerate(zip(values.tolist(), [None] + deltas.tolist(), flags))
     return [LyapunovRecord(k, value, delta, flag) for k, (value, delta, flag) in rows]
 

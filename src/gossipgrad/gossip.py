@@ -28,7 +28,9 @@ class GossipMatrix:
     The matrix is stored dense and made read-only; negative weights are
     allowed (a schedule constrains only the row and column sums). Whether
     it is circulant is checked on first use and kept, so the gap and the
-    power of one matrix scan its n x n weights once between them.
+    power of one matrix scan its n x n weights once between them. A one-matrix
+    schedule mixes a symmetric circulant at m > 1 by its spectrum
+    (``circulant_spectrum_power``), any other W by ``np.linalg.matrix_power``.
     """
 
     def __init__(self, weights):
@@ -219,10 +221,9 @@ def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> Gos
     return schedule.matrices[_table(schedule, range(iteration, iteration + 1), round_index)[0, -1]]
 
 
-def circulant_spectrum_power(matrix, rounds: int) -> np.ndarray | None:
+def circulant_spectrum_power(matrix: GossipMatrix, rounds: int) -> np.ndarray | None:
     """lambda_k^rounds, k = 0..n-1, of a symmetric circulant W; None for any other W.
 
-    ``matrix`` is a GossipMatrix, or a square array wrapped as one.
     lambda_k, the DFT of row 0, is real for a symmetric circulant. Each
     power is exp(rounds * log1p(-d)) with d the smaller of 1 - lambda_k and
     1 + lambda_k, each summed directly from sin^2 and cos^2 terms of the
@@ -230,7 +231,6 @@ def circulant_spectrum_power(matrix, rounds: int) -> np.ndarray | None:
     its power, while d keeps its relative precision. ``power_mixer`` is its
     one user in a run.
     """
-    matrix = matrix if isinstance(matrix, GossipMatrix) else GossipMatrix(matrix)
     row = matrix.weights[0]
     if not (matrix.circulant and np.array_equal(row, np.roll(row[::-1], 1))):
         return None
@@ -258,26 +258,3 @@ def circulant_spectrum_power(matrix, rounds: int) -> np.ndarray | None:
         power[negative] *= -1.0
     return power
 
-
-def mixing_product(matrix: GossipMatrix, rounds: int) -> np.ndarray:
-    """W^rounds of one mixing matrix, the m-round product of a one-matrix schedule.
-
-    Left-to-right binary powering, O(n^3 log rounds) in two alternating
-    n x n buffers; at rounds = 1 that is W's own read-only values. Every
-    power of an exactly symmetric W is symmetric in exact arithmetic, so its
-    squares are taken as ``power @ power.T``, which numpy hands to BLAS
-    ``syrk`` at about half the flops of a general square; the multiplies by
-    W, and every square of a non-symmetric W, stay ``gemm``.
-    """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    W = matrix.weights
-    symmetric = np.array_equal(W, W.T)
-    buffers = (np.empty_like(W), np.empty_like(W))
-    power = W
-    for bit in bin(rounds)[3:]:
-        # Write into the buffer that ``power`` does not occupy.
-        power = np.matmul(power, power.T if symmetric else power, out=buffers[power is buffers[0]])
-        if bit == "1":
-            power = np.matmul(power, W, out=buffers[power is buffers[0]])
-    return power

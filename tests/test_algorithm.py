@@ -102,6 +102,12 @@ class TestAlgorithmParams:
         with pytest.raises(ValueError):
             gg.AlgorithmParams.derive(0.5, 0.5, 0.7853, m_override=2)
 
+    def test_rounds_must_be_positive(self):
+        # Even where one round reaches consensus (sigma = 0), a run mixes at least once per iteration.
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                gg.AlgorithmParams.derive(0.5, 0.5, 0.0, m_override=m)
+
 
 class TestIteration:
     def test_single_agent_reduces_to_centralized(self):
@@ -333,7 +339,7 @@ class TestLargeM:
         with np.errstate(divide="ignore"):
             want = np.exp(rounds * np.log1p(-np.minimum(np.where(negative, one_plus, one_minus), 1.0)))
         want[negative] *= -1.0 if rounds % 2 else 1.0
-        assert np.array_equal(circulant_spectrum_power(gg.ring_matrix(n).weights, rounds), want)
+        assert np.array_equal(circulant_spectrum_power(gg.ring_matrix(n), rounds), want)
 
 
 def per_step_gd(problem, alpha: float, x0, iterations: int) -> np.ndarray:

@@ -86,10 +86,13 @@ class TestLyapunovTrace:
         schedule = gg.GossipSchedule.random_choice(list(pair), seed=3)
         fp = gg.fixed_point(problem, params)
         x0 = np.tile(fp.xstar, (5, 1))
-        trace = gg.run_algorithm(problem, schedule, params, x0, 10, y0=fp.ystar)
-        records = gg.lyapunov_trace(trace, fp, params)
-        assert all(r.value <= 1e-25 for r in records)
-        assert all(abs(r.delta) <= 1e-25 for r in records if r.delta is not None)
+        for mode, runner in RUNNERS.items():
+            trace = runner(problem, schedule, params, x0, 10, y0=fp.ystar)
+            records = gg.lyapunov_trace(trace, fp, params)
+            assert all(r.value <= 1e-25 for r in records), mode
+            assert all(abs(r.delta) <= 1e-25 for r in records if r.delta is not None), mode
+            # V(0) = 0, so only the fixed point's own size sets the floor under this run's roundoff.
+            assert records[0].value == 0.0 and flagged(records) == [], mode
 
     def test_decrease_on_compliant_runs(self, corpus):
         for run in corpus:
@@ -121,7 +124,7 @@ def flagged(records) -> list[int]:
 
 
 class TestDecreaseRule:
-    """The decrease check allows 1e-9 of V(k - 1) plus 1e3 eps of V(0), so it means the same at every data scale."""
+    """The decrease check allows 1e-9 of V(k - 1) plus 1e3 eps of V(0) + eps S: the same at every data scale."""
 
     @pytest.mark.parametrize("mode", sorted(RUNNERS))
     @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8])
@@ -210,7 +213,7 @@ class TestFitRate:
         # A converged ring-100 run sits on a roundoff plateau far above
         # 100 * eps * errors[0] for most of its iterations; fitting the
         # plateau would report a rate near 1. The agents are relabelled so
-        # that W is not circulant: W^m is then formed by binary powering,
+        # that W is not circulant: W^m is then formed by np.linalg.matrix_power,
         # whose roundoff sets the plateau (the circulant closed form has
         # almost none).
         p = np.random.default_rng(0).permutation(100)

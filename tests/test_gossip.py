@@ -6,6 +6,7 @@ import pytest
 
 import gossipgrad as gg
 from conftest import ring_power_closed_form
+from gossipgrad.algorithm import power_mixer
 from gossipgrad.config import build_schedule, load_run_config
 from gossipgrad.errors import ConfigError
 from gossipgrad.gossip import circulant_spectrum_power
@@ -81,7 +82,7 @@ class TestSpectralGap:
             gg.spectral_gap(np.ones((2, 3)))
         # Not "not circulant" (None): a non-square array is no gossip matrix at all.
         with pytest.raises(ConfigError):
-            circulant_spectrum_power(np.ones((2, 3)), 2)
+            circulant_spectrum_power(gg.GossipMatrix(np.ones((2, 3))), 2)
 
     def test_gap_within_roundoff_of_one_is_one(self):
         # Disconnected blocks: LAPACK gives 0.9999999999999998, which would
@@ -285,30 +286,24 @@ MIXING_SCHEDULES = {
 }
 
 
-def symmetric_birkhoff(n: int, k: int, seed: int) -> gg.GossipMatrix:
-    # B + B.T is exactly symmetric: floating-point addition commutes.
-    B = random_doubly_stochastic(n, k, seed).weights
-    return gg.GossipMatrix((B + B.T) / 2)
+def mixed_identity(matrix: gg.GossipMatrix, rounds: int) -> np.ndarray:
+    """W^rounds as the vectorized run applies it: ``power_mixer`` of a constant schedule, on the identity."""
+    return power_mixer(gg.GossipSchedule.constant(matrix), rounds)(0, np.eye(matrix.n))
 
 
 class TestMixingProduct:
-    def test_fixtures_cover_both_square_branches(self):
-        # A symmetric W squares through syrk (power @ power.T), any other through gemm.
-        # The ring and the permuted ring share a spectrum, but only the ring is circulant.
-        ring = MIXING_SCHEDULES["constant-ring"]().matrices[0].weights
-        permuted = MIXING_SCHEDULES["constant-permuted-ring"]().matrices[0].weights
-        birkhoff = MIXING_SCHEDULES["constant-birkhoff"]().matrices[0].weights
-        assert np.array_equal(ring, ring.T) and gg.GossipMatrix(ring).circulant
-        assert np.array_equal(permuted, permuted.T) and not gg.GossipMatrix(permuted).circulant
-        assert not np.array_equal(birkhoff, birkhoff.T)
+    """W^m of a one-matrix schedule: by its spectrum for a symmetric circulant at m > 1, else by numpy's power."""
 
-    @pytest.mark.parametrize("matrix", [gg.ring_matrix(40), symmetric_birkhoff(6, 3, seed=4)], ids=["ring", "birkhoff"])
-    def test_symmetric_squares_stay_exactly_symmetric(self, matrix):
-        W = matrix.weights
-        assert np.abs(gg.mixing_product(matrix, 2) - W @ W).max() <= 1e-15
-        for k in range(1, 11):
-            product = gg.mixing_product(matrix, 2**k)
-            assert np.array_equal(product, product.T), k
+    def test_fixtures_cover_both_mixer_branches(self):
+        # The ring and the permuted ring share a spectrum, but only the ring is circulant;
+        # the other two take np.linalg.matrix_power, one symmetric and one not.
+        ring = MIXING_SCHEDULES["constant-ring"]().matrices[0]
+        permuted = MIXING_SCHEDULES["constant-permuted-ring"]().matrices[0]
+        birkhoff = MIXING_SCHEDULES["constant-birkhoff"]().matrices[0]
+        assert circulant_spectrum_power(ring, 2) is not None
+        assert circulant_spectrum_power(permuted, 2) is None and circulant_spectrum_power(birkhoff, 2) is None
+        assert np.array_equal(permuted.weights, permuted.weights.T)
+        assert not np.array_equal(birkhoff.weights, birkhoff.weights.T)
 
     def test_ring_400_at_its_derived_m_matches_closed_form(self):
         n = 400
@@ -317,13 +312,13 @@ class TestMixingProduct:
         assert m == 16434
         x = np.random.default_rng(3).standard_normal((n, 2))
         exact = ring_power_closed_form(n, m) @ x.astype(np.longdouble)
-        assert np.abs(gg.mixing_product(ring, m) @ x - exact).max() <= 1e-13
+        assert np.abs(power_mixer(gg.GossipSchedule.constant(ring), m)(0, x) - exact).max() <= 1e-13
 
     @pytest.mark.parametrize("kind", sorted(MIXING_SCHEDULES))
     @pytest.mark.parametrize("rounds", [1, 2, 3, 6, 164])
     def test_matches_written_out_product(self, kind, rounds):
         schedule = MIXING_SCHEDULES[kind]()
-        product = gg.mixing_product(schedule.matrices[0], rounds)
+        product = mixed_identity(schedule.matrices[0], rounds)
         for k in (0, 2):
             assert np.abs(product - written_out_product(schedule, k, rounds)).max() <= 1e-12
         assert np.abs(product.sum(axis=0) - 1.0).max() <= 1e-12
@@ -335,32 +330,25 @@ class TestMixingProduct:
         m = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(permuted)).m
         assert m == 1027
         exact = ring_power_closed_form(100, m)[np.ix_(p, p)]
-        assert np.abs(gg.mixing_product(permuted, m) - exact).max() <= 1e-13
+        assert np.abs(mixed_identity(permuted, m) - exact).max() <= 1e-13
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_complete_matrix_power_has_zero_eigenvalues(self):
         # Every eigenvalue but one is 0: the power is still 1/n, with no warning.
-        power = gg.mixing_product(gg.complete_matrix(7), 5)
-        assert np.abs(power - 1.0 / 7).max() <= 1e-15
+        assert np.abs(mixed_identity(gg.complete_matrix(7), 5) - 1.0 / 7).max() <= 1e-15
 
     def test_one_round_is_the_matrix(self, pair):
-        assert np.array_equal(gg.mixing_product(pair[0], 1), pair[0].weights)
+        assert np.array_equal(mixed_identity(pair[0], 1), pair[0].weights)
         ring = gg.ring_matrix(40)
-        assert np.array_equal(gg.mixing_product(ring, 1), ring.weights)
-
-    @pytest.mark.parametrize("kind", sorted(MIXING_SCHEDULES))
-    def test_rounds_must_be_positive(self, kind):
-        for rounds in (0, -1):
-            with pytest.raises(ValueError):
-                gg.mixing_product(MIXING_SCHEDULES[kind]().matrices[0], rounds)
+        assert np.array_equal(mixed_identity(ring, 1), ring.weights)
 
     def test_uniform_averaging_product_is_zero(self):
-        assert gg.spectral_gap(gg.mixing_product(gg.complete_matrix(5), 3)) == pytest.approx(0.0, abs=1e-12)
+        assert gg.spectral_gap(mixed_identity(gg.complete_matrix(5), 3)) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_rounds_below_square_and_matches_oracle(self, pair):
         W1 = pair[0]
         gap1 = gg.spectral_gap(W1)
-        gap2 = gg.spectral_gap(gg.mixing_product(W1, 2))
+        gap2 = gg.spectral_gap(mixed_identity(W1, 2))
         assert gap2 <= gap1**2 + 1e-9
         assert gap2 == pytest.approx(svd_gap(W1.weights @ W1.weights), abs=1e-10)
 
