@@ -66,11 +66,18 @@ def complete_matrix(n: int) -> GossipMatrix:
 
 
 def ring_matrix(n: int) -> GossipMatrix:
-    """Symmetric ring with weight 1/3 on self and each of the two neighbors."""
+    """Symmetric ring: weight fl(1/3) on each of the two neighbors and 1 - 2 fl(1/3) on self.
+
+    The self weight is exact in binary, so every row and column sums to
+    exactly 1: three weights of fl(1/3) would sum to 1 - 2^-54, and a
+    message-passing run would shrink the agents' mean by that factor every
+    round. For n <= 2 it is the complete matrix.
+    """
     if n <= 2:
         return complete_matrix(n)
     row = np.zeros(n)
-    row[[0, 1, -1]] = 1.0 / 3.0
+    row[[1, -1]] = 1.0 / 3.0
+    row[0] = 1.0 - 2.0 * row[1]
     return GossipMatrix(_circulant(row))
 
 

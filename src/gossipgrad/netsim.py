@@ -8,9 +8,11 @@ row is owned by its agent: agent i reads only its own states, its own row of
 the current mixing matrix, and the payloads addressed to it. A round has two
 phases: deliver every message, copied from the senders' pre-round values,
 then let every agent fold what it received, in ascending sender order with
-its own value at its own index. A round plan, built once per run for each
-distinct schedule matrix used and found by the round's entry in the run's
-edge-set ids, fixes the messages and every agent's fold. A round is
+its own value at its own index. A round plan fixes the messages and every
+agent's fold. It is built on a matrix's first use at a given ``d`` and kept
+while that ``GossipMatrix`` lives, so a later run over the same matrix object
+reuses it; a round finds its plan by its entry in the run's edge-set ids.
+A plan's arrays are read-only, because traces share its edges. A round is
 three numpy calls, with no Python loop over its fold steps: take the
 senders' pre-round rows straight into the run's one inbox, sized to its
 widest plan, multiply by the weights, reduce over the inbox slots. It costs
@@ -27,7 +29,9 @@ expected links come from one ``round_table`` of the run, drawn once. That
 compact ledger is the one the locality audit reads; ``RunTrace.deliveries``
 is a read-only expansion of it into ``(messages, 4)`` rows. The audit judges
 each distinct (matrix, edge set) pair once, however many rounds and
-messages carry it. The runner has no tampering hook:
+messages carry it: a pair whose edge set is exactly the matrix's links, in
+delivery order, is accepted by one comparison, and only any other pair is
+diagnosed row by row. The runner has no tampering hook:
 tests that check the audit edit the ledger, not the runner.
 
 This path exists to prove the algorithm is decentralized and to serve as an
@@ -37,6 +41,7 @@ mixers must produce the same trace.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +49,7 @@ import numpy as np
 from .algorithm import run
 from .errors import ConfigError
 # matrix_at is no longer called here but stays importable: benchmarks/tracer.py hooks it by this path.
-from .gossip import GossipSchedule, matrix_at, round_table  # noqa: F401
+from .gossip import GossipMatrix, GossipSchedule, matrix_at, round_table  # noqa: F401
 from .objective import Problem
 from .trace import RunTrace
 
@@ -71,7 +76,8 @@ def round_plan(W: np.ndarray, d: int) -> RoundPlan:
 
     Messages ride the nonzero off-diagonal weights in row-major (receiver,
     sender) order, so every slot that reads another agent reads a delivered
-    edge.
+    edge. A pure builder: ``run_netsim`` keeps its result per matrix and ``d``.
+    The plan's arrays are read-only.
     """
     n = W.shape[0]
     agent, sender = np.nonzero(W)  # row-major: by agent, then ascending sender
@@ -86,7 +92,21 @@ def round_plan(W: np.ndarray, d: int) -> RoundPlan:
     weights = np.zeros((width, n, d))
     sources[slot, agent] = sender
     weights[slot, agent] = W[agent, sender][:, None]
+    for table in (edges, sources, weights):
+        table.setflags(write=False)
     return RoundPlan(edges, sources, weights)
+
+
+# Each matrix's plans by d, dropped with the matrix: a run over matrix objects that an earlier run used builds no plan.
+_plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _plan(matrix: GossipMatrix, d: int) -> RoundPlan:
+    """``round_plan`` of ``matrix`` at ``d``, built on first use and kept while ``matrix`` lives."""
+    plans = _plans.setdefault(matrix, {})
+    if d not in plans:
+        plans[d] = round_plan(matrix.weights, d)
+    return plans[d]
 
 
 def _first_listing(schedule: GossipSchedule, iterations: int, m: int) -> np.ndarray:
@@ -103,7 +123,13 @@ def run_netsim(
     iterations: int,
     y0: np.ndarray | None = None,
 ) -> RunTrace:
-    """Message-passing execution; trace schema identical to the vectorized path, plus the compact ledger."""
+    """Message-passing execution; trace schema identical to the vectorized path, plus the compact ledger.
+
+    Each schedule matrix's round plan at the states' ``d`` is built on its
+    first use by any run and kept while the ``GossipMatrix`` lives, so a run
+    over matrix objects that an earlier run used builds no plan. The trace's
+    edge sets are the plans' read-only edges.
+    """
     edge_set_ids = rows = plans = steps = None  # the run's ledger, its rows, plans and round steps, set by ``mixer``
 
     def mixer(schedule, m, iterations):
@@ -117,7 +143,7 @@ def run_netsim(
         edge_set_ids = plan_id[table]
         rows = edge_set_ids.tolist()
         shape = np.shape(x0)  # (n, d), as the run's start has checked
-        plans = [round_plan(schedule.matrices[i].weights, shape[1]) for i in used.tolist()]
+        plans = [_plan(schedule.matrices[i], shape[1]) for i in used.tolist()]
         # One inbox per run, as wide as its widest plan. Each plan rounds in a
         # leading slice, which is C-contiguous, so ``take`` writes into it in place.
         inbox = np.empty((max((len(plan.sources) for plan in plans), default=0), *shape))
@@ -192,15 +218,34 @@ def _judge(W: np.ndarray, edges: np.ndarray):
     return int(np.count_nonzero(links)), flagged, missing
 
 
+def _verdict(W: np.ndarray, edges: np.ndarray):
+    """``_judge``'s verdict, from one comparison where ``edges`` are exactly W's links in delivery order.
+
+    W's links are its off-diagonal nonzeros as (sender, receiver) rows, by
+    receiver, then sender: derived here from the weights, not read from a
+    plan. Any other edge set is diagnosed by ``_judge``.
+    """
+    links = W != 0.0
+    np.fill_diagonal(links, False)
+    # Row-major flat indices, split by divmod: about half the time of a 2-D np.nonzero.
+    receiver, sender = np.divmod(np.flatnonzero(links), W.shape[0])
+    if np.array_equal(edges, np.stack((sender, receiver), axis=1)):
+        return len(receiver), [], []
+    return _judge(W, edges)
+
+
 def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     """Check that every delivered message rode a nonzero-weight link.
 
     Reads the compact ledger the run stored, ``trace.edge_set_ids`` and
     ``trace.edge_sets``, and recounts it against the schedule: each round
     must carry exactly one message per nonzero off-diagonal weight. The
-    expected links are derived from the schedule's own ``round_table``,
-    never from the runner's edges. Each distinct (matrix, edge set) pair is
-    judged once and its links counted once per round that carries it; only
+    expected links are derived from the schedule's own ``round_table`` and
+    each matrix's own weights, never from the runner's edges or plans. Each
+    distinct (matrix, edge set) pair is judged once and its links counted
+    once per round that carries it: an edge set equal to the matrix's
+    off-diagonal nonzeros in delivery order (by receiver, then sender) is
+    accepted by one comparison, and any other is diagnosed row by row. Only
     the rounds of a failing pair are expanded. Violations list the offending
     deliveries in ledger order, then the missing deliveries in round order.
     Raises ``ConfigError`` on a trace without a ledger, whose edge-set ids
@@ -222,7 +267,7 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     sets = len(edge_sets)
     keys = (_first_listing(schedule, iterations, m) * sets + ids).ravel()
     pairs, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    verdicts = [_judge(schedule.matrices[key // sets].weights, edge_sets[key % sets]) for key in pairs.tolist()]
+    verdicts = [_verdict(schedule.matrices[key // sets].weights, edge_sets[key % sets]) for key in pairs.tolist()]
     expected = sum(links * count for (links, _, _), count in zip(verdicts, counts.tolist()))
     # Only the rounds of a failing pair are expanded, in round order.
     failing = np.array([bool(bad_rows or absent) for _, bad_rows, absent in verdicts], dtype=bool)

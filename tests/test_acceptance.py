@@ -299,6 +299,9 @@ def test_c13_claim_at_hundreds_of_agents():
             gap = max(float(np.abs(getattr(net, key) - getattr(vec, key)).max()) for key in "xyvu")
             audit = gg.locality_audit(net, schedule)
             ok = ok and gap <= 1e-12 and audit.passed and audit.message_count == audit.expected_count
-            details.append(f"{name} oracle {gap:.1e}")
+            # The correction states sum to zero: a ring whose rows sum to 1 - 2^-54 drifted to 3.3e-13 here.
+            drift = float(np.abs(net.y.mean(axis=1)).max())
+            ok = ok and drift <= 1e-13
+            details.append(f"{name} oracle {gap:.1e}, mean y {drift:.1e}")
     elapsed = time.perf_counter() - start
     report("C13", "claim-at-hundreds-of-agents", ok, f"{'; '.join(details)}, {elapsed:.2f} s")

@@ -149,6 +149,10 @@ class TestParsing:
         assert loc.m_override == 6
         quad = load_run_config(quadratic_config_path)
         assert quad.problem_kind == "quadratic"
+        ring = load_run_config(CONFIGS / "ring400.ini")
+        assert ring.problem_kind == "quadratic" and ring.schedule_kind == "constant"
+        assert ring.schedule_matrices[0].n == 400 and ring.iterations == 30
+        assert assemble(CONFIGS / "ring400.ini")[2].m == 16434
 
 
 class TestParser:

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -362,14 +363,14 @@ class TestMixingProduct:
 
 
 def loop_built_ring(n: int) -> np.ndarray:
-    # ring_matrix as it was once built, one agent at a time.
+    # ring_matrix built one agent at a time: fl(1/3) to each neighbor, 1 - 2 fl(1/3) (exact in binary) to itself.
     if n == 1:
         return np.array([[1.0]])
     if n == 2:
         return np.array([[0.5, 0.5], [0.5, 0.5]])
     W = np.zeros((n, n))
     for i in range(n):
-        W[i, i] = 1.0 / 3.0
+        W[i, i] = 1.0 - 2.0 * (1.0 / 3.0)
         W[i, (i - 1) % n] = 1.0 / 3.0
         W[i, (i + 1) % n] = 1.0 / 3.0
     return W
@@ -388,6 +389,12 @@ class TestBuiltins:
     def test_ring_is_doubly_stochastic(self):
         for n in (1, 2, 3, 6):
             assert max(sum_deviations(gg.ring_matrix(n))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 40, 400])
+    def test_ring_rows_and_columns_sum_to_exactly_one(self, n):
+        # In exact arithmetic: math.fsum would round three weights of fl(1/3), which sum to 1 - 2^-54, to 1.0.
+        W = gg.ring_matrix(n).weights
+        assert all(sum(map(Fraction, line)) == 1 for line in [*W, *W.T])
 
     def test_ring_mixes(self):
         assert gg.spectral_gap(gg.ring_matrix(6)) < 1.0

@@ -1,10 +1,13 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gossipgrad as gg
+from gossipgrad import netsim
 from gossipgrad.errors import ConfigError
 from gossipgrad.netsim import round_plan
 
@@ -240,6 +243,38 @@ class TestLocalityAudit:
             with pytest.raises(ConfigError, match="edge set"):
                 gg.locality_audit(replace(trace, edge_sets=(edges,)), schedule)
 
+    def test_conforming_audit_judges_no_pair(self, pair, pair_sigma, monkeypatch):
+        # Each honest edge set is its matrix's links in delivery order, so one comparison accepts it.
+        problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
+        schedule = gg.GossipSchedule.random_choice(list(pair), seed=5)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, pair_sigma)
+        trace = gg.run_netsim(problem, schedule, params, np.zeros((5, 2)), 12)
+        calls = []
+        judge = netsim._judge
+
+        def counted(W, edges):
+            calls.append(len(edges))
+            return judge(W, edges)
+
+        monkeypatch.setattr(netsim, "_judge", counted)
+        report = gg.locality_audit(trace, schedule)
+        assert calls == [] and report.passed
+        assert report.message_count == report.expected_count == len(trace.deliveries)
+        # Judged row by row instead, each of the two pairs once: the same report.
+        monkeypatch.setattr(netsim, "_verdict", counted)
+        assert gg.locality_audit(trace, schedule) == report
+        assert calls == [12, 11]
+
+    def test_links_in_another_order_pass(self, pair, monkeypatch):
+        trace, schedule = pair_run(pair)
+        honest = gg.locality_audit(trace, schedule)
+        calls = []
+        judge = netsim._judge
+        monkeypatch.setattr(netsim, "_judge", lambda W, edges: calls.append(1) or judge(W, edges))
+        reversed_sets = tuple(edges[::-1] for edges in trace.edge_sets)
+        assert gg.locality_audit(replace(trace, edge_sets=reversed_sets), schedule) == honest
+        assert honest.passed and calls == [1]
+
     def test_vectorized_trace_has_no_ledger(self, corpus):
         with pytest.raises(ConfigError):
             gg.locality_audit(corpus[0].trace, corpus[0].schedule)
@@ -424,6 +459,56 @@ class TestProtocol:
             edges = np.vstack([trace.edge_sets[0], [edge]])
             report = gg.locality_audit(with_round(trace, 1, 1, edges), schedule)
             assert report.violations == (((1, 1, *edge), "delivery outside the run"),)
+
+
+class TestPlanReuse:
+    """A matrix's round plan at a given d is built once and kept while the matrix lives."""
+
+    def test_runs_over_one_schedule_plan_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 20
+        matrices = [metropolis_matrix(n, 0.3, rng) for _ in range(3)]
+        schedule = gg.GossipSchedule.random_choice(matrices, seed=8)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.01, m_override=2)
+        built = []
+        plan = netsim.round_plan
+
+        def counted(W, d):
+            built.append(d)
+            return plan(W, d)
+
+        monkeypatch.setattr(netsim, "round_plan", counted)
+        problem = gg.random_quadratic_problem(n, 3, 1.0, 3.0, seed=8)
+        x0 = rng.standard_normal((n, 3))
+        first, second = (gg.run_netsim(problem, schedule, params, x0, 6) for _ in range(2))
+        assert len(first.edge_sets) == 3 and built == [3, 3, 3]
+        for key in ("x", "y", "v", "u", "edge_set_ids"):
+            assert np.array_equal(getattr(first, key), getattr(second, key)), key
+        assert all(a is b for a, b in zip(first.edge_sets, second.edge_sets))
+        # Another d is another plan for each matrix.
+        wide = gg.random_quadratic_problem(n, 5, 1.0, 3.0, seed=8)
+        gg.run_netsim(wide, schedule, params, rng.standard_normal((n, 5)), 6)
+        assert built == [3, 3, 3, 5, 5, 5]
+
+    def test_collected_matrix_leaves_no_plan(self):
+        matrix = metropolis_matrix(10, 0.5, np.random.default_rng(3))
+        schedule = gg.GossipSchedule.constant(matrix)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, 0.01, m_override=2)
+        problem = gg.random_quadratic_problem(10, 2, 1.0, 3.0, seed=3)
+        trace = gg.run_netsim(problem, schedule, params, np.ones((10, 2)), 2)
+        assert matrix in netsim._plans
+        kept, alive = len(netsim._plans), weakref.ref(matrix)
+        del matrix, schedule
+        gc.collect()
+        assert alive() is None and len(netsim._plans) < kept
+        assert len(trace.edge_sets) == 1  # the trace keeps its edges
+
+    def test_trace_edge_sets_are_read_only(self, pair):
+        trace, _ = pair_run(pair)
+        with pytest.raises(ValueError, match="read-only"):
+            trace.edge_sets[0][0, 0] = 1
+        plan = round_plan(pair[0].weights, 2)
+        assert not any(table.flags.writeable for table in (plan.edges, plan.sources, plan.weights))
 
 
 class TestRoundPlan:

@@ -2,12 +2,14 @@
 formula, the spectral mixer against a long-double reference, schedule index
 rows against a written-out draw and ``matrix_at``, a run's table against the
 rows of shorter tables, message passing against the vectorized path, the
-locality audit against a per-round audit, batched against per-agent
-gradients, and the stacked certificate against its per-iteration formula."""
+locality audit against a per-round audit and against judging every pair,
+batched against per-agent gradients, and the stacked certificate against its
+per-iteration formula."""
 
 import hashlib
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gossipgrad as gg
+from gossipgrad import netsim
 from gossipgrad.algorithm import power_mixer
 from gossipgrad.analysis import DECREASE_FLOOR, DECREASE_RELATIVE
 
@@ -330,7 +333,7 @@ class TestAuditProperties:
         kind=st.sampled_from(["cyclic", "random"]),
         m=st.integers(1, 5),
         iterations=st.integers(1, 4),
-        tamper=st.sampled_from(["none", "delete", "self", "duplicate", "outside"]),
+        tamper=st.sampled_from(["none", "delete", "self", "duplicate", "outside", "reorder"]),
         seed=seeds,
     )
     def test_matches_per_round_audit(self, n, count, listed_twice, kind, m, iterations, tamper, seed):
@@ -356,6 +359,8 @@ class TestAuditProperties:
             edges = np.vstack([edges, edges[rng.integers(len(edges))][None]])
         elif tamper == "outside":
             edges = np.vstack([edges, np.array([[rng.choice([-1, n]), rng.integers(n)]], dtype=np.int32)])
+        elif tamper == "reorder":
+            edges = edges[rng.permutation(len(edges))]
         ids = net.edge_set_ids.copy()
         ids[rng.random(ids.shape) < 0.5] = len(net.edge_sets)
         tampered = replace(net, edge_set_ids=ids, edge_sets=net.edge_sets + (edges,))
@@ -364,6 +369,9 @@ class TestAuditProperties:
             report = gg.locality_audit(trace, schedule)
             got = (report.passed, report.violations, report.message_count, report.expected_count)
             assert got == per_round_audit(trace, schedule)
+            # The one-comparison acceptance changes no report: judging every pair row by row gives the same one.
+            with mock.patch.object(netsim, "_verdict", netsim._judge):
+                assert gg.locality_audit(trace, schedule) == report
         assert gg.locality_audit(net, schedule).passed
 
 
