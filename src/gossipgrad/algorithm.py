@@ -38,10 +38,10 @@ RHO_FLOOR = 1e-6
 
 
 def sigma0(rho: float) -> float:
-    """Consensus threshold (sqrt(1 + rho) - sqrt(1 - rho)) / 2, increasing in rho."""
+    """Consensus threshold (sqrt(1 + rho) - sqrt(1 - rho)) / 2, increasing in rho, in a form that does not cancel."""
     if not 0 < rho < 1:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
-    return (math.sqrt(1.0 + rho) - math.sqrt(1.0 - rho)) / 2.0
+    return rho / (math.sqrt(1.0 + rho) + math.sqrt(1.0 - rho))
 
 
 def comm_rounds(rho: float, sigma: float) -> int:
@@ -51,11 +51,9 @@ def comm_rounds(rho: float, sigma: float) -> int:
     result is exactly the least integer satisfying the float inequality
     (boundary equality accepted).
     """
-    if not 0 < rho < 1:
-        raise ValueError(f"rho must be in (0, 1), got {rho}")
+    threshold = sigma0(rho)
     if not 0 < sigma < 1:
         raise ValueError(f"sigma must be in (0, 1), got {sigma}")
-    threshold = sigma0(rho)
     m = max(1, math.ceil(math.log(threshold) / math.log(sigma)))
     while sigma**m > threshold:
         m += 1
@@ -126,10 +124,10 @@ def algorithm_iteration(problem: Problem, params: AlgorithmParams, mix, x: np.nd
     return x_next, y_next, v, u
 
 
-def power_mixer(schedule: GossipSchedule, m: int, iterations: int | None = None):
+def power_mixer(schedule: GossipSchedule, m: int, trace: RunTrace | None = None):
     """Mixing by W^m of a one-matrix schedule, one application per iteration.
 
-    One power serves every iteration, so ``iterations`` is not read.
+    One power serves every iteration, so ``trace`` is not read.
 
     A symmetric circulant W (every ring and complete matrix) at m > 1 is
     diagonal in the Fourier basis: its spectrum's m-th power is computed
@@ -148,9 +146,9 @@ def power_mixer(schedule: GossipSchedule, m: int, iterations: int | None = None)
     return lambda iteration, x: np.fft.irfft(np.fft.rfft(x, axis=0) * half, n, axis=0)
 
 
-def round_mixer(schedule: GossipSchedule, m: int, iterations: int):
+def round_mixer(schedule: GossipSchedule, m: int, trace: RunTrace):
     """Mixing by m dense rounds per iteration, read from the run's ``round_table``, drawn once."""
-    rows = round_table(schedule, iterations, m).tolist()
+    rows = round_table(schedule, trace.iterations, m).tolist()
     weights = [W.weights for W in schedule.matrices]
 
     def mix(iteration, v):
@@ -173,15 +171,15 @@ def run(
 ) -> RunTrace:
     """The run loop of both execution paths: checks, then ``iterations`` iterations into one trace.
 
-    ``mixer(schedule, m, iterations)`` builds the run's
-    ``mix(iteration, x) -> v`` once, after the trace is allocated and the
-    agent counts are checked. Gradient evaluations are counted per
-    agent and asserted to be one per iteration.
+    The mixer contract: ``mixer(schedule, m, trace)`` builds the run's ``mix(iteration, x) -> v``
+    once, after the trace is allocated and the agent counts are checked, and
+    records in ``trace`` what it will do (netsim's delivery ledger). Gradient
+    evaluations are counted per agent and checked to be one per iteration.
     """
     trace = RunTrace.start(x0, y0, iterations, params)
     if problem.n != trace.n or schedule.n != trace.n:
         raise ConfigError(f"agent count mismatch: states {trace.n}, problem {problem.n}, schedule {schedule.n}")
-    mix = mixer(schedule, params.m, iterations)
+    mix = mixer(schedule, params.m, trace)
     calls_before = problem.gradient_calls.copy()
     x, y = trace.x[0], trace.y[0]
     for k in range(iterations):

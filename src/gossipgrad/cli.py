@@ -117,7 +117,10 @@ def cmd_grid(args) -> int:
     lines = ["rho,sigma,m,per_step_rate" if rates else "rho,sigma,m"]
     for rho in rhos:
         for sigma in sigmas:
-            m = comm_rounds(rho, sigma)
+            try:
+                m = comm_rounds(rho, sigma)
+            except ValueError as exc:  # a denormal rho, whose threshold sigma0 underflows to 0
+                raise ConfigError(f"no round count at rho = {_fmt(rho)}, sigma = {_fmt(sigma)}: {exc}") from exc
             row = f"{_fmt(rho)},{_fmt(sigma)},{m}"
             lines.append(f"{row},{_fmt(rho ** (1.0 / m))}" if rates else row)
     _write_lines(args.output, lines)

@@ -1,9 +1,9 @@
 """Synchronous message-passing execution of the algorithm: the netsim mixer,
 its round plans, the delivery ledger and the locality audit.
 
-``run_netsim`` runs the one loop of ``algorithm.run`` with a mixer that
-passes messages; the update rule, the trace and the counters are the
-vectorized path's own. Agent states are stacked one row per agent, and each
+``run_netsim`` is ``algorithm.run`` with ``netsim_mixer``, which writes the
+run's ledger into its trace; the update rule, the trace and the counters are
+the vectorized path's own. Agent states are stacked one row per agent, and each
 row is owned by its agent: agent i reads only its own states, its own row of
 the current mixing matrix, and the payloads addressed to it. A round has two
 phases: deliver every message, copied from the senders' pre-round values,
@@ -76,11 +76,12 @@ def round_plan(W: np.ndarray, d: int) -> RoundPlan:
 
     Messages ride the nonzero off-diagonal weights in row-major (receiver,
     sender) order, so every slot that reads another agent reads a delivered
-    edge. A pure builder: ``run_netsim`` keeps its result per matrix and ``d``.
+    edge. A pure builder: ``netsim_mixer`` keeps its result per matrix and ``d``.
     The plan's arrays are read-only.
     """
     n = W.shape[0]
-    agent, sender = np.nonzero(W)  # row-major: by agent, then ascending sender
+    # Row-major flat indices, split by divmod as ``_verdict`` does: by agent, then ascending sender.
+    agent, sender = np.divmod(np.flatnonzero(W != 0.0), n)
     link = agent != sender
     edges = np.stack((sender[link], agent[link]), axis=1).astype(np.int32)
     counts = np.bincount(agent, minlength=n)
@@ -115,40 +116,27 @@ def _first_listing(schedule: GossipSchedule, iterations: int, m: int) -> np.ndar
     return first[round_table(schedule, iterations, m)]
 
 
-def run_netsim(
-    problem: Problem,
-    schedule: GossipSchedule,
-    params,
-    x0: np.ndarray,
-    iterations: int,
-    y0: np.ndarray | None = None,
-) -> RunTrace:
-    """Message-passing execution; trace schema identical to the vectorized path, plus the compact ledger.
+def netsim_mixer(schedule: GossipSchedule, m: int, trace: RunTrace):
+    """The message-passing mixer: writes the run's compact ledger into ``trace``, then returns its ``mix``.
 
-    Each schedule matrix's round plan at the states' ``d`` is built on its
-    first use by any run and kept while the ``GossipMatrix`` lives, so a run
-    over matrix objects that an earlier run used builds no plan. The trace's
-    edge sets are the plans' read-only edges.
+    Edge sets are numbered by first use; they are the read-only edges of the
+    matrices' round plans, each built on its matrix's first use at the states' ``d``.
     """
-    edge_set_ids = rows = plans = steps = None  # the run's ledger, its rows, plans and round steps, set by ``mixer``
-
-    def mixer(schedule, m, iterations):
-        nonlocal edge_set_ids, rows, plans, steps
-        table = _first_listing(schedule, iterations, m)
-        # Edge-set ids in order of first use: id e plans matrix ``used[e]``.
-        listed, first_use = np.unique(table, return_index=True)
-        used = listed[np.argsort(first_use)]
-        plan_id = np.zeros(len(schedule.matrices), dtype=np.int32)
-        plan_id[used] = np.arange(len(used), dtype=np.int32)
-        edge_set_ids = plan_id[table]
-        rows = edge_set_ids.tolist()
-        shape = np.shape(x0)  # (n, d), as the run's start has checked
-        plans = [_plan(schedule.matrices[i], shape[1]) for i in used.tolist()]
-        # One inbox per run, as wide as its widest plan. Each plan rounds in a
-        # leading slice, which is C-contiguous, so ``take`` writes into it in place.
-        inbox = np.empty((max((len(plan.sources) for plan in plans), default=0), *shape))
-        steps = [(plan.sources, plan.weights, inbox[: len(plan.sources)]) for plan in plans]
-        return mix
+    table = _first_listing(schedule, trace.iterations, m)
+    # Edge-set ids in order of first use: id e plans matrix ``used[e]``.
+    listed, first_use = np.unique(table, return_index=True)
+    used = listed[np.argsort(first_use)]
+    plan_id = np.zeros(len(schedule.matrices), dtype=np.int32)
+    plan_id[used] = np.arange(len(used), dtype=np.int32)
+    shape = trace.x.shape[1:]  # (n, d)
+    plans = [_plan(schedule.matrices[i], shape[1]) for i in used.tolist()]
+    trace.edge_set_ids = plan_id[table]
+    trace.edge_sets = tuple(plan.edges for plan in plans)
+    rows = trace.edge_set_ids.tolist()
+    # One inbox per run, as wide as its widest plan. Each plan rounds in a
+    # leading slice, which is C-contiguous, so ``take`` writes into it in place.
+    inbox = np.empty((max((len(plan.sources) for plan in plans), default=0), *shape))
+    steps = [(plan.sources, plan.weights, inbox[: len(plan.sources)]) for plan in plans]
 
     def mix(k, v):
         for e in rows[k]:
@@ -167,10 +155,19 @@ def run_netsim(
             v = np.add.reduce(slots, axis=0)
         return v
 
-    trace = run(problem, schedule, params, x0, iterations, y0, mixer)
-    trace.edge_set_ids = edge_set_ids
-    trace.edge_sets = tuple(plan.edges for plan in plans)
-    return trace
+    return mix
+
+
+def run_netsim(
+    problem: Problem,
+    schedule: GossipSchedule,
+    params,
+    x0: np.ndarray,
+    iterations: int,
+    y0: np.ndarray | None = None,
+) -> RunTrace:
+    """Message-passing execution: ``algorithm.run`` with ``netsim_mixer``; the trace also holds the compact ledger."""
+    return run(problem, schedule, params, x0, iterations, y0, netsim_mixer)
 
 
 AUDIT_REASONS = (

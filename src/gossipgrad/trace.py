@@ -76,10 +76,9 @@ class RunTrace:
         return trace
 
     def count_gradients(self, per_agent: np.ndarray):
-        """Record the run's gradient evaluations, asserting one per agent per iteration."""
-        assert np.all(per_agent == self.iterations), (
-            f"expected {self.iterations} gradient evaluations per agent, got {per_agent.tolist()}"
-        )
+        """Record the run's gradient evaluations, checking one per agent per iteration (under ``python -O`` too)."""
+        if not np.all(per_agent == self.iterations):
+            raise AssertionError(f"expected {self.iterations} gradient evaluations per agent, got {per_agent.tolist()}")
         self.gradient_evaluations = int(per_agent.sum())
 
     @property

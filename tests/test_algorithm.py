@@ -1,4 +1,8 @@
+import decimal
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 
 import gossipgrad as gg
 from conftest import ring_power_closed_form
-from gossipgrad.algorithm import power_mixer
+from gossipgrad.algorithm import power_mixer, round_mixer, run
 from gossipgrad.gossip import circulant_spectrum_power
 from gossipgrad.errors import ConfigError
 
@@ -39,6 +43,17 @@ class TestSigma0:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 gg.sigma0(bad)
+
+    def test_within_two_ulp_of_a_decimal_reference(self):
+        # The difference form (sqrt(1 + rho) - sqrt(1 - rho)) / 2 at 660 digits keeps at least 60
+        # after its cancellation, down to rho = 1e-300; in doubles it reads 0.0 from about 1e-17.
+        rhos = [*np.geomspace(1e-300, 0.5, 301).tolist(), *(1.0 - 2.0**-k for k in range(1, 54))]
+        with decimal.localcontext() as context:
+            context.prec = 660
+            for rho in rhos:
+                exact = decimal.Decimal(rho)
+                reference = float(((1 + exact).sqrt() - (1 - exact).sqrt()) / 2)
+                assert abs(gg.sigma0(rho) - reference) <= 2 * math.ulp(reference), rho
 
 
 class TestCommRounds:
@@ -138,6 +153,36 @@ class TestRun:
         for run in corpus:
             K, n = run.trace.iterations, run.trace.n
             assert run.trace.gradient_evaluations == n * K
+
+    def test_gradient_count_is_checked_under_python_O(self):
+        # -O strips assert statements; the one-gradient-per-agent-per-iteration check must stay.
+        code = (
+            "import numpy as np, gossipgrad as gg\n"
+            "trace = gg.RunTrace.start(np.zeros((3, 1)), None, 2, None)\n"
+            "try:\n"
+            "    trace.count_gradients(np.full(3, 5))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    print('recorded', trace.gradient_evaluations)\n"
+        )
+        src = os.path.dirname(os.path.dirname(gg.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout == "expected 2 gradient evaluations per agent, got [5, 5, 5]\n"
+
+    def test_run_hands_the_mixer_the_trace_it_returns(self, pair, pair_sigma):
+        problem = gg.random_quadratic_problem(5, 3, 1.0, 3.0, seed=3)
+        params = gg.AlgorithmParams.derive(0.5, 0.5, pair_sigma)
+        schedule = gg.GossipSchedule.random_choice(list(pair), seed=8)
+        built = []
+
+        def mixer(schedule, m, trace):
+            built.append((m, trace))
+            return round_mixer(schedule, m, trace)
+
+        trace = run(problem, schedule, params, np.ones((5, 3)), 4, None, mixer)
+        assert len(built) == 1 and built[0][0] == params.m and built[0][1] is trace
 
     def test_conservation_invariants(self, corpus):
         for run in corpus:

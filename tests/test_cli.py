@@ -712,6 +712,21 @@ class TestGridCommands:
         assert main(["grid", "--rho-min", "0.0", "--output", str(tmp_path / "x.csv")]) == 2
         assert main(["grid", "--resolution", "1", "--output", str(tmp_path / "x.csv")]) == 2
 
+    def test_grid_takes_a_rho_far_below_the_difference_forms_cancellation(self, capsys):
+        # (sqrt(1 + rho) - sqrt(1 - rho)) / 2 reads 0.0 in doubles at rho = 1e-20; sigma0 does not.
+        argv = ["grid", "--rho-min", "1e-20", "--rho-max", "0.5", "--sigma-min", "0.5", "--resolution", "2"]
+        assert main([*argv, "--output", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1] == "9.9999999999999995e-21,0.5,68"
+
+    def test_grid_at_a_denormal_rho_is_a_config_error(self, capsys):
+        # sigma0(5e-324) underflows to 0, which has no round count: one config error line, exit 2.
+        argv = ["grid", "--rho-min", "5e-324", "--rho-max", "0.5", "--sigma-min", "0.5", "--resolution", "2"]
+        assert main([*argv, "--output", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_rates_values(self, tmp_path):
         out = tmp_path / "rates.csv"
         args = [

@@ -461,6 +461,24 @@ class TestProtocol:
             assert report.violations == (((1, 1, *edge), "delivery outside the run"),)
 
 
+class TestMixerContract:
+    def test_netsim_mixer_writes_the_ledger_before_the_first_round(self, pair, pair_sigma):
+        problem = gg.random_quadratic_problem(5, 3, 1.0, 2.0, seed=8)
+        schedule = gg.GossipSchedule.random_choice(list(pair), seed=19)
+        params = gg.AlgorithmParams.derive(0.6, 0.4, pair_sigma)
+        x0 = np.random.default_rng(9).standard_normal((5, 3))
+        K = 15
+        trace = gg.RunTrace.start(x0, None, K, params)
+        mix = netsim.netsim_mixer(schedule, params.m, trace)
+        # Written by building the mixer, before any round runs.
+        assert trace.edge_set_ids.dtype == np.int32 and trace.edge_set_ids.shape == (K, params.m)
+        ran = gg.run_netsim(problem, schedule, params, x0, K)
+        assert np.array_equal(trace.edge_set_ids, ran.edge_set_ids)
+        assert len(trace.edge_sets) == len(ran.edge_sets) == 2
+        assert all(np.array_equal(built, got) for built, got in zip(trace.edge_sets, ran.edge_sets))
+        assert np.array_equal(mix(0, trace.x[0]), ran.v[0])
+
+
 class TestPlanReuse:
     """A matrix's round plan at a given d is built once and kept while the matrix lives."""
 
