@@ -45,16 +45,16 @@ def sigma0(rho: float) -> float:
 
 
 def comm_rounds(rho: float, sigma: float) -> int:
-    """Least m >= 1 with sigma**m <= sigma0(rho).
+    """Least m >= 1 with sigma**m <= sigma0(rho), for sigma in [0, 1): the one place the round rule is evaluated.
 
-    Computed from the log ratio and then adjusted by direct comparison so the
-    result is exactly the least integer satisfying the float inequality
-    (boundary equality accepted).
+    A gap of 0 needs one round. Computed from the log ratio and then adjusted
+    by direct comparison so the result is exactly the least integer
+    satisfying the float inequality (boundary equality accepted).
     """
     threshold = sigma0(rho)
-    if not 0 < sigma < 1:
-        raise ValueError(f"sigma must be in (0, 1), got {sigma}")
-    m = max(1, math.ceil(math.log(threshold) / math.log(sigma)))
+    if not 0 <= sigma < 1:
+        raise ValueError(f"sigma must be in [0, 1), got {sigma}")
+    m = max(1, math.ceil(math.log(threshold) / math.log(sigma))) if sigma > 0 else 1
     while sigma**m > threshold:
         m += 1
     while m > 1 and sigma ** (m - 1) <= threshold:
@@ -65,7 +65,8 @@ def comm_rounds(rho: float, sigma: float) -> int:
 @dataclass(frozen=True)
 class AlgorithmParams:
     """Validated parameter bundle: stepsize, contraction factor, gap bound and
-    rounds per iteration m. A gap of 0 means one round reaches consensus."""
+    rounds per iteration m, at least ``comm_rounds(rho, sigma)``, which owns
+    the rho and sigma domains. A gap of 0 means one round reaches consensus."""
 
     alpha: float
     rho: float
@@ -75,17 +76,12 @@ class AlgorithmParams:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"stepsize must be positive and finite, got {self.alpha}")
-        if not 0 < self.rho < 1:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if not 0 <= self.sigma < 1:
-            raise ValueError(f"sigma must be in [0, 1), got {self.sigma}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.sigma**self.m > sigma0(self.rho):
+        least = comm_rounds(self.rho, self.sigma)
+        if self.m < least:
             raise ValueError(
-                f"m={self.m} leaves sigma^m = {self.sigma**self.m:.6g} above the "
-                f"consensus threshold {sigma0(self.rho):.6g}; need m >= "
-                f"{comm_rounds(self.rho, self.sigma)}"
+                f"m={self.m} leaves sigma^m above the consensus threshold {sigma0(self.rho):.6g}; need m >= {least}"
             )
 
     @property
@@ -95,17 +91,13 @@ class AlgorithmParams:
 
     @classmethod
     def derive(cls, alpha: float, rho: float, sigma: float, m_override: int | None = None) -> "AlgorithmParams":
-        """Build params from (alpha, rho, sigma), deriving m unless overridden.
+        """Build params from (alpha, rho, sigma), deriving m unless overridden; either m meets the same check.
 
-        rho is clamped to at least 1e-6 so lam stays below 1 and the log in
-        the round count is well defined at the rho = 0 boundary. A gap of 0
-        derives m = 1.
+        rho in [0, 1e-6), the mu = L boundary, is clamped to 1e-6 so lam stays
+        below 1 and the round count is well defined; a negative rho is rejected.
         """
-        rho = max(float(rho), RHO_FLOOR)
-        if m_override is not None:
-            m = int(m_override)
-        else:
-            m = 1 if sigma == 0 else comm_rounds(rho, sigma)
+        rho = RHO_FLOOR if 0 <= rho < RHO_FLOOR else float(rho)
+        m = comm_rounds(rho, sigma) if m_override is None else int(m_override)
         return cls(alpha=float(alpha), rho=rho, sigma=float(sigma), m=m)
 
 

@@ -257,8 +257,8 @@ def resolve_params(config: RunConfig, problem: Problem, gap: float) -> Algorithm
                 alpha = optimal_stepsize(problem, config.localization.target)
             if rho == "auto":
                 rho = gd_contraction_factor(config.localization, alpha)
-        if not 0 <= sigma < 1:
-            raise ConfigError(f"schedule spectral gap {sigma:.6g} is not in [0, 1); the network never mixes")
+        if config.sigma == "auto" and not 0 <= gap < 1:  # an explicit sigma out of range is named by derive's check
+            raise ConfigError(f"schedule spectral gap {gap:.6g} is not in [0, 1); the network never mixes")
         return AlgorithmParams.derive(alpha, rho, sigma, m_override=config.m_override)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -65,9 +65,14 @@ class TestCommRounds:
         assert gg.comm_rounds(0.75, 0.7853) == 4
 
     def test_domain(self):
-        for rho, sigma in [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)]:
+        for rho, sigma in [(0.0, 0.5), (1.0, 0.5), (0.5, -0.1), (0.5, 1.0), (0.5, math.nan)]:
             with pytest.raises(ValueError):
                 gg.comm_rounds(rho, sigma)
+
+    def test_zero_gap_needs_one_round(self):
+        # sigma = 0: one round reaches exact consensus, whatever the threshold.
+        for rho in (1e-300, 1e-6, 0.5, 0.9, 1.0 - 2**-53):
+            assert gg.comm_rounds(rho, 0.0) == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_agrees_with_brute_force(self, seed):
@@ -103,6 +108,13 @@ class TestAlgorithmParams:
         assert params.lam < 1.0
         assert params.m >= 1
 
+    def test_negative_rho_is_rejected(self):
+        # Only rho in [0, 1e-6) is clamped; a negative rho is not a boundary case.
+        for rho in (-0.5, -1e-300, -1e300):
+            with pytest.raises(ValueError, match="rho must be in"):
+                gg.AlgorithmParams.derive(1.0, rho, 0.5)
+        assert gg.AlgorithmParams.derive(1.0, -0.0, 0.5).rho == 1e-6
+
     def test_zero_gap_derives_one_round(self):
         params = gg.AlgorithmParams.derive(0.5, 0.5, 0.0)
         assert params.m == 1 and params.sigma == 0.0
@@ -114,7 +126,7 @@ class TestAlgorithmParams:
         assert params.m == 6
 
     def test_override_below_formula_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need m >= 6"):
             gg.AlgorithmParams.derive(0.5, 0.5, 0.7853, m_override=2)
 
     def test_rounds_must_be_positive(self):

@@ -154,6 +154,23 @@ class TestDecreaseRule:
         absolute = [r.k for r in records[1:] if r.delta > 1e-9]
         assert absolute and set(absolute) < set(flagged(records))
 
+    @pytest.mark.parametrize("mode", sorted(RUNNERS))
+    @pytest.mark.parametrize("excess", [0.0, 1e-6, 1e-4])
+    def test_a_rate_above_rho_by_a_millionth_is_flagged(self, mode, excess):
+        # 20 identical agents (so y* = 0) start at consensus on x* + q_L, q_L the eigenvector of the
+        # largest curvature L = 3, with |1 - alpha L| = rho (1 + e): the energy contracts by exactly
+        # rho^2 (1 + e)^2 per step, an excess of about 2 e rho^2 V(k - 1) over the rule. A rule that
+        # allows 1e-3 of V(k - 1) instead of 1e-9 flags none of it.
+        rho, L, n = 0.5, 3.0, 20
+        problem = gg.QuadraticObjective(np.diag([1.0, 2.0, L]), np.tile([1.0, 2.0, 3.0], (n, 1)), optimizer=np.ones(3))
+        schedule = gg.GossipSchedule.constant(gg.ring_matrix(n))
+        params = gg.AlgorithmParams.derive((1.0 + rho * (1.0 + excess)) / L, rho, gg.spectral_gap(schedule.matrices[0]))
+        trace = RUNNERS[mode](problem, schedule, params, np.tile([1.0, 1.0, 2.0], (n, 1)), 20)
+        records = gg.lyapunov_trace(trace, gg.fixed_point(problem, params), params)
+        values = np.array([r.value for r in records])
+        assert np.allclose(values[1:] / values[:-1], (rho * (1.0 + excess)) ** 2, rtol=1e-7, atol=0)
+        assert (flagged(records) != []) == (excess > 0)
+
 
 class TestErrorBound:
     def test_zero_initial_energy(self):

@@ -327,6 +327,7 @@ class TestRunCommand:
             ("quadratic", "mu = 1.0", "mu = 0"),
             ("quadratic", "source = five-agent-pair", "source = inline"),
             ("quadratic", "mode = vectorized", "mode = typo"),
+            ("localization", "rho = auto\nsigma = auto\nm = 6\n", "rho = -0.5\nsigma = auto\n"),
         ]
         + [row[:3] for row in UNREAD],
         ids=[
@@ -338,7 +339,7 @@ class TestRunCommand:
             "inline-matrix-gap", "matrix-without-inline",
             "percent-in-value", "curvature-ratio", "schedule-section-missing", "localization-section-missing",
             "problem-kind-missing", "schedule-kind-missing", "mu-above-L", "mu-zero", "inline-without-matrix",
-            "mode-typo",
+            "mode-typo", "rho-negative",
         ]
         + UNREAD_IDS,
     )
@@ -512,6 +513,45 @@ class TestRunCommand:
         assert not out.exists()
         assert main(["validate", str(path)]) == 1
         assert "FAIL  spectral gap within bound: actual 0.785334 vs configured 0.500000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "base,old,new,error",
+        [
+            ("quadratic", "sigma = auto", "sigma = 1.5", "sigma must be in [0, 1), got 1.5"),
+            (
+                "quadratic",
+                "source = five-agent-pair",
+                f"source = inline\nmatrix1 = {DISCONNECTED}",
+                "schedule spectral gap 1 is not in [0, 1); the network never mixes",
+            ),
+            (
+                "localization",
+                "rho = auto\nsigma = auto\nm = 6\n",
+                "rho = -0.5\nsigma = auto\n",
+                "rho must be in (0, 1), got -0.5",
+            ),
+            (
+                "quadratic",
+                "sigma = auto",
+                "sigma = auto\nm = 2",
+                "m=2 leaves sigma^m above the consensus threshold 0.258819; need m >= 6",
+            ),
+        ],
+        ids=["sigma-explicit", "sigma-auto-disconnected", "rho-negative", "m-below-derived"],
+    )
+    def test_parameter_error_names_its_source(self, tmp_path, capsys, base, old, new, error):
+        # An explicit sigma is named as configured; under sigma = auto the schedule's gap is blamed.
+        # A too-small m override names the least valid m. Both commands print the same one line.
+        text = (CONFIGS / f"{base}.ini").read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(old, new))
+        out = tmp_path / "x.csv"
+        for command in (["run", str(path), "--output", str(out)], ["validate", str(path)]):
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: {error}\n" and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("sigma", ["auto", "0.79"])

@@ -89,6 +89,29 @@ class TestProductGapProperties:
         assert gg.spectral_gap(np.linalg.matrix_power(schedule.matrices[0].weights, m)) <= gg.sigma0(rho)
 
 
+class TestRoundRuleProperties:
+    """AlgorithmParams accepts an m exactly where the paper's rule holds, however that m was chosen."""
+
+    @common
+    @given(
+        rho=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        sigma=st.floats(0, 1, exclude_max=True),
+        m=st.integers(1, 200),
+    )
+    @example(rho=0.5, sigma=0.7853, m=5)
+    @example(rho=0.5, sigma=0.7853, m=6)
+    @example(rho=0.5, sigma=0.0, m=1)
+    def test_params_construct_exactly_when_sigma_to_the_m_meets_sigma0(self, rho, sigma, m):
+        # At a denormal rho the threshold underflows to 0 and no round count is defined.
+        assume(gg.sigma0(rho) > 0)
+        try:
+            gg.AlgorithmParams(1.0, rho, sigma, m)
+        except ValueError as exc:
+            assert sigma**m > gg.sigma0(rho), exc
+            assert "need m >= " in str(exc)
+        else:
+            assert sigma**m <= gg.sigma0(rho)
+
 
 class TestCirculantProperties:
     """A symmetric circulant's gap, from its Fourier spectrum, against LAPACK, and its power against numpy's."""
