@@ -41,6 +41,8 @@ def sigma0(rho: float) -> float:
     """Consensus threshold (sqrt(1 + rho) - sqrt(1 - rho)) / 2, increasing in rho, in a form that does not cancel."""
     if not 0 < rho < 1:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
+    if rho / 2.0 == 0.0:  # the least denormal rho: the threshold, about rho / 2, underflows to 0
+        raise ValueError(f"sigma0 underflows to 0 at rho = {rho}, so no round count reaches it")
     return rho / (math.sqrt(1.0 + rho) + math.sqrt(1.0 - rho))
 
 
@@ -130,7 +132,7 @@ def power_mixer(schedule: GossipSchedule, m: int, trace: RunTrace | None = None)
     W = schedule.matrices[0]
     spectrum = circulant_spectrum_power(W, m) if m > 1 else None
     if spectrum is None:
-        power = np.linalg.matrix_power(W.weights, m)
+        power = np.linalg.matrix_power(np.ascontiguousarray(W.weights), m)  # a ring's view, made dense once
         return lambda iteration, x: power @ x
     n = W.n
     half = spectrum[: n // 2 + 1, None]  # the real spectrum is even, so rfft's half of it is all irfft reads
@@ -141,7 +143,7 @@ def power_mixer(schedule: GossipSchedule, m: int, trace: RunTrace | None = None)
 def round_mixer(schedule: GossipSchedule, m: int, trace: RunTrace):
     """Mixing by m dense rounds per iteration, read from the run's ``round_table``, drawn once."""
     rows = round_table(schedule, trace.iterations, m).tolist()
-    weights = [W.weights for W in schedule.matrices]
+    weights = [np.ascontiguousarray(W.weights) for W in schedule.matrices]  # a ring's view, made dense once
 
     def mix(iteration, v):
         # ``dot`` makes the same BLAS call as ``@`` with less per-call overhead.

@@ -25,12 +25,15 @@ GAP_ROUNDOFF = 16 * np.finfo(float).eps  # per agent
 class GossipMatrix:
     """One round of mixing weights over n agents.
 
-    The matrix is stored dense and made read-only; negative weights are
-    allowed (a schedule constrains only the row and column sums). Whether
-    it is circulant is checked on first use and kept, so the gap and the
-    power of one matrix scan its n x n weights once between them. A one-matrix
-    schedule mixes a symmetric circulant at m > 1 by its spectrum
-    (``circulant_spectrum_power``), any other W by ``np.linalg.matrix_power``.
+    ``weights`` is read-only: a dense copy of the caller's array, or, for a
+    generated ring, a circulant view of 2n doubles that is known circulant
+    from the start. Negative weights are allowed (a schedule constrains only
+    the row and column sums). Whether a copied matrix is circulant is checked
+    on first use and kept, so its sum check, gap and power scan its n x n
+    weights once between them. A one-matrix schedule mixes a symmetric
+    circulant at m > 1 by its spectrum (``circulant_spectrum_power``), any
+    other W by ``np.linalg.matrix_power``; that power and ``round_mixer``
+    densify a view once per run, and netsim reads it as it is.
     """
 
     def __init__(self, weights):
@@ -71,14 +74,19 @@ def ring_matrix(n: int) -> GossipMatrix:
     The self weight is exact in binary, so every row and column sums to
     exactly 1: three weights of fl(1/3) would sum to 1 - 2^-54, and a
     message-passing run would shrink the agents' mean by that factor every
-    round. For n <= 2 it is the complete matrix.
+    round. For n <= 2 it is the complete matrix. Its weights are a read-only
+    circulant view of 2n doubles, so its construction, sum check, gap and
+    spectrum take O(n); ``round_mixer`` and ``np.linalg.matrix_power``
+    densify it once per run.
     """
     if n <= 2:
         return complete_matrix(n)
     row = np.zeros(n)
     row[[1, -1]] = 1.0 / 3.0
     row[0] = 1.0 - 2.0 * row[1]
-    return GossipMatrix(_circulant(row))
+    ring = GossipMatrix.__new__(GossipMatrix)  # past __init__'s copy: the view over a private row, known circulant
+    ring.weights, ring.circulant = _circulant(row), True
+    return ring
 
 
 def _circulant(row: np.ndarray) -> np.ndarray:
@@ -122,8 +130,8 @@ class GossipSchedule:
       - "random": uniform seeded choice from the list, keyed on (seed, k, l).
 
     Every row and column sum of every matrix must be within
-    ``DOUBLY_STOCHASTIC_TOL`` of 1 at construction;
-    negative weights are allowed.
+    ``DOUBLY_STOCHASTIC_TOL`` of 1 at construction, read from row 0 alone
+    for a circulant; negative weights are allowed.
     """
 
     KINDS = ("constant", "cyclic", "random")
@@ -138,8 +146,11 @@ class GossipSchedule:
         for idx, W in enumerate(matrices):
             if W.n != n:
                 raise ConfigError(f"schedule matrices disagree on size: {n} vs {W.n} at index {idx}")
-            row_dev = float(np.abs(W.weights.sum(axis=1) - 1.0).max())
-            col_dev = float(np.abs(W.weights.sum(axis=0) - 1.0).max())
+            if W.circulant:  # every row and column of a circulant is a rearrangement of row 0
+                row_dev = col_dev = float(abs(W.weights[0].sum() - 1.0))
+            else:
+                row_dev = float(np.abs(W.weights.sum(axis=1) - 1.0).max())
+                col_dev = float(np.abs(W.weights.sum(axis=0) - 1.0).max())
             if not (row_dev <= DOUBLY_STOCHASTIC_TOL and col_dev <= DOUBLY_STOCHASTIC_TOL):  # NaN fails too
                 raise ConfigError(
                     f"schedule matrix {idx} is not doubly stochastic "

@@ -43,6 +43,9 @@ class TestSigma0:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 gg.sigma0(bad)
+        # The least denormal rho: the threshold, about rho / 2, underflows to 0.
+        with pytest.raises(ValueError, match="underflows"):
+            gg.sigma0(5e-324)
 
     def test_within_two_ulp_of_a_decimal_reference(self):
         # The difference form (sqrt(1 + rho) - sqrt(1 - rho)) / 2 at 660 digits keeps at least 60
@@ -65,7 +68,8 @@ class TestCommRounds:
         assert gg.comm_rounds(0.75, 0.7853) == 4
 
     def test_domain(self):
-        for rho, sigma in [(0.0, 0.5), (1.0, 0.5), (0.5, -0.1), (0.5, 1.0), (0.5, math.nan)]:
+        bad = [(0.0, 0.5), (1.0, 0.5), (0.5, -0.1), (0.5, 1.0), (0.5, math.nan), (5e-324, 0.0), (5e-324, 0.5)]
+        for rho, sigma in bad:
             with pytest.raises(ValueError):
                 gg.comm_rounds(rho, sigma)
 
@@ -323,6 +327,15 @@ class TestLargeM:
         for got, want in zip((trace.x, trace.y, trace.v, trace.u), reference):
             assert np.abs(got - want).max() <= 1e-12
         assert trace.gradient_evaluations == ring.n * 5
+        # C13's cyclic pair mixes round by round, with the ring's view made dense once per run: bit for bit
+        # the written-out loop over dense copies of the pair.
+        p = np.random.default_rng(0).permutation(ring.n)
+        pair = [ring, gg.GossipMatrix(ring.weights[np.ix_(p, p)])]
+        dense = gg.GossipSchedule.cyclic([gg.GossipMatrix(W.weights) for W in pair])
+        trace = gg.run_algorithm(problem, gg.GossipSchedule.cyclic(pair), params, x0, 5)
+        reference = per_round_reference(problem, dense, params, x0, 5)
+        for got, want in zip((trace.x, trace.y, trace.v, trace.u), reference):
+            assert np.array_equal(got, want)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rounds", [2, 3, 164, "derived"])
@@ -344,19 +357,38 @@ class TestLargeM:
         assert np.abs(mixed - exact).max() <= 1e-13
 
     def test_ring_2000_mixes_without_an_n_by_n_power(self):
-        # W^m of this ring alone would take 32 MB; its spectrum and one iteration take far less.
-        ring = gg.ring_matrix(2000)
-        schedule = gg.GossipSchedule.constant(ring)
-        params = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring))
-        problem = gg.random_quadratic_problem(ring.n, 2, 1.0, 3.0, seed=9)
-        x0 = np.random.default_rng(4).standard_normal((ring.n, 2))
+        # This ring's n x n weights would take 32 MB, and so would W^m; the ring, its sum check, gap,
+        # spectrum and one iteration take far less.
+        problem = gg.random_quadratic_problem(2000, 2, 1.0, 3.0, seed=9)
+        x0 = np.random.default_rng(4).standard_normal((2000, 2))
         tracemalloc.start()
         try:
+            ring = gg.ring_matrix(2000)
+            schedule = gg.GossipSchedule.constant(ring)
+            params = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring))
             gg.run_algorithm(problem, schedule, params, x0, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_ring_100000_in_linear_memory(self):
+        # Its n x n weights would take 80 GB; the ring, its sum check, gap, m and one mixing take a few MiB.
+        x = np.random.default_rng(6).standard_normal((100_000, 2))
+        tracemalloc.start()
+        try:
+            ring = gg.ring_matrix(100_000)
+            schedule = gg.GossipSchedule.constant(ring)
+            params = gg.AlgorithmParams.derive(0.5, 0.5, gg.spectral_gap(ring))
+            mixed = power_mixer(schedule, params.m)(0, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert params.sigma < 1.0 and params.m > 10**9
+        mean = x.mean(axis=0)
+        assert np.abs(mixed.mean(axis=0) - mean).max() <= 1e-12
+        assert np.linalg.norm(mixed - mean) <= params.sigma**params.m * np.linalg.norm(x - mean) * (1.0 + 1e-9)
 
     def test_complete_2000_spectrum_in_bounded_memory(self):
         # Its 2,000 lags would make a 2,000 x 2,000 half-angle table (32 MB, and 64 MB with its sin^2 copy).

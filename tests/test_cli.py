@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,6 +21,8 @@ PAIR = (
     "0, 1/2, 1/4, 0, 1/4; 1/4, 0, 3/4, 0, 0; 0, 1/2, 0, 1/2, 0; 1/4, 0, 0, 0, 3/4; 1/2, 0, 0, 1/2, 0",
 )
 DISCONNECTED = "1/2, 1/2, 0, 0, 0; 1/2, 1/2, 0, 0, 0; 0, 0, 1/3, 1/3, 1/3; 0, 0, 1/3, 1/3, 1/3; 0, 0, 1/3, 1/3, 1/3"
+# A symmetric circulant of dyadic weights, written out: the 5-agent lazy ring, gap (1 + cos(2 pi / 5)) / 2 = 0.6545.
+RING_5 = "1/2, 1/4, 0, 0, 1/4; 1/4, 1/2, 1/4, 0, 0; 0, 1/4, 1/2, 1/4, 0; 0, 0, 1/4, 1/2, 1/4; 1/4, 0, 0, 1/4, 1/2"
 # Shipped configs with a key or section that the chosen kind or source does not read, and the error naming it.
 UNREAD = [
     (
@@ -82,6 +86,10 @@ iterations = 3
 seed = 1
 x0 = random
 """
+# RING_120's config over RING_5, written out inline, in place of the generated 120-ring.
+INLINE_RING_5 = RING_120.replace("source = ring\nn = 120", f"source = inline\nmatrix1 = {RING_5}").replace(
+    "n = 120", "n = 5"
+)
 
 
 def read_csv(path):
@@ -573,8 +581,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("sigma", ["auto", "0.9995"])
     def test_one_circulant_scan_per_ring_run(self, tmp_path, monkeypatch, sigma):
-        # The gap (from sigma = auto or from the check against an explicit sigma) and the
-        # spectral mixer both read the ring's one recorded scan.
+        # A generated ring is circulant by construction: its sum check, gap (from sigma = auto or from
+        # the check against an explicit sigma) and spectral mixer scan none of its n x n weights. An
+        # inline circulant is scanned once, when the schedule checks its sums, and then read from that record.
         prop = vars(gg.GossipMatrix)["circulant"]
         calls, scan = [], prop.func
 
@@ -583,10 +592,55 @@ class TestRunCommand:
             return scan(matrix)
 
         monkeypatch.setattr(prop, "func", counted)
+        ring = RING_120.replace("sigma = auto", f"sigma = {sigma}")
+        inline = INLINE_RING_5.replace("sigma = auto", f"sigma = {sigma}")
+        for text, scans in ((ring, 0), (inline, 1)):
+            path = tmp_path / "ring.ini"
+            path.write_text(text)
+            calls.clear()
+            assert main(["run", str(path), "--mode", "vectorized", "--output", str(tmp_path / "x.csv")]) == 0
+            assert len(calls) == scans
+
+    def test_ring_5000_runs_in_linear_memory(self, tmp_path):
+        # A dense 5,000-ring would take 200 MB; the run holds its row, its spectrum and O(n d) states.
         path = tmp_path / "ring.ini"
-        path.write_text(RING_120.replace("sigma = auto", f"sigma = {sigma}"))
-        assert main(["run", str(path), "--mode", "vectorized", "--output", str(tmp_path / "x.csv")]) == 0
-        assert len(calls) == 1
+        text = RING_120.replace("n = 120", "n = 5000").replace("d = 3", "d = 1")
+        path.write_text(text.replace("iterations = 3", "iterations = 2"))
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            assert main(["run", str(path), "--mode", "vectorized", "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        _, rows = read_csv(out)
+        assert len(rows) == 3 * 5000 + 3
+
+    def test_million_agent_ring_fails_on_the_agent_count(self, tmp_path, capsys):
+        # A 10^6-agent ring over the 5-agent problem: its O(n) construction and sum check reach the
+        # agent-count check, where an n x n copy or scan would take 8 TB or 10^12 additions first.
+        text = (CONFIGS / "quadratic.ini").read_text()
+        assert text.count("source = five-agent-pair\n") == 1
+        path = tmp_path / "million.ini"
+        path.write_text(text.replace("source = five-agent-pair\n", "source = ring\nn = 1000000\n"))
+        out = tmp_path / "x.csv"
+        for command in (["run", str(path), "--output", str(out)], ["validate", str(path)]):
+            start = time.perf_counter()
+            assert main(command) == 2
+            assert time.perf_counter() - start < 30.0
+            err = capsys.readouterr().err
+            assert err == "config error: the problem has 5 agents but the schedule mixes 1000000\n"
+        assert not out.exists()
+
+    def test_inline_circulant_off_by_2e_9_exits_2(self, tmp_path, capsys):
+        # Its rows and columns all sum to 1 + 2e-9, which the schedule reads from row 0 alone.
+        path = tmp_path / "off.ini"
+        path.write_text(INLINE_RING_5.replace("1/2", "0.500000002"))
+        assert main(["run", str(path), "--output", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: schedule matrix 0 is not doubly stochastic") and err.count("\n") == 1
+        assert err.endswith("(max row dev 2.000e-09, max col dev 2.000e-09)\n")
 
     def test_validate_fails_where_run_cannot_cancel_gradients(self, tmp_path, capsys, quadratic_config_path):
         # mu = 1e-8 passes the optimizer's own gradient-sum check but not the
@@ -766,6 +820,7 @@ class TestGridCommands:
         assert main([*argv, "--output", "-"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "sigma0 underflows to 0" in err
 
     def test_rates_values(self, tmp_path):
         out = tmp_path / "rates.csv"

@@ -191,6 +191,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(deviations)):
             gg.GossipSchedule.constant(gg.GossipMatrix(weights))
 
+    def test_circulant_sums_are_read_from_row_0(self):
+        # Every row and column of this circulant sums to 1 + 2e-9, so its row 0 alone must reject it.
+        W = gg.GossipMatrix(circulant([0.5 + 2e-9, 0.25, 0.0, 0.0, 0.25]))
+        assert W.circulant
+        with pytest.raises(ConfigError, match=re.escape("(max row dev 2.000e-09, max col dev 2.000e-09)")):
+            gg.GossipSchedule.constant(W)
+
     def test_negative_weights_allowed_unless_strict(self):
         W = gg.GossipMatrix([[1.5, -0.5], [-0.5, 1.5]])
         assert max(sum_deviations(W)) <= 1e-12

@@ -101,9 +101,13 @@ class TestRoundRuleProperties:
     @example(rho=0.5, sigma=0.7853, m=5)
     @example(rho=0.5, sigma=0.7853, m=6)
     @example(rho=0.5, sigma=0.0, m=1)
+    @example(rho=5e-324, sigma=0.0, m=1)
     def test_params_construct_exactly_when_sigma_to_the_m_meets_sigma0(self, rho, sigma, m):
-        # At a denormal rho the threshold underflows to 0 and no round count is defined.
-        assume(gg.sigma0(rho) > 0)
+        # At the least denormal rho the threshold underflows to 0, so no round count is defined and every m is refused.
+        if rho == np.nextafter(0.0, 1.0):
+            with pytest.raises(ValueError, match="underflows"):
+                gg.AlgorithmParams(1.0, rho, sigma, m)
+            return
         try:
             gg.AlgorithmParams(1.0, rho, sigma, m)
         except ValueError as exc:
