@@ -123,11 +123,11 @@ def power_mixer(schedule: GossipSchedule, m: int, trace: RunTrace | None = None)
 
     One power serves every iteration, so ``trace`` is not read.
 
-    A symmetric circulant W (every ring and complete matrix) at m > 1 is
-    diagonal in the Fourier basis: its spectrum's m-th power is computed
-    once, and each iteration mixes by one rfft/irfft pair along the agent
-    axis, O(n d log n), with no n x n matrix formed. Any other single W
-    mixes by one product with ``np.linalg.matrix_power(W, m)``, formed once.
+    A symmetric circulant declared by ``circulant_matrix`` (every ring and
+    complete matrix) at m > 1 mixes by its spectrum's m-th power, formed
+    once: one rfft/irfft pair along the agent axis per iteration, O(n d log n),
+    with no n x n matrix. Any other single W, a dense inline or API circulant
+    too, mixes by one product with ``np.linalg.matrix_power(W, m)``, formed once.
     """
     W = schedule.matrices[0]
     spectrum = circulant_spectrum_power(W, m) if m > 1 else None

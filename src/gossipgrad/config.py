@@ -34,7 +34,7 @@ import numpy as np
 
 from .algorithm import AlgorithmParams
 from .errors import ConfigError
-from .gossip import GossipMatrix, GossipSchedule, complete_matrix, ring_matrix, spectral_gap
+from .gossip import GAP_ROUNDOFF, GossipMatrix, GossipSchedule, complete_matrix, ring_matrix, spectral_gap
 from .localization import LocalizationConfig, five_agent_gossip_pair, gd_contraction_factor, optimal_stepsize
 from .objective import Problem, params_from_one_point_convexity, random_quadratic_problem, StrongSmoothParams
 
@@ -257,6 +257,11 @@ def resolve_params(config: RunConfig, problem: Problem, gap: float) -> Algorithm
                 alpha = optimal_stepsize(problem, config.localization.target)
             if rho == "auto":
                 rho = gd_contraction_factor(config.localization, alpha)
+        if config.sigma == "auto" and gap == 1.0:  # spectral_gap rounds a gap within GAP_ROUNDOFF * n of 1 to 1
+            raise ConfigError(
+                f"schedule spectral gap reads 1: at {problem.n} agents a gap within {GAP_ROUNDOFF * problem.n:.3g} of 1 "
+                "cannot be told from 1, so no round count can be derived"
+            )
         if config.sigma == "auto" and not 0 <= gap < 1:  # an explicit sigma out of range is named by derive's check
             raise ConfigError(f"schedule spectral gap {gap:.6g} is not in [0, 1); the network never mixes")
         return AlgorithmParams.derive(alpha, rho, sigma, m_override=config.m_override)

@@ -12,7 +12,6 @@ one-round view of a constant or random schedule.
 from __future__ import annotations
 
 import hashlib
-from functools import cached_property
 
 import numpy as np
 
@@ -25,15 +24,14 @@ GAP_ROUNDOFF = 16 * np.finfo(float).eps  # per agent
 class GossipMatrix:
     """One round of mixing weights over n agents.
 
-    ``weights`` is read-only: a dense copy of the caller's array, or, for a
-    generated ring, a circulant view of 2n doubles that is known circulant
-    from the start. Negative weights are allowed (a schedule constrains only
-    the row and column sums). Whether a copied matrix is circulant is checked
-    on first use and kept, so its sum check, gap and power scan its n x n
-    weights once between them. A one-matrix schedule mixes a symmetric
-    circulant at m > 1 by its spectrum (``circulant_spectrum_power``), any
-    other W by ``np.linalg.matrix_power``; that power and ``round_mixer``
-    densify a view once per run, and netsim reads it as it is.
+    ``weights`` is read-only: a dense copy of the caller's array, with
+    ``circulant`` False, or, from ``circulant_matrix`` (every ring and
+    complete matrix), a circulant view of 2n doubles with ``circulant`` True.
+    Circulance is declared, never inferred: a dense inline or API matrix
+    whose weights form a circulant is summed, gapped and mixed as dense.
+    Negative weights are allowed (a schedule constrains only the row and
+    column sums). ``np.linalg.matrix_power`` and ``round_mixer`` densify a
+    view once per run; netsim reads it as it is.
     """
 
     def __init__(self, weights):
@@ -43,29 +41,34 @@ class GossipMatrix:
         if W.shape[0] < 1:
             raise ConfigError("gossip matrix must have at least one agent")
         W.setflags(write=False)
-        self.weights = W
+        self.weights, self.circulant = W, False
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
 
-    @cached_property
-    def circulant(self) -> bool:
-        """Whether each row is row 0 shifted right by its index: ``W[i, j] == W[0, (j - i) % n]``."""
-        W = self.weights
-        if not np.array_equal(W[1:, 0], W[0, :0:-1]):  # column 0 is row 0 reversed: most matrices fail here in O(n)
-            return False
-        # A block of about 64k entries at a time, so the comparison makes no n x n boolean temporary.
-        circulant, step = _circulant(W[0]), max(1, 2**16 // W.shape[0])
-        return all(np.array_equal(W[i : i + step], circulant[i : i + step]) for i in range(0, W.shape[0], step))
-
     def __repr__(self):
         return f"GossipMatrix(n={self.n})"
 
 
+def circulant_matrix(row) -> GossipMatrix:
+    """The circulant ``W[i, j] == row[(j - i) % n]``, declared so: a read-only view of 2n doubles.
+
+    Its sum check, gap and spectrum read row 0 alone, in O(n) time and memory.
+    """
+    row = np.asarray(row, dtype=float)
+    if row.ndim != 1 or row.size < 1:
+        raise ConfigError(f"a circulant needs a row of at least one agent, got shape {row.shape}")
+    matrix = GossipMatrix.__new__(GossipMatrix)  # past __init__'s dense copy
+    matrix.circulant = True
+    # Row i is ``row`` shifted right by i, i.e. left by n - i, in a window over a private concatenation.
+    matrix.weights = np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), row.size)[:0:-1]
+    return matrix
+
+
 def complete_matrix(n: int) -> GossipMatrix:
-    """Uniform averaging over the complete graph: every entry 1/n."""
-    return GossipMatrix(np.broadcast_to(1.0 / max(n, 1), (n, n)))  # GossipMatrix rejects n < 1
+    """Uniform averaging over the complete graph: every entry 1/n, a circulant."""
+    return circulant_matrix(np.full(n, 1.0 / max(n, 1)))  # circulant_matrix rejects n < 1
 
 
 def ring_matrix(n: int) -> GossipMatrix:
@@ -74,24 +77,14 @@ def ring_matrix(n: int) -> GossipMatrix:
     The self weight is exact in binary, so every row and column sums to
     exactly 1: three weights of fl(1/3) would sum to 1 - 2^-54, and a
     message-passing run would shrink the agents' mean by that factor every
-    round. For n <= 2 it is the complete matrix. Its weights are a read-only
-    circulant view of 2n doubles, so its construction, sum check, gap and
-    spectrum take O(n); ``round_mixer`` and ``np.linalg.matrix_power``
-    densify it once per run.
+    round. For n <= 2 it is the complete matrix. Either is a ``circulant_matrix``.
     """
     if n <= 2:
         return complete_matrix(n)
     row = np.zeros(n)
     row[[1, -1]] = 1.0 / 3.0
     row[0] = 1.0 - 2.0 * row[1]
-    ring = GossipMatrix.__new__(GossipMatrix)  # past __init__'s copy: the view over a private row, known circulant
-    ring.weights, ring.circulant = _circulant(row), True
-    return ring
-
-
-def _circulant(row: np.ndarray) -> np.ndarray:
-    # Read-only view of the circulant whose row i is ``row`` shifted right by i, i.e. ``row`` shifted left by n - i.
-    return np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), row.size)[:0:-1]
+    return circulant_matrix(row)
 
 
 def spectral_gap(matrix) -> float:
@@ -99,10 +92,11 @@ def spectral_gap(matrix) -> float:
 
     ``matrix`` is a GossipMatrix, or a square array wrapped as one. Zero
     means one round reaches exact consensus; values below 1 mean
-    disagreement shrinks. A circulant W (every ring) is normal, so its gap
-    is the largest modulus in the discrete Fourier transform of the
-    deviation's row 0, in O(n log n). Any other symmetric W takes the
-    symmetric eigensolver, any other the SVD. Each errs by a small multiple
+    disagreement shrinks. A declared circulant (``circulant_matrix``: every
+    ring and complete matrix) is normal, so its gap is the largest modulus in
+    the discrete Fourier transform of the deviation's row 0, in O(n log n).
+    Any other W, a dense circulant too, takes the symmetric eigensolver if
+    symmetric, else the SVD. Each errs by a small multiple
     of n * eps, so a gap that close to 1 is reported as exactly 1: a
     disconnected or periodic mixture never mixes, and no round count can be
     derived from its roundoff.
@@ -240,7 +234,7 @@ def matrix_at(schedule: GossipSchedule, iteration: int, round_index: int) -> Gos
 
 
 def circulant_spectrum_power(matrix: GossipMatrix, rounds: int) -> np.ndarray | None:
-    """lambda_k^rounds, k = 0..n-1, of a symmetric circulant W; None for any other W.
+    """lambda_k^rounds, k = 0..n-1, of a symmetric declared circulant W; None for any other W.
 
     lambda_k, the DFT of row 0, is real for a symmetric circulant. Each
     power is exp(rounds * log1p(-d)) with d the smaller of 1 - lambda_k and

@@ -11,6 +11,7 @@ import gossipgrad as gg
 from gossipgrad import cli
 from gossipgrad.cli import assemble, build_parser, main
 from gossipgrad.config import load_run_config, parse_entry, parse_rows
+from gossipgrad.gossip import circulant_spectrum_power
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -452,8 +453,8 @@ class TestRunCommand:
             # A (10**13 + 1, 5, 3) trace stack: 1.07 PiB. validate never allocates a trace. Netsim
             # also fails there, before its mixer draws the (10**13, 6) round table.
             ("iterations = 60", "iterations = 10000000000000", [["run"], ["run", "--mode", "netsim"]]),
-            # A 10**7-agent complete matrix: 728 TiB.
-            ("source = five-agent-pair", "source = complete\nn = 10000000", [["run"], ["validate"]]),
+            # A 10**18-agent complete matrix: its row alone is 6.94 EiB.
+            ("source = five-agent-pair", "source = complete\nn = 1000000000000000000", [["run"], ["validate"]]),
         ],
         ids=["iterations", "complete-n"],
     )
@@ -530,7 +531,8 @@ class TestRunCommand:
                 "quadratic",
                 "source = five-agent-pair",
                 f"source = inline\nmatrix1 = {DISCONNECTED}",
-                "schedule spectral gap 1 is not in [0, 1); the network never mixes",
+                "schedule spectral gap reads 1: at 5 agents a gap within 1.78e-14 of 1 cannot be told from 1, "
+                "so no round count can be derived",
             ),
             (
                 "localization",
@@ -580,26 +582,25 @@ class TestRunCommand:
         assert len(calls) == 2  # the five-agent pair
 
     @pytest.mark.parametrize("sigma", ["auto", "0.9995"])
-    def test_one_circulant_scan_per_ring_run(self, tmp_path, monkeypatch, sigma):
-        # A generated ring is circulant by construction: its sum check, gap (from sigma = auto or from
-        # the check against an explicit sigma) and spectral mixer scan none of its n x n weights. An
-        # inline circulant is scanned once, when the schedule checks its sums, and then read from that record.
-        prop = vars(gg.GossipMatrix)["circulant"]
-        calls, scan = [], prop.func
+    def test_only_a_generated_ring_mixes_by_its_spectrum(self, tmp_path, monkeypatch, sigma):
+        # A generated ring is declared circulant, so the vectorized run mixes it by its spectrum. The
+        # same kind of circulant written out inline is a dense matrix: its spectrum is never tried, and
+        # it mixes by np.linalg.matrix_power.
+        spectra = []
 
-        def counted(matrix):
-            calls.append(matrix)
-            return scan(matrix)
+        def recorded(matrix, rounds):
+            spectra.append(circulant_spectrum_power(matrix, rounds))
+            return spectra[-1]
 
-        monkeypatch.setattr(prop, "func", counted)
+        monkeypatch.setattr("gossipgrad.algorithm.circulant_spectrum_power", recorded)
         ring = RING_120.replace("sigma = auto", f"sigma = {sigma}")
         inline = INLINE_RING_5.replace("sigma = auto", f"sigma = {sigma}")
-        for text, scans in ((ring, 0), (inline, 1)):
+        for text, declared in ((ring, True), (inline, False)):
             path = tmp_path / "ring.ini"
             path.write_text(text)
-            calls.clear()
+            spectra.clear()
             assert main(["run", str(path), "--mode", "vectorized", "--output", str(tmp_path / "x.csv")]) == 0
-            assert len(calls) == scans
+            assert len(spectra) == 1 and (spectra[0] is not None) == declared
 
     def test_ring_5000_runs_in_linear_memory(self, tmp_path):
         # A dense 5,000-ring would take 200 MB; the run holds its row, its spectrum and O(n d) states.
@@ -633,8 +634,23 @@ class TestRunCommand:
             assert err == "config error: the problem has 5 agents but the schedule mixes 1000000\n"
         assert not out.exists()
 
+    def test_ring_160000_gap_reads_1_and_exits_2(self, tmp_path, capsys):
+        # Its true gap, about 1 - 5.1e-10, is within GAP_ROUNDOFF * n = 5.68e-10 of 1, so it reads 1:
+        # the message names that roundoff allowance, not a network that never mixes.
+        path = tmp_path / "ring.ini"
+        path.write_text(RING_120.replace("n = 120", "n = 160000").replace("d = 3", "d = 1"))
+        out = tmp_path / "x.csv"
+        for command in (["run", str(path), "--output", str(out)], ["validate", str(path)]):
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                "config error: schedule spectral gap reads 1: at 160000 agents a gap within 5.68e-10 of 1 "
+                "cannot be told from 1, so no round count can be derived\n"
+            )
+        assert not out.exists()
+
     def test_inline_circulant_off_by_2e_9_exits_2(self, tmp_path, capsys):
-        # Its rows and columns all sum to 1 + 2e-9, which the schedule reads from row 0 alone.
+        # Its rows and columns all sum to 1 + 2e-9; written out inline, it is dense, and every sum is read.
         path = tmp_path / "off.ini"
         path.write_text(INLINE_RING_5.replace("1/2", "0.500000002"))
         assert main(["run", str(path), "--output", str(tmp_path / "x.csv")]) == 2

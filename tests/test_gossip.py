@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from conftest import ring_power_closed_form
 from gossipgrad.algorithm import power_mixer
 from gossipgrad.config import build_schedule, load_run_config
 from gossipgrad.errors import ConfigError
-from gossipgrad.gossip import circulant_spectrum_power
+from gossipgrad.gossip import circulant_matrix, circulant_spectrum_power
 
 # Frozen against a dense SVD of the deviation matrix (see test_gap_matches_svd_oracle).
 GAP_FIRST = 0.7288689868556625
@@ -37,6 +38,16 @@ def permuted_ring(n: int, seed: int) -> tuple[np.ndarray, gg.GossipMatrix]:
     """(p, ring_matrix(n) with its agents relabelled by p): the ring's spectrum, but not circulant."""
     p = np.random.default_rng(seed).permutation(n)
     return p, gg.GossipMatrix(gg.ring_matrix(n).weights[np.ix_(p, p)])
+
+
+# Rows of declared circulants: the built-in rings, and rows no builder makes.
+CIRCULANT_ROWS = {
+    **{f"ring-{n}": gg.ring_matrix(n).weights[0] for n in (1, 2, 3, 6, 400, 1000)},
+    "directed": [0.5, 0.5] + [0.0] * 10,  # a directed ring: not symmetric
+    "negative": [1.2, -0.1] + [0.0] * 7 + [-0.1],  # symmetric, with negative weights
+    "mixed": [0.6, 0.5, -0.2, 0.1, 0.0],  # neither
+    "eye": [1.0, 0.0, 0.0, 0.0, 0.0],
+}
 
 
 def random_doubly_stochastic(n: int, k: int, seed: int) -> gg.GossipMatrix:
@@ -105,20 +116,13 @@ class TestSpectralGap:
         expected = np.linalg.norm(W - 1.0 / 400, 2)
         assert gg.spectral_gap(W) == pytest.approx(expected, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize(
-        "W",
-        [
-            *(gg.ring_matrix(n).weights for n in (1, 2, 3, 6, 400, 1000)),
-            circulant([0.5, 0.5] + [0.0] * 10),  # directed ring: not symmetric
-            circulant([1.2, -0.1] + [0.0] * 7 + [-0.1]),  # symmetric, negative weights
-            circulant([0.6, 0.5, -0.2, 0.1, 0.0]),  # neither
-            np.eye(5),
-        ],
-        ids=["ring-1", "ring-2", "ring-3", "ring-6", "ring-400", "ring-1000", "directed", "negative", "mixed", "eye"],
-    )
-    def test_circulant_gap_matches_lapack(self, W):
-        # A circulant takes the Fourier gap; LAPACK is the reference for every kind.
-        assert gg.GossipMatrix(W).circulant
+    @pytest.mark.parametrize("row", list(CIRCULANT_ROWS.values()), ids=list(CIRCULANT_ROWS))
+    def test_circulant_gap_matches_lapack(self, row):
+        # A declared circulant takes the Fourier gap; its dense copy takes LAPACK, the reference for every kind.
+        declared = circulant_matrix(row)
+        dense = gg.GossipMatrix(declared.weights)
+        assert declared.circulant and not dense.circulant
+        W = dense.weights
         deviation = W - 1.0 / W.shape[0]
         if np.array_equal(deviation, deviation.T):
             expected = float(np.abs(np.linalg.eigvalsh(deviation)).max())
@@ -126,7 +130,8 @@ class TestSpectralGap:
             expected = float(np.linalg.svd(deviation, compute_uv=False)[0])
         if abs(1.0 - expected) <= 16 * np.finfo(float).eps * W.shape[0]:
             expected = 1.0
-        assert gg.spectral_gap(W) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+        assert gg.spectral_gap(dense) == expected
+        assert gg.spectral_gap(declared) == pytest.approx(expected, rel=1e-14, abs=1e-15)
 
 
 class TestIsCirculant:
@@ -136,21 +141,28 @@ class TestIsCirculant:
         assert gg.complete_matrix(n).circulant
 
     def test_written_out_circulants(self):
-        assert gg.GossipMatrix(circulant([0.6, 0.5, -0.2, 0.1, 0.0])).circulant
-        assert gg.GossipMatrix(np.eye(4)).circulant
+        # Circulance is declared by circulant_matrix, never inferred: the same weights written out are dense.
+        for row in ([0.6, 0.5, -0.2, 0.1, 0.0], [1.0, 0.0, 0.0, 0.0]):
+            declared, dense = circulant_matrix(row), gg.GossipMatrix(circulant(row))
+            assert declared.circulant and not dense.circulant
+            assert np.array_equal(declared.weights, dense.weights)
+        for n in (1, 2, 3, 400):
+            assert not gg.GossipMatrix(gg.ring_matrix(n).weights).circulant
+            assert not gg.GossipMatrix(gg.complete_matrix(n).weights).circulant
+
+    def test_declared_weights_are_a_read_only_view_of_a_private_row(self):
+        row = np.array([0.5, 0.25, 0.0, 0.25])
+        W = circulant_matrix(row)
+        row[0] = 9.0
+        assert np.array_equal(W.weights, circulant([0.5, 0.25, 0.0, 0.25]))
+        assert not W.weights.flags.writeable
+        for bad in ([], [[0.5, 0.5], [0.5, 0.5]]):
+            with pytest.raises(ConfigError, match="at least one agent"):
+                circulant_matrix(bad)
 
     def test_other_matrices_are_not(self, pair):
         assert not any(W.circulant for W in pair)
         assert not permuted_ring(40, seed=0)[1].circulant
-        # Column 0 matches a circulant's, a later row does not.
-        W = circulant([0.6, 0.5, -0.2, 0.1, 0.0])
-        W[2, 3] += 1.0
-        assert np.array_equal(W[1:, 0], W[0, :0:-1])
-        assert not gg.GossipMatrix(W).circulant
-        # Row 0 and column 0 are the 400-ring's, the last row is not: it is compared in the last block of rows.
-        W = gg.ring_matrix(400).weights.copy()
-        W[-1, 200] = 1e-300
-        assert not gg.GossipMatrix(W).circulant
 
 
 class TestValidation:
@@ -193,7 +205,7 @@ class TestValidation:
 
     def test_circulant_sums_are_read_from_row_0(self):
         # Every row and column of this circulant sums to 1 + 2e-9, so its row 0 alone must reject it.
-        W = gg.GossipMatrix(circulant([0.5 + 2e-9, 0.25, 0.0, 0.0, 0.25]))
+        W = circulant_matrix([0.5 + 2e-9, 0.25, 0.0, 0.0, 0.25])
         assert W.circulant
         with pytest.raises(ConfigError, match=re.escape("(max row dev 2.000e-09, max col dev 2.000e-09)")):
             gg.GossipSchedule.constant(W)
@@ -340,6 +352,19 @@ class TestMixingProduct:
         exact = ring_power_closed_form(100, m)[np.ix_(p, p)]
         assert np.abs(mixed_identity(permuted, m) - exact).max() <= 1e-13
 
+    @pytest.mark.parametrize("rounds", [2, 5])
+    @pytest.mark.parametrize("row", list(CIRCULANT_ROWS.values()), ids=list(CIRCULANT_ROWS))
+    def test_declared_circulant_mixes_as_its_dense_copy(self, row, rounds):
+        # A symmetric declared circulant mixes by its spectrum, any other by the power of its view;
+        # its dense copy always takes np.linalg.matrix_power.
+        declared = circulant_matrix(row)
+        dense = gg.GossipMatrix(declared.weights)
+        symmetric = np.array_equal(dense.weights, dense.weights.T)
+        assert (circulant_spectrum_power(declared, rounds) is not None) == symmetric
+        assert circulant_spectrum_power(dense, rounds) is None
+        want = mixed_identity(dense, rounds)
+        assert np.abs(mixed_identity(declared, rounds) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_complete_matrix_power_has_zero_eigenvalues(self):
         # Every eigenvalue but one is 0: the power is still 1/n, with no warning.
@@ -392,6 +417,20 @@ class TestBuiltins:
     def test_zero_agents_rejected(self, builder):
         with pytest.raises(ConfigError, match="at least one agent"):
             builder(0)
+
+    def test_complete_5000_in_linear_memory(self):
+        # Its n x n weights would take 200 MB; the declared circulant, its sum check and its gap take O(n).
+        tracemalloc.start()
+        try:
+            W = gg.complete_matrix(5000)
+            schedule = gg.GossipSchedule.constant(W)
+            gap = gg.spectral_gap(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert schedule.matrices == (W,) and W.circulant and gap <= 1e-15
+        assert np.array_equal(W.weights[[0, 4999, 2500]], np.full((3, 5000), 1.0 / 5000))
 
     def test_ring_is_doubly_stochastic(self):
         for n in (1, 2, 3, 6):

@@ -20,6 +20,7 @@ import gossipgrad as gg
 from gossipgrad import netsim
 from gossipgrad.algorithm import power_mixer
 from gossipgrad.analysis import DECREASE_FLOOR, DECREASE_RELATIVE
+from gossipgrad.gossip import circulant_matrix
 
 seeds = st.integers(0, 2**32 - 1)
 common = settings(deadline=None)
@@ -121,22 +122,22 @@ class TestCirculantProperties:
     """A symmetric circulant's gap, from its Fourier spectrum, against LAPACK, and its power against numpy's."""
 
     @staticmethod
-    def symmetric_circulant(n, rng):
+    def symmetric_row(n, rng):
         # Row 0 with row[l] == row[n - l]; about half of the distinct weights are zero.
         half = rng.random(n // 2 + 1) * (rng.random(n // 2 + 1) < 0.5)
         half[0] += rng.random()
         row = half[np.minimum(np.arange(n), n - np.arange(n))]
-        row /= row.sum()
-        return np.array([np.roll(row, i) for i in range(n)])
+        return row / row.sum()
 
     @common
     @given(n=st.integers(1, 30), m=st.integers(2, 2000), seed=seeds)
     def test_power_and_gap_match_lapack(self, n, m, seed):
-        W = self.symmetric_circulant(n, np.random.default_rng(seed))
-        assert gg.GossipMatrix(W).circulant and np.array_equal(W, W.T)
-        assert np.isclose(gg.spectral_gap(W), lapack_gap(W), rtol=1e-12, atol=1e-15)
+        circulant = circulant_matrix(self.symmetric_row(n, np.random.default_rng(seed)))
+        W = np.array([np.roll(circulant.weights[0], i) for i in range(n)])
+        assert np.array_equal(circulant.weights, W) and np.array_equal(W, W.T)
+        assert np.isclose(gg.spectral_gap(circulant), lapack_gap(W), rtol=1e-12, atol=1e-15)
         # The spectral mixer (m >= 2) applied to the identity is its W^m, against numpy's binary powering.
-        power = power_mixer(gg.GossipSchedule.constant(gg.GossipMatrix(W)), m)(0, np.eye(n))
+        power = power_mixer(gg.GossipSchedule.constant(circulant), m)(0, np.eye(n))
         assert np.abs(power - np.linalg.matrix_power(W, m)).max() <= 1e-12
 
 
@@ -159,7 +160,6 @@ class TestCirculantMixerProperties:
             counts[-lag % n] += count
         counts[0] += self.DENOMINATOR - counts.sum()  # the self weight takes the rest; it may be zero
         row = counts / self.DENOMINATOR
-        W = np.array([np.roll(row, i) for i in range(n)])
         # lambda_k = sum_l row[l] cos(2 pi k l / n); W^m[i, j] = (1/n) sum_k lambda_k^m cos(2 pi k (i - j) / n).
         two_pi = 8 * np.arctan(np.longdouble(1))
         k = np.arange(n)
@@ -167,7 +167,7 @@ class TestCirculantMixerProperties:
         column = cosines @ (cosines @ row.astype(np.longdouble)) ** m / n
         x = np.random.default_rng(seed).standard_normal((n, 2))
         exact = column[(k[:, None] - k[None, :]) % n] @ x.astype(np.longdouble)
-        mixed = power_mixer(gg.GossipSchedule.constant(gg.GossipMatrix(W)), m)(0, x)
+        mixed = power_mixer(gg.GossipSchedule.constant(circulant_matrix(row)), m)(0, x)
         assert np.abs(mixed - exact).max() <= 1e-13
 
 
