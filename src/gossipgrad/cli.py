@@ -106,7 +106,10 @@ def _grid(low: float, high: float, resolution: int) -> np.ndarray:
         raise ConfigError(f"range [{low}, {high}] must sit inside (0, 1)")
     if resolution < 2:
         raise ConfigError(f"resolution must be >= 2, got {resolution}")
-    return np.linspace(low, high, resolution)
+    try:
+        return np.linspace(low, high, resolution)
+    except (ValueError, IndexError) as exc:  # a size numpy cannot index (IndexError near 2**63); else MemoryError
+        raise ConfigError(f"cannot allocate a grid of resolution {resolution}: {exc}") from exc
 
 
 def cmd_grid(args) -> int:

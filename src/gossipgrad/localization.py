@@ -52,6 +52,8 @@ class LocalizationConfig:
         """n agent positions, each coordinate uniform on ``SAMPLE_BOX``, all farther
         than ``TARGET_EXCLUSION`` from the target."""
         target = np.asarray(target, dtype=float)
+        if target.shape != (2,):  # before sampling, whose distances would not broadcast
+            raise ConfigError(f"target must have shape (2,), got {target.shape}")
         rng = np.random.default_rng(seed)
         positions = []
         while len(positions) < n:

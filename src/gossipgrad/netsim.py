@@ -9,9 +9,9 @@ the current mixing matrix, and the payloads addressed to it. A round has two
 phases: deliver every message, copied from the senders' pre-round values,
 then let every agent fold what it received, in ascending sender order with
 its own value at its own index. A round plan fixes the messages and every
-agent's fold. It is built on a matrix's first use at a given ``d`` and kept
-while that ``GossipMatrix`` lives, so a later run over the same matrix object
-reuses it; a round finds its plan by its entry in the run's edge-set ids.
+agent's fold. A run plans each matrix its schedule lists, at the states'
+``d``; a plan is kept while its ``GossipMatrix`` lives, so a later run over the
+same matrix object reuses it. A round finds its plan by its edge-set id.
 A plan's arrays are read-only, because traces share its edges. A round is
 three numpy calls, with no Python loop over its fold steps: take the
 senders' pre-round rows straight into the run's one inbox, sized to its
@@ -22,16 +22,16 @@ only agent i's data and point, and equals agent i's own ``agent(i)`` view bit
 for bit.
 
 Every round that uses one matrix delivers that matrix's edge set, so the
-delivery ledger is kept compact: one int32 edge-set id per round, an
-``(iterations, m)`` array of ``4 * iterations * m`` bytes, plus the distinct
-``(|E|, 2)`` edge sets, one per round plan. Both the ids and the audit's
-expected links come from one ``round_table`` of the run, drawn once. That
-compact ledger is the one the locality audit reads; ``RunTrace.deliveries``
-is a read-only expansion of it into ``(messages, 4)`` rows. The audit judges
-each distinct (matrix, edge set) pair once, however many rounds and
-messages carry it: a pair whose edge set is exactly the matrix's links, in
-delivery order, is accepted by one comparison, and only any other pair is
-diagnosed row by row. The runner has no tampering hook:
+delivery ledger is kept compact: the run's ``round_table`` as int32 edge-set
+ids, an ``(iterations, m)`` array of ``4 * iterations * m`` bytes, plus one
+``(|E|, 2)`` edge set per listed matrix: edge set i is the plan edges of
+``schedule.matrices[i]``, so the ledger names rounds by the schedule's own
+matrix index. That compact ledger is the one the locality audit reads;
+``RunTrace.deliveries`` is a read-only expansion of it into ``(messages, 4)``
+rows. The audit judges each distinct (matrix, edge set) pair once, however
+many rounds and messages carry it: a pair whose edge set is exactly the
+matrix's links, in delivery order, is accepted by one comparison, and only
+any other pair is diagnosed row by row. The runner has no tampering hook:
 tests that check the audit edit the ledger, not the runner.
 
 This path exists to prove the algorithm is decentralized and to serve as an
@@ -110,32 +110,21 @@ def _plan(matrix: GossipMatrix, d: int) -> RoundPlan:
     return plans[d]
 
 
-def _first_listing(schedule: GossipSchedule, iterations: int, m: int) -> np.ndarray:
-    """The run's ``round_table``, with a matrix listed twice in the schedule named by its first listing."""
-    first = np.array([schedule.matrices.index(W) for W in schedule.matrices], dtype=np.intp)
-    return first[round_table(schedule, iterations, m)]
-
-
 def netsim_mixer(schedule: GossipSchedule, m: int, trace: RunTrace):
     """The message-passing mixer: writes the run's compact ledger into ``trace``, then returns its ``mix``.
 
-    Edge sets are numbered by first use; they are the read-only edges of the
-    matrices' round plans, each built on its matrix's first use at the states' ``d``.
+    The ledger's ids are the run's ``round_table``, and edge set i is the
+    read-only edges of ``schedule.matrices[i]``'s round plan at the states'
+    ``d``: a matrix listed twice has two ids that share one plan and one edges array.
     """
-    table = _first_listing(schedule, trace.iterations, m)
-    # Edge-set ids in order of first use: id e plans matrix ``used[e]``.
-    listed, first_use = np.unique(table, return_index=True)
-    used = listed[np.argsort(first_use)]
-    plan_id = np.zeros(len(schedule.matrices), dtype=np.int32)
-    plan_id[used] = np.arange(len(used), dtype=np.int32)
+    trace.edge_set_ids = round_table(schedule, trace.iterations, m).astype(np.int32)
     shape = trace.x.shape[1:]  # (n, d)
-    plans = [_plan(schedule.matrices[i], shape[1]) for i in used.tolist()]
-    trace.edge_set_ids = plan_id[table]
+    plans = [_plan(matrix, shape[1]) for matrix in schedule.matrices]
     trace.edge_sets = tuple(plan.edges for plan in plans)
     rows = trace.edge_set_ids.tolist()
     # One inbox per run, as wide as its widest plan. Each plan rounds in a
     # leading slice, which is C-contiguous, so ``take`` writes into it in place.
-    inbox = np.empty((max((len(plan.sources) for plan in plans), default=0), *shape))
+    inbox = np.empty((max(len(plan.sources) for plan in plans), *shape))
     steps = [(plan.sources, plan.weights, inbox[: len(plan.sources)]) for plan in plans]
 
     def mix(k, v):
@@ -260,9 +249,9 @@ def locality_audit(trace: RunTrace, schedule: GossipSchedule) -> AuditReport:
     if not all(edges.ndim == 2 and edges.shape[1] == 2 and edges.dtype.kind in "iu" for edges in edge_sets):
         raise ConfigError("every edge set must be an integer (|E|, 2) array of (sender, receiver) rows")
 
-    # One key per round, in round order: its matrix, by first listing, and the edge set it delivered.
+    # One key per round, in round order: its matrix index and the edge set it delivered.
     sets = len(edge_sets)
-    keys = (_first_listing(schedule, iterations, m) * sets + ids).ravel()
+    keys = (round_table(schedule, iterations, m) * sets + ids).ravel()
     pairs, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     verdicts = [_verdict(schedule.matrices[key // sets].weights, edge_sets[key % sets]) for key in pairs.tolist()]
     expected = sum(links * count for (links, _, _), count in zip(verdicts, counts.tolist()))

@@ -5,8 +5,8 @@ agent states x and y after every iteration, the post-communication points v
 and post-gradient points u inside every iteration, and the gradient-evaluation count.
 The four stacks are views of one block, allocated once per run.
 The message-passing path also keeps its delivery ledger, compactly: one
-edge-set id per round and the distinct edge sets. ``deliveries`` is a
-read-only expansion of that ledger, one row per message.
+edge-set id per round and one edge set per schedule matrix. ``deliveries``
+is a read-only expansion of that ledger, one row per message.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class RunTrace:
     u: np.ndarray  # (iterations, n, d) post-gradient points per iteration
     params: object
     gradient_evaluations: int
-    edge_set_ids: np.ndarray | None = None  # (iterations, m) int32: the edge set each round delivered
-    edge_sets: tuple = ()  # distinct (|E|, 2) int32 (sender, receiver) rows, in delivery order
+    edge_set_ids: np.ndarray | None = None  # (iterations, m) int32: the edge set each round delivered, by matrix index
+    edge_sets: tuple = ()  # per schedule matrix, its (|E|, 2) int32 (sender, receiver) rows in delivery order
 
     @property
     def deliveries(self) -> np.ndarray | None:
@@ -68,8 +68,10 @@ class RunTrace:
             raise ConfigError("initial states x0 and y0 must be finite")
         if np.linalg.norm(y.sum(axis=0)) > 1e-12 * max(1.0, np.abs(y).max()):
             raise ConfigError("initial correction states must sum to zero across agents")
-        # One block for the four stacks: each run makes one large allocation, not four.
-        block = np.empty((4 * iterations + 2, *x.shape))
+        try:  # one block for the four stacks: each run makes one large allocation, not four
+            block = np.empty((4 * iterations + 2, *x.shape))
+        except ValueError as exc:  # a size numpy cannot even index; one it cannot allocate is a MemoryError
+            raise ConfigError(f"cannot allocate the trace: {exc}") from exc
         xs, ys, v, u = np.split(block, [iterations + 1, 2 * iterations + 2, 3 * iterations + 2])
         trace = cls(x=xs, y=ys, v=v, u=u, params=params, gradient_evaluations=0)
         trace.x[0], trace.y[0] = x, y

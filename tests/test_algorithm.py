@@ -253,7 +253,7 @@ class TestRun:
         reference = per_round_reference(problem, schedule, params, x0, 3)
         for got, want in zip((trace.x, trace.y, trace.v, trace.u), reference):
             assert np.abs(got - want).max() <= 1e-12
-        if mode == "netsim":  # edge sets are numbered in order of first use: W1, then W2
+        if mode == "netsim":  # edge-set ids are the schedule's own matrix indices: W1 is 0, W2 is 1
             assert trace.edge_set_ids[1].tolist() == [0, 1, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("iterations", [0, 3])

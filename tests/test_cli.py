@@ -47,6 +47,8 @@ UNREAD_IDS = [
     "schedule-n-under-pair", "schedule-seed-under-cyclic", "problem-mu-under-localization",
     "problem-d-under-localization", "localization-section-in-quadratic", "positions-beside-n-and-seed",
 ]
+# The run command in each mode.
+BOTH_MODES = [["run"], ["run", "--mode", "netsim"]]
 # Command lines that argparse answers by itself: help, usage and argument errors, each with its exit code.
 PARSER_ONLY = [
     ["--help"],
@@ -337,6 +339,8 @@ class TestRunCommand:
             ("quadratic", "source = five-agent-pair", "source = inline"),
             ("quadratic", "mode = vectorized", "mode = typo"),
             ("localization", "rho = auto\nsigma = auto\nm = 6\n", "rho = -0.5\nsigma = auto\n"),
+            # Sampled positions: the target's shape is checked before sampling, as with positions set.
+            ("localization", "target = 1.0, 1.0", "target = 1.0, 1.0, 1.0"),
         ]
         + [row[:3] for row in UNREAD],
         ids=[
@@ -348,7 +352,7 @@ class TestRunCommand:
             "inline-matrix-gap", "matrix-without-inline",
             "percent-in-value", "curvature-ratio", "schedule-section-missing", "localization-section-missing",
             "problem-kind-missing", "schedule-kind-missing", "mu-above-L", "mu-zero", "inline-without-matrix",
-            "mode-typo", "rho-negative",
+            "mode-typo", "rho-negative", "target-three-coordinates",
         ]
         + UNREAD_IDS,
     )
@@ -448,28 +452,44 @@ class TestRunCommand:
         assert err.startswith("config error: cannot write output") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "old,new,commands",
+        "old,new,commands,error",
         [
             # A (10**13 + 1, 5, 3) trace stack: 1.07 PiB. validate never allocates a trace. Netsim
             # also fails there, before its mixer draws the (10**13, 6) round table.
-            ("iterations = 60", "iterations = 10000000000000", [["run"], ["run", "--mode", "netsim"]]),
+            ("iterations = 60", "iterations = 10000000000000", BOTH_MODES, "Unable to allocate"),
             # A 10**18-agent complete matrix: its row alone is 6.94 EiB.
-            ("source = five-agent-pair", "source = complete\nn = 1000000000000000000", [["run"], ["validate"]]),
+            (
+                "source = five-agent-pair",
+                "source = complete\nn = 1000000000000000000",
+                [["run"], ["validate"]],
+                "Unable to allocate",
+            ),
+            # Sizes numpy cannot even index, so it raises ValueError, not MemoryError: a trace stack of
+            # more than 2**63 bytes, then of more than 2**63 rows, and a (60, 10**17) round table.
+            ("iterations = 60", "iterations = 100000000000000000", BOTH_MODES, "cannot allocate the trace"),
+            ("iterations = 60", "iterations = 2305843009213693952", BOTH_MODES, "cannot allocate the trace"),
+            ("sigma = auto", "sigma = auto\nm = 100000000000000000", BOTH_MODES, "cannot allocate the round table"),
+            # (rho, sigma) grids of 10**20 and 2**63 points per axis, past numpy's index range (at 2**63,
+            # numpy 2.4's linspace raises IndexError from an empty arange); grid reads no config.
+            (None, None, [["grid", "--resolution", str(10**20)]], "cannot allocate a grid of resolution"),
+            (None, None, [["grid", "--resolution", str(2**63)]], "cannot allocate a grid of resolution"),
         ],
-        ids=["iterations", "complete-n"],
+        ids=["iterations", "complete-n", "iterations-bytes", "iterations-rows", "m", "grid-resolution", "grid-2-63"],
     )
-    def test_unallocatable_size_exits_2(self, tmp_path, capsys, old, new, commands):
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys, old, new, commands, error):
         # Each size exceeds the address space, so numpy refuses it before touching memory.
-        text = (CONFIGS / "quadratic.ini").read_text()
-        assert text.count(old) == 1
         bad = tmp_path / "huge.ini"
-        bad.write_text(text.replace(old, new))
+        if old is not None:
+            text = (CONFIGS / "quadratic.ini").read_text()
+            assert text.count(old) == 1
+            bad.write_text(text.replace(old, new))
         out = tmp_path / "x.csv"
         for command, *flags in commands:
-            args = [command, str(bad), *flags] + (["--output", str(out)] if command == "run" else [])
+            config = [] if command == "grid" else [str(bad)]
+            args = [command, *config, *flags] + (["--output", str(out)] if command != "validate" else [])
             assert main(args) == 2
             err = capsys.readouterr().err
-            assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+            assert err.startswith(f"config error: {error}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):

@@ -157,7 +157,7 @@ class TestLocalityAudit:
         assert report.message_count == expected
         assert report.expected_count == expected
 
-    def test_matrix_listed_twice_is_one_edge_set(self, pair, pair_sigma):
+    def test_matrix_listed_twice_shares_one_edge_set(self, pair, pair_sigma):
         W1, W2 = pair
         schedule = gg.GossipSchedule.random_choice([W1, W2, W1], seed=3)
         problem = gg.random_quadratic_problem(5, 2, 1.0, 3.0, seed=10)
@@ -167,9 +167,10 @@ class TestLocalityAudit:
         trace = gg.run_netsim(problem, schedule, params, x0, K)
         rows = gg.round_table(schedule, K, params.m)
         assert set(rows.ravel().tolist()) == {0, 1, 2}
-        assert len(trace.edge_sets) == 2
-        ids = trace.edge_set_ids
-        assert len(set(ids[rows != 1].tolist())) == 1 and set(ids[rows == 1].tolist()).isdisjoint(ids[rows != 1].tolist())
+        # The ids are the schedule's own matrix indices; both listings of W1 share its one plan's edges.
+        assert trace.edge_set_ids.dtype == np.int32 and np.array_equal(trace.edge_set_ids, rows)
+        assert len(trace.edge_sets) == 3 and trace.edge_sets[0] is trace.edge_sets[2]
+        assert trace.edge_sets[1] is not trace.edge_sets[0]
         report = gg.locality_audit(trace, schedule)
         assert report.passed
         assert report.message_count == report.expected_count == len(trace.deliveries)

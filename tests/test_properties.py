@@ -372,7 +372,9 @@ class TestAuditProperties:
         problem = gg.random_quadratic_problem(n, 2, 1.0, 3.0, seed)
         params = gg.AlgorithmParams.derive(0.5, 0.5, 1e-3, m_override=m)
         net = gg.run_netsim(problem, schedule, params, rng.standard_normal((n, 2)), iterations)
-        assert len(net.edge_sets) <= count  # a matrix listed twice has one plan and one edge set
+        # One edge set per listed matrix, named by the schedule's own index; a matrix listed twice shares one plan.
+        assert len(net.edge_sets) == len(matrices)
+        assert np.array_equal(net.edge_set_ids, gg.round_table(schedule, iterations, m))
 
         # The tampered copy of one edge set replaces the delivered set in about half of the rounds.
         edges = net.edge_sets[rng.integers(len(net.edge_sets))]
