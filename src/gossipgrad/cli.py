@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 failed validation, 2 bad config, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import analysis
 from .algorithm import centralized_gd, comm_rounds, run_algorithm
 from .config import build_problem, build_schedule, initial_states, load_run_config, resolve_params, schedule_gap
-from .errors import AnalysisError, ConfigError, DegenerateCurvatureError, SingularPointError
+from .errors import AnalysisError, ConfigError, DegenerateCurvatureError, SingularPointError, allocating
 from .netsim import run_netsim
 from .objective import check_contraction, sample_ball
 
@@ -106,10 +107,8 @@ def _grid(low: float, high: float, resolution: int) -> np.ndarray:
         raise ConfigError(f"range [{low}, {high}] must sit inside (0, 1)")
     if resolution < 2:
         raise ConfigError(f"resolution must be >= 2, got {resolution}")
-    try:
+    with allocating(f"a grid of resolution {resolution}"):
         return np.linspace(low, high, resolution)
-    except (ValueError, IndexError) as exc:  # a size numpy cannot index (IndexError near 2**63); else MemoryError
-        raise ConfigError(f"cannot allocate a grid of resolution {resolution}: {exc}") from exc
 
 
 def cmd_grid(args) -> int:
@@ -165,15 +164,20 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all_passed else EXIT_VALIDATION
 
 
-def _add_run(sub):
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; ``main`` parses every command line with it.
+
+    It binds no handler: ``main`` looks up ``cmd_<command>`` by name at each
+    call, so a wrapper set on a ``cmd_*`` function after the parser is built
+    is the one that runs.
+    """
+    parser = argparse.ArgumentParser(prog="gossipgrad", description=__doc__.strip().splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a configured experiment and write the CSV trace")
     p_run.add_argument("config")
     p_run.add_argument("--output", default=None, help="CSV path (default from config, '-' for stdout)")
     p_run.add_argument("--mode", choices=("vectorized", "netsim"), default=None)
-    p_run.set_defaults(handler=cmd_run)
-
-
-def _add_grid(sub):
     p_grid = sub.add_parser("grid", aliases=["rates"], help="m over a (rho, sigma) grid; rates adds rho**(1/m)")
     p_grid.add_argument("--rho-min", type=float, default=0.05)
     p_grid.add_argument("--rho-max", type=float, default=0.95)
@@ -181,45 +185,15 @@ def _add_grid(sub):
     p_grid.add_argument("--sigma-max", type=float, default=0.95)
     p_grid.add_argument("--resolution", type=int, default=50)
     p_grid.add_argument("--output", default="-")
-    p_grid.set_defaults(handler=cmd_grid)
-
-
-def _add_validate(sub):
-    p_val = sub.add_parser("validate", help="check the assumptions behind a config")
-    p_val.add_argument("config")
-    p_val.set_defaults(handler=cmd_validate)
-
-
-# Each subcommand name and alias, with the function that adds its subparser; in help order.
-SUBCOMMANDS = {"run": _add_run, "grid": _add_grid, "rates": _add_grid, "validate": _add_validate}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; for a subcommand name or alias ``command``, with that subcommand's parser alone.
-
-    A subparser's prog, usage, help and errors do not depend on its
-    siblings, and the one-subcommand parser prints every subcommand in its
-    own usage line (shown for unrecognized arguments), so a command line
-    whose first word is ``command`` gets the same text and exit code from
-    either parser. Any other first word (an option, an unknown command,
-    none) takes every subparser, whose names its errors list.
-    """
-    parser = argparse.ArgumentParser(prog="gossipgrad", description=__doc__.strip().splitlines()[0])
-    one = command in SUBCOMMANDS
-    # The metavar argparse prints for all the choices. The full parser keeps the default, None, since its
-    # errors for a missing or unknown command would name the metavar in place of "command".
-    metavar = "{" + ",".join(SUBCOMMANDS) + "}" if one else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for add in [SUBCOMMANDS[command]] if one else dict.fromkeys(SUBCOMMANDS.values()):
-        add(sub)
+    sub.add_parser("validate", help="check the assumptions behind a config").add_argument("config")
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_grid" if args.command == "rates" else f"cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ConfigError, MemoryError) as exc:  # numpy refuses a configured size before it touches memory
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithm import AlgorithmParams
-from .errors import ConfigError
+from .errors import ConfigError, allocating
 from .gossip import GAP_ROUNDOFF, GossipMatrix, GossipSchedule, complete_matrix, ring_matrix, spectral_gap
 from .localization import LocalizationConfig, five_agent_gossip_pair, gd_contraction_factor, optimal_stepsize
 from .objective import Problem, params_from_one_point_convexity, random_quadratic_problem, StrongSmoothParams
@@ -178,7 +178,8 @@ def load_run_config(path) -> RunConfig:
         matrices = list(five_agent_gossip_pair())
     elif source in ("complete", "ring"):
         n = parse_number(int, _required(sched, "schedule", "n"), "n", minimum=1)
-        matrices = [complete_matrix(n) if source == "complete" else ring_matrix(n)]
+        with allocating(f"a {n}-agent {source} matrix"):
+            matrices = [complete_matrix(n) if source == "complete" else ring_matrix(n)]
     elif source == "inline":
         # matrix1, matrix2, ... up to the first absent number; any later matrixN is left over.
         matrices = []

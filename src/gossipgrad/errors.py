@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guard that reports a size numpy refuses as one."""
+
+from contextlib import contextmanager
 
 
 class ConfigError(Exception):
@@ -19,3 +21,16 @@ class DegenerateFitError(ValueError):
 
 class AnalysisError(Exception):
     """Requested analysis needs data the run does not provide (e.g. a known optimizer)."""
+
+
+@contextmanager
+def allocating(what: str):
+    """Reports a size numpy cannot even index as a ConfigError naming ``what``.
+
+    numpy refuses such a size with ValueError (IndexError from linspace near
+    2**63); one it can index but not allocate is a MemoryError, left to the caller.
+    """
+    try:
+        yield
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot allocate {what}: {exc}") from exc

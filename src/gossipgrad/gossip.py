@@ -15,7 +15,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, allocating
 
 DOUBLY_STOCHASTIC_TOL = 1e-9
 GAP_ROUNDOFF = 16 * np.finfo(float).eps  # per agent
@@ -176,10 +176,8 @@ class GossipSchedule:
 def _table(schedule: GossipSchedule, iterations: range, rounds: int) -> np.ndarray:
     # Matrix indices of rounds 1..rounds of each iteration in ``iterations``, one row per iteration.
     # The table is allocated before any hashing, so a size numpy cannot allocate fails at once.
-    try:
+    with allocating("the round table"):
         table = np.zeros((len(iterations), rounds), dtype=np.int64)
-    except ValueError as exc:  # a size numpy cannot even index; one it cannot allocate is a MemoryError
-        raise ConfigError(f"cannot allocate the round table: {exc}") from exc
     count = len(schedule.matrices)
     if schedule.kind == "cyclic":
         start, stop = iterations.start * rounds, iterations.stop * rounds

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateCurvatureError, SingularPointError
+from .errors import ConfigError, DegenerateCurvatureError, SingularPointError, allocating
 from .gossip import GossipMatrix
 from .objective import Problem
 
@@ -55,12 +55,13 @@ class LocalizationConfig:
         if target.shape != (2,):  # before sampling, whose distances would not broadcast
             raise ConfigError(f"target must have shape (2,), got {target.shape}")
         rng = np.random.default_rng(seed)
-        positions = []
-        while len(positions) < n:
-            candidate = rng.uniform(*SAMPLE_BOX, size=2)
-            if np.linalg.norm(candidate - target) > TARGET_EXCLUSION:
-                positions.append(candidate)
-        return cls.from_positions(np.array(positions), target)
+        positions = np.empty((0, 2))
+        with allocating(f"{n} sampled positions"):
+            while len(positions) < n:  # a block of the candidates still missing: the stream of one draw per candidate
+                block = rng.uniform(*SAMPLE_BOX, size=(n - len(positions), 2))
+                keep = np.linalg.norm(block - target, axis=1) > TARGET_EXCLUSION
+                positions = np.concatenate([positions, block[keep]])
+        return cls.from_positions(positions, target)
 
     @property
     def n(self) -> int:

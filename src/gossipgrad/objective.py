@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, allocating
 
 CONTRACTION_SLACK = 1e-9
 GRADIENT_SUM_TOL = 1e-6
@@ -229,16 +229,17 @@ def random_quadratic_problem(
     spectrum strictly inside [mu, L].
     """
     rng = np.random.default_rng(seed)
-    if shared_hessian:
-        eigs = np.concatenate([[mu, L], rng.uniform(mu, L, size=max(dimension - 2, 0))])[:dimension]
-        A = A_bar = _random_symmetric(rng, eigs)
-        B = rng.standard_normal((n, dimension))
-    else:
-        # Per agent: eigenvalues, eigenbasis, then linear term; this draw order fixes the seeded data.
-        A, B = np.empty((n, dimension, dimension)), np.empty((n, dimension))
-        for i in range(n):
-            A[i] = _random_symmetric(rng, rng.uniform(mu, L, size=dimension))
-            B[i] = rng.standard_normal(dimension)
-        A_bar = A.mean(axis=0)
+    with allocating(f"a problem of {n} agents in dimension {dimension}"):
+        if shared_hessian:
+            eigs = np.concatenate([[mu, L], rng.uniform(mu, L, size=max(dimension - 2, 0))])[:dimension]
+            A = A_bar = _random_symmetric(rng, eigs)
+            B = rng.standard_normal((n, dimension))
+        else:
+            # Per agent: eigenvalues, eigenbasis, then linear term; this draw order fixes the seeded data.
+            A, B = np.empty((n, dimension, dimension)), np.empty((n, dimension))
+            for i in range(n):
+                A[i] = _random_symmetric(rng, rng.uniform(mu, L, size=dimension))
+                B[i] = rng.standard_normal(dimension)
+            A_bar = A.mean(axis=0)
     xstar = np.linalg.solve(A_bar, B.mean(axis=0))
     return QuadraticObjective(A, B, optimizer=xstar)

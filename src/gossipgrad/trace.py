@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, allocating
 
 
 @dataclass(repr=False)
@@ -68,10 +68,8 @@ class RunTrace:
             raise ConfigError("initial states x0 and y0 must be finite")
         if np.linalg.norm(y.sum(axis=0)) > 1e-12 * max(1.0, np.abs(y).max()):
             raise ConfigError("initial correction states must sum to zero across agents")
-        try:  # one block for the four stacks: each run makes one large allocation, not four
+        with allocating("the trace"):  # one block for the four stacks: each run makes one large allocation, not four
             block = np.empty((4 * iterations + 2, *x.shape))
-        except ValueError as exc:  # a size numpy cannot even index; one it cannot allocate is a MemoryError
-            raise ConfigError(f"cannot allocate the trace: {exc}") from exc
         xs, ys, v, u = np.split(block, [iterations + 1, 2 * iterations + 2, 3 * iterations + 2])
         trace = cls(x=xs, y=ys, v=v, u=u, params=params, gradient_evaluations=0)
         trace.x[0], trace.y[0] = x, y

@@ -169,27 +169,26 @@ class TestParsing:
 class TestParser:
     @pytest.mark.parametrize("argv", PARSER_ONLY, ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_main_answers_as_the_full_parser(self, capsys, argv):
-        def outcome(parse):
-            with pytest.raises(SystemExit) as exited:
-                parse(list(argv))
-            return exited.value.code, *capsys.readouterr()
-
-        assert outcome(main) == outcome(build_parser().parse_args)
-
-    @pytest.mark.parametrize("command", ["run", "grid", "rates", "validate"])
-    def test_main_builds_only_the_named_subparser(self, monkeypatch, capsys, command):
-        def unnamed(sub):
-            raise AssertionError("built the parser of a subcommand the command line does not name")
-
-        named = cli.SUBCOMMANDS[command]
-        for name, add in list(cli.SUBCOMMANDS.items()):
-            if add is not named:
-                monkeypatch.setitem(cli.SUBCOMMANDS, name, unnamed)
+        # Help exits 0 with the usage on stdout; an argument error exits 2 with it on stderr.
         with pytest.raises(SystemExit) as exited:
-            main([command, "--help"])
-        assert exited.value.code == 0
-        # An alias is shown under the name it aliases.
-        assert capsys.readouterr().out.startswith(f"usage: gossipgrad {command.replace('rates', 'grid')} [-h]")
+            main(list(argv))
+        out, err = capsys.readouterr()
+        shown, quiet = (out, err) if "--help" in argv else (err, out)
+        assert exited.value.code == (0 if "--help" in argv else 2)
+        assert shown.startswith("usage: gossipgrad") and quiet == ""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_main_calls_a_handler_wrapped_after_the_parser_is_built(self, monkeypatch, tmp_path, capsys):
+        # A tracer wraps cli.cmd_run once the parser exists; main must look the handler up at each call.
+        absent = str(tmp_path / "absent.ini")
+        assert main(["validate", absent]) == 2
+        calls, original = [], cli.cmd_run
+        monkeypatch.setattr(cli, "cmd_run", lambda args: calls.append(args.config) or original(args))
+        assert main(["run", absent]) == 2
+        assert calls == [absent]
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {absent}: ")
 
 
 class TestRunCommand:
@@ -464,6 +463,21 @@ class TestRunCommand:
                 [["run"], ["validate"]],
                 "Unable to allocate",
             ),
+            # Rows of 10**20 agents, and a quadratic of 10**20 agents or dimensions: past numpy's index range.
+            (
+                "source = five-agent-pair",
+                "source = complete\nn = 100000000000000000000",
+                [["run"], ["validate"]],
+                "cannot allocate a 100000000000000000000-agent complete matrix",
+            ),
+            (
+                "source = five-agent-pair",
+                "source = ring\nn = 100000000000000000000",
+                [["run"], ["validate"]],
+                "cannot allocate a 100000000000000000000-agent ring matrix",
+            ),
+            ("n = 5", "n = 100000000000000000000", [["run"], ["validate"]], "cannot allocate a problem of"),
+            ("d = 3", "d = 100000000000000000000", [["run"], ["validate"]], "cannot allocate a problem of"),
             # Sizes numpy cannot even index, so it raises ValueError, not MemoryError: a trace stack of
             # more than 2**63 bytes, then of more than 2**63 rows, and a (60, 10**17) round table.
             ("iterations = 60", "iterations = 100000000000000000", BOTH_MODES, "cannot allocate the trace"),
@@ -474,7 +488,10 @@ class TestRunCommand:
             (None, None, [["grid", "--resolution", str(10**20)]], "cannot allocate a grid of resolution"),
             (None, None, [["grid", "--resolution", str(2**63)]], "cannot allocate a grid of resolution"),
         ],
-        ids=["iterations", "complete-n", "iterations-bytes", "iterations-rows", "m", "grid-resolution", "grid-2-63"],
+        ids=[
+            "iterations", "complete-n", "complete-n-index", "ring-n-index", "quadratic-n", "quadratic-d",
+            "iterations-bytes", "iterations-rows", "m", "grid-resolution", "grid-2-63",
+        ],
     )
     def test_unallocatable_size_exits_2(self, tmp_path, capsys, old, new, commands, error):
         # Each size exceeds the address space, so numpy refuses it before touching memory.
@@ -488,6 +505,26 @@ class TestRunCommand:
             config = [] if command == "grid" else [str(bad)]
             args = [command, *config, *flags] + (["--output", str(out)] if command != "validate" else [])
             assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {error}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n,error",
+        [(10**13, "Unable to allocate"), (10**20, "cannot allocate 100000000000000000000 sampled positions")],
+        ids=["n-1e13", "n-1e20"],
+    )
+    def test_unallocatable_sampled_positions_exit_2(self, tmp_path, capsys, n, error):
+        # The candidates are drawn as blocks, so numpy refuses the size at the first draw.
+        text = (CONFIGS / "localization.ini").read_text()
+        assert text.count("n = 5") == 1
+        bad = tmp_path / "huge.ini"
+        bad.write_text(text.replace("n = 5", f"n = {n}"))
+        out = tmp_path / "x.csv"
+        for command in (["run", str(bad), "--output", str(out)], ["validate", str(bad)]):
+            start = time.perf_counter()
+            assert main(command) == 2
+            assert time.perf_counter() - start < 30.0
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {error}") and err.count("\n") == 1
         assert not out.exists()
