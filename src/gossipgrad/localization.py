@@ -26,6 +26,17 @@ SAMPLE_BOX = (0.0, 2.0)  # sampled positions: each coordinate uniform on this in
 TARGET_EXCLUSION = 0.1  # least distance of a sampled position from the target
 
 
+def _distances(points: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Each point's distance to the target; one that overflows is a config error naming the target."""
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(points - target, axis=1)
+    if not np.isfinite(dist).all():
+        raise ConfigError(
+            f"target {target[0]:g}, {target[1]:g} is too far from the agents: a distance to it overflows"
+        )
+    return dist
+
+
 @dataclass(frozen=True)
 class LocalizationConfig:
     """Agent positions, target, and the derived exact range measurements."""
@@ -42,7 +53,7 @@ class LocalizationConfig:
             raise ConfigError(f"positions must have shape (n, 2), got {positions.shape}")
         if target.shape != (2,):
             raise ConfigError(f"target must have shape (2,), got {target.shape}")
-        ranges = np.linalg.norm(positions - target, axis=1)
+        ranges = _distances(positions, target)
         if np.any(ranges <= 0):
             raise ConfigError("no agent may sit exactly at the target")
         return cls(positions=positions, target=target, ranges=ranges)
@@ -59,7 +70,7 @@ class LocalizationConfig:
         with allocating(f"{n} sampled positions"):
             while len(positions) < n:  # a block of the candidates still missing: the stream of one draw per candidate
                 block = rng.uniform(*SAMPLE_BOX, size=(n - len(positions), 2))
-                keep = np.linalg.norm(block - target, axis=1) > TARGET_EXCLUSION
+                keep = _distances(block, target) > TARGET_EXCLUSION
                 positions = np.concatenate([positions, block[keep]])
         return cls.from_positions(positions, target)
 

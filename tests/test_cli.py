@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,40 +19,19 @@ from gossipgrad.gossip import circulant_spectrum_power
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# Two blocks that never exchange values; LAPACK puts its gap at 0.9999999999999998.
 # The built-in five-agent pair written as inline matrix text.
 PAIR = (
     "0, 3/8, 1/4, 0, 3/8; 1/8, 0, 3/4, 1/8, 0; 0, 5/8, 0, 3/8, 0; 3/8, 0, 0, 0, 5/8; 1/2, 0, 0, 1/2, 0",
     "0, 1/2, 1/4, 0, 1/4; 1/4, 0, 3/4, 0, 0; 0, 1/2, 0, 1/2, 0; 1/4, 0, 0, 0, 3/4; 1/2, 0, 0, 1/2, 0",
 )
+# The pair's schedule in configs/quadratic.ini.
+RANDOM_PAIR = "kind = random\nsource = five-agent-pair\nseed = 42"
+# Two blocks that never exchange values; LAPACK puts its gap at 0.9999999999999998.
 DISCONNECTED = "1/2, 1/2, 0, 0, 0; 1/2, 1/2, 0, 0, 0; 0, 0, 1/3, 1/3, 1/3; 0, 0, 1/3, 1/3, 1/3; 0, 0, 1/3, 1/3, 1/3"
+# Five agent positions, none at the target (1, 1).
+POSITIONS = "positions = 1.38, 1.69; 0.6, 0.47; 1.84, 1.82; 0.32, 0.79; 1.3, 1.06"
 # A symmetric circulant of dyadic weights, written out: the 5-agent lazy ring, gap (1 + cos(2 pi / 5)) / 2 = 0.6545.
 RING_5 = "1/2, 1/4, 0, 0, 1/4; 1/4, 1/2, 1/4, 0, 0; 0, 1/4, 1/2, 1/4, 0; 0, 0, 1/4, 1/2, 1/4; 1/4, 0, 0, 1/4, 1/2"
-# Shipped configs with a key or section that the chosen kind or source does not read, and the error naming it.
-UNREAD = [
-    (
-        "quadratic",
-        "source = five-agent-pair",
-        "source = five-agent-pair\nn = 9",
-        "unknown key 'n' in section [schedule]",
-    ),
-    ("quadratic", "kind = random", "kind = cyclic", "unknown key 'seed' in section [schedule]"),
-    ("localization", "kind = localization", "kind = localization\nmu = 1.0", "unknown key 'mu' in section [problem]"),
-    ("localization", "kind = localization", "kind = localization\nd = 2", "unknown key 'd' in section [problem]"),
-    ("quadratic", "[schedule]", "[localization]\nn = 5\nseed = 293\n\n[schedule]", "unknown section [localization]"),
-    (
-        "localization",
-        "target = 1.0, 1.0",
-        "target = 1.0, 1.0\npositions = 1.38, 1.69; 0.6, 0.47; 1.84, 1.82; 0.32, 0.79; 1.3, 1.06",
-        "unknown key 'n', 'seed' in section [localization]",
-    ),
-]
-UNREAD_IDS = [
-    "schedule-n-under-pair", "schedule-seed-under-cyclic", "problem-mu-under-localization",
-    "problem-d-under-localization", "localization-section-in-quadratic", "positions-beside-n-and-seed",
-]
-# The run command in each mode.
-BOTH_MODES = [["run"], ["run", "--mode", "netsim"]]
 # Command lines that argparse answers by itself: help, usage and argument errors, each with its exit code.
 PARSER_ONLY = [
     ["--help"],
@@ -95,42 +78,440 @@ INLINE_RING_5 = RING_120.replace("source = ring\nn = 120", f"source = inline\nma
 )
 
 
+RUN, NETSIM, VALIDATE = ("run",), ("run", "--mode", "netsim"), ("validate",)
+BAD = {RUN: 2, VALIDATE: 2}  # a config that run and validate both refuse
+BAD_TO_RUN = {RUN: 2, NETSIM: 2}  # a size that only a run allocates, refused in each mode
+DIRECTORY, MISSING = "<a directory>", "<no file>"
+VALIDATE_CHECKS = ["spectral gap within bound", "sampled contraction", "gradient sum zero at optimizer"]
+SCHEDULE_KIND = "unknown schedule kind 'nosuch', expected one of ('constant', 'cyclic', 'random')"
+# What a fixed point whose local gradients do not cancel prints: err, codes and validate's out (see Case).
+FIXED_POINT = (
+    "correction fixed point does not average to zero...",
+    {RUN: 3, VALIDATE: 1},
+    "FAIL  gradient sum zero at optimizer: correction fixed point does not average to zero...",
+)
+
+
+class Case(NamedTuple):
+    """One CLI exit case: a config, the exit code of each command run on it, and what the commands print.
+
+    config is one of: a tuple of a shipped config's name and its edits, each "old -> new" text (old must occur
+    once) or bytes to append; raw config text; DIRECTORY; MISSING; or None for grid and rates, which read no
+    config. err is the stderr line of every exit 2 or 3 after its "config error: " or "numerical failure: ",
+    whole, or its start when it ends in "...". codes maps each command (its name, then its flags) to its exit
+    code. out is a line of validate's stdout, in the same form as err.
+    """
+
+    config: tuple | str | None
+    err: str = ""
+    codes: dict = BAD
+    out: str = ""
+
+
+# Every CLI exit case, by id. A row's commands run through main on its config, written as <id>.ini in an empty
+# directory, with --output x.csv for run, grid and rates unless the row gives its own output.
+CASES = {
+    # Values that do not parse or are not finite.
+    "unknown-kind": Case(
+        "[problem]\nkind = nosuch\n", "unknown problem kind 'nosuch'; expected quadratic or localization"
+    ),
+    "iterations": Case(
+        ("quadratic", "iterations = 60 -> iterations = sixty"), "iterations must be an integer >= 1, got 'sixty'"
+    ),
+    "mu": Case(("quadratic", "mu = 1.0 -> mu = one"), "mu must be a finite number, got 'one'"),
+    "target": Case(
+        ("localization", "target = 1.0, 1.0 -> target = 1.0, a"), "target must be a finite number, got ' a'"
+    ),
+    "alpha-nan": Case(
+        ("quadratic", "alpha = auto -> alpha = nan"), "alpha, rho and sigma must be a finite number, got 'nan'"
+    ),
+    "alpha-inf": Case(
+        ("quadratic", "alpha = auto -> alpha = inf"), "alpha, rho and sigma must be a finite number, got 'inf'"
+    ),
+    "L-inf": Case(("quadratic", "L = 3.0 -> L = inf"), "L must be a finite number, got 'inf'"),
+    "x0": Case(("quadratic", "x0 = random -> x0 = 1.0, b, 0.0"), "point coordinate must be a finite number, got ' b'"),
+    "x0-empty": Case(("quadratic", "x0 = random -> x0 = ;"), "no rows in ';'"),
+    "ring-n": Case(
+        ("quadratic", "source = five-agent-pair -> source = ring\nn = -1"), "n must be an integer >= 1, got '-1'"
+    ),
+    "matrix-nan": Case(
+        ("quadratic", "source = five-agent-pair -> source = inline\nmatrix1 = nan, 0.5; 0.5, 0.5"),
+        "cannot parse matrix entry 'nan'",
+    ),
+    "x0-nan": Case(
+        ("quadratic", "x0 = random -> x0 = nan, 0, 0"), "point coordinate must be a finite number, got 'nan'"
+    ),
+    "percent-in-value": Case(
+        ("quadratic", "output = quadratic_trace.csv -> output = a%b.csv"),
+        "cannot parse config percent-in-value.ini: '%' must be followed by '%' or '('...",
+    ),
+    "not-utf8": Case(
+        ("quadratic", b"\xff"), "cannot parse config not-utf8.ini: 'utf-8' codec can't decode byte 0xff in position..."
+    ),
+    "not-a-file": Case(DIRECTORY, "cannot read config not-a-file.ini: Is a directory"),
+    "absent": Case(MISSING, "cannot read config absent.ini: No such file or directory"),
+    # Keys, sections, kinds and sources that are missing, unknown or unread.
+    "problem-kind": Case(
+        ("quadratic", "kind = quadratic -> kind = nosuch"),
+        "unknown problem kind 'nosuch'; expected quadratic or localization",
+    ),
+    "schedule-kind": Case(("quadratic", "kind = random -> kind = nosuch"), SCHEDULE_KIND),
+    # Without the schedule seed, which only the random kind reads.
+    "schedule-kind-unseeded": Case(("quadratic", "kind = random -> kind = nosuch", "seed = 42\n -> "), SCHEDULE_KIND),
+    "schedule-source": Case(
+        ("quadratic", "source = five-agent-pair -> source = nosuch"), "unknown schedule source 'nosuch'"
+    ),
+    "misspelled-key": Case(
+        ("quadratic", "iterations = 60 -> iteration = 7"), "unknown key 'iteration' in section [run]"
+    ),
+    "unknown-section": Case(("quadratic", "[run] -> [runs]"), "unknown section [runs]"),
+    "mode-typo": Case(
+        ("quadratic", "mode = vectorized -> mode = typo"), "mode must be vectorized or netsim, got 'typo'"
+    ),
+    "schedule-section-missing": Case(
+        ("quadratic", f"[schedule]\n{RANDOM_PAIR}\n -> "),
+        "config needs a [schedule] section",
+    ),
+    "localization-section-missing": Case(
+        ("localization", "[localization]\nn = 5\nseed = 293\ntarget = 1.0, 1.0\n -> "),
+        "localization problems need a [localization] section",
+    ),
+    "problem-kind-missing": Case(
+        ("quadratic", "[problem]\nkind = quadratic\n -> [problem]\n"), "missing key 'kind' in section [problem]"
+    ),
+    "schedule-kind-missing": Case(
+        ("quadratic", "[schedule]\nkind = random\n -> [schedule]\n"), "missing key 'kind' in section [schedule]"
+    ),
+    "inline-without-matrix": Case(
+        ("quadratic", "source = five-agent-pair -> source = inline"),
+        "inline schedule needs matrix1 (and matrix2, ... as needed)",
+    ),
+    "inline-matrix-gap": Case(
+        ("quadratic", f"source = five-agent-pair -> source = inline\nmatrix1 = {PAIR[0]}\nmatrix3 = {PAIR[1]}"),
+        "unknown key 'matrix3' in section [schedule]",
+    ),
+    "matrix-without-inline": Case(
+        ("quadratic", f"source = five-agent-pair -> source = five-agent-pair\nmatrix1 = {PAIR[0]}"),
+        "unknown key 'matrix1' in section [schedule]",
+    ),
+    "schedule-n-under-pair": Case(
+        ("quadratic", "source = five-agent-pair -> source = five-agent-pair\nn = 9"),
+        "unknown key 'n' in section [schedule]",
+    ),
+    "schedule-seed-under-cyclic": Case(
+        ("quadratic", "kind = random -> kind = cyclic"), "unknown key 'seed' in section [schedule]"
+    ),
+    "problem-mu-under-localization": Case(
+        ("localization", "kind = localization -> kind = localization\nmu = 1.0"),
+        "unknown key 'mu' in section [problem]",
+    ),
+    "problem-d-under-localization": Case(
+        ("localization", "kind = localization -> kind = localization\nd = 2"),
+        "unknown key 'd' in section [problem]",
+    ),
+    "localization-section-in-quadratic": Case(
+        ("quadratic", "[schedule] -> [localization]\nn = 5\nseed = 293\n\n[schedule]"),
+        "unknown section [localization]",
+    ),
+    "positions-beside-n-and-seed": Case(
+        ("localization", f"target = 1.0, 1.0 -> target = 1.0, 1.0\n{POSITIONS}"),
+        "unknown key 'n', 'seed' in section [localization]",
+    ),
+    # Values out of range, and parts that do not fit together.
+    "d-zero": Case(("quadratic", "d = 3 -> d = 0"), "d must be an integer >= 1, got '0'"),
+    "iterations-zero": Case(
+        ("quadratic", "iterations = 60 -> iterations = 0"), "iterations must be an integer >= 1, got '0'"
+    ),
+    "localization-n-zero": Case(("localization", "n = 5 -> n = 0"), "n must be an integer >= 1, got '0'"),
+    "problem-seed-negative": Case(("quadratic", "seed = 7 -> seed = -1"), "seed must be an integer >= 0, got '-1'"),
+    "localization-seed-negative": Case(
+        ("localization", "seed = 293 -> seed = -1"), "seed must be an integer >= 0, got '-1'"
+    ),
+    "schedule-seed-negative": Case(("quadratic", "seed = 42 -> seed = -1"), "seed must be an integer >= 0, got '-1'"),
+    "run-seed-negative": Case(("quadratic", "seed = 1 -> seed = -1"), "seed must be an integer >= 0, got '-1'"),
+    "mu-above-L": Case(("quadratic", "L = 3.0 -> L = 0.5"), "quadratic problem needs 0 < mu <= L < inf"),
+    "mu-zero": Case(("quadratic", "mu = 1.0 -> mu = 0"), "quadratic problem needs 0 < mu <= L < inf"),
+    "curvature-ratio": Case(
+        ("quadratic", "d = 3\nmu = 1.0 -> d = 1\nmu = 1e-20"), "contraction factor must be in [0, 1), got 1.0"
+    ),
+    "alpha-expanding": Case(
+        ("quadratic", "alpha = auto -> alpha = 0.9"), "stepsize 0.9 gives contraction factor 1.7 >= 1 on [mu, L]"
+    ),
+    "rho-below-factor": Case(
+        ("quadratic", "rho = auto -> rho = 0.4"), "rho = 0.4 is below the contraction factor 0.5 of stepsize 0.5"
+    ),
+    "rho-negative": Case(
+        ("localization", "rho = auto\nsigma = auto\nm = 6\n -> rho = -0.5\nsigma = auto\n"),
+        "rho must be in (0, 1), got -0.5",
+    ),
+    "sigma-explicit": Case(("quadratic", "sigma = auto -> sigma = 1.5"), "sigma must be in [0, 1), got 1.5"),
+    "m-below-derived": Case(
+        ("quadratic", "sigma = auto -> sigma = auto\nm = 2"),
+        "m=2 leaves sigma^m above the consensus threshold 0.258819; need m >= 6",
+    ),
+    "x0-dimension": Case(("quadratic", "x0 = random -> x0 = 1, 2"), "explicit x0 has shape (1, 2), expected (5, 3)"),
+    "x0-positions-quadratic": Case(
+        ("quadratic", "x0 = random -> x0 = positions"), "x0 = positions only makes sense for localization problems"
+    ),
+    "target-three-coordinates": Case(
+        ("localization", "target = 1.0, 1.0 -> target = 1.0, 1.0, 1.0"), "target must have shape (2,), got (3,)"
+    ),
+    "target-far": Case(
+        ("localization", "target = 1.0, 1.0 -> target = 1e300, 1e300"),
+        "target 1e+300, 1e+300 is too far from the agents: a distance to it overflows",
+    ),
+    "target-far-positions": Case(
+        ("localization", f"n = 5\nseed = 293 -> {POSITIONS}", "target = 1.0, 1.0 -> target = 1e300, 1e300"),
+        "target 1e+300, 1e+300 is too far from the agents: a distance to it overflows",
+    ),
+    "problem-n-vs-pair": Case(("quadratic", "n = 5 -> n = 4"), "the problem has 4 agents but the schedule mixes 5"),
+    # The ring's O(n) construction and sum check reach the agent-count check, where an n x n copy or scan would
+    # take 8 TB or 10^12 additions first.
+    "million-ring": Case(
+        ("quadratic", "source = five-agent-pair -> source = ring\nn = 1000000"),
+        "the problem has 5 agents but the schedule mixes 1000000",
+    ),
+    # Schedules that cannot be built or do not mix within sigma.
+    "constant-pair": Case(
+        ("quadratic", f"{RANDOM_PAIR} -> kind = constant\nsource = five-agent-pair"),
+        "constant schedule takes exactly one matrix",
+    ),
+    "disconnected": Case(
+        ("quadratic", f"source = five-agent-pair -> source = inline\nmatrix1 = {DISCONNECTED}"),
+        "schedule spectral gap reads 1: at 5 agents a gap within 1.78e-14 of 1 cannot be told from 1, "
+        "so no round count can be derived",
+    ),
+    # Its true gap, about 1 - 5.1e-10, is within GAP_ROUNDOFF * n = 5.68e-10 of 1, so it reads 1.
+    "ring-160000": Case(
+        RING_120.replace("n = 120", "n = 160000").replace("d = 3", "d = 1"),
+        "schedule spectral gap reads 1: at 160000 agents a gap within 5.68e-10 of 1 cannot be told "
+        "from 1, so no round count can be derived",
+    ),
+    # Rows and columns that all sum to 1 + 2e-9: written out inline, the matrix is dense, and every sum is read.
+    "off-by-2e-9": Case(
+        INLINE_RING_5.replace("1/2", "0.500000002"),
+        "schedule matrix 0 is not doubly stochastic (max row dev 2.000e-09, max col dev 2.000e-09)",
+    ),
+    # m derived from sigma = 0.5 would leave the pair's true gap (0.7853) above sigma0 after m rounds.
+    "tight-sigma": Case(
+        ("quadratic", "sigma = auto -> sigma = 0.5"),
+        "sigma = 0.5 is below the schedule's spectral gap 0.785334",
+        {RUN: 2, VALIDATE: 1},
+        "FAIL  spectral gap within bound: actual 0.785334 vs configured 0.500000",
+    ),
+    "identity": Case(
+        (
+            "quadratic",
+            f"{RANDOM_PAIR} -> kind = constant\nsource = inline\n"
+            "matrix1 = 1, 0, 0, 0, 0; 0, 1, 0, 0, 0; 0, 0, 1, 0, 0; 0, 0, 0, 1, 0; 0, 0, 0, 0, 1",
+            "sigma = auto -> sigma = 0.9",
+        ),
+        codes={VALIDATE: 1},
+        out="FAIL  spectral gap within bound: actual 1.000000 vs configured 0.900000",
+    ),
+    "quadratic": Case(("quadratic",), codes={VALIDATE: 0}),
+    "loose-sigma": Case(("quadratic", "sigma = auto -> sigma = 0.79"), codes={VALIDATE: 0}),
+    # The nonconvex residuals fail the sampled contraction check.
+    "localization": Case(("localization",), codes={VALIDATE: 1}, out="FAIL  sampled contraction: ..."),
+    # Sizes numpy refuses before touching memory: one it can index but not allocate (a MemoryError), or one past
+    # its index range (a ValueError). validate never allocates a trace or a round table.
+    "iterations-1e13": Case(
+        ("quadratic", "iterations = 60 -> iterations = 10000000000000"), "Unable to allocate...", BAD_TO_RUN
+    ),
+    "iterations-bytes": Case(
+        ("quadratic", "iterations = 60 -> iterations = 100000000000000000"),
+        "cannot allocate the trace: ...",
+        BAD_TO_RUN,
+    ),
+    "iterations-rows": Case(
+        ("quadratic", "iterations = 60 -> iterations = 2305843009213693952"),
+        "cannot allocate the trace: ...",
+        BAD_TO_RUN,
+    ),
+    "m-1e17": Case(
+        ("quadratic", "sigma = auto -> sigma = auto\nm = 100000000000000000"),
+        "cannot allocate the round table: ...",
+        BAD_TO_RUN,
+    ),
+    # A 10**18-agent complete matrix: its row alone is 6.94 EiB.
+    "complete-n": Case(
+        ("quadratic", "source = five-agent-pair -> source = complete\nn = 1000000000000000000"),
+        "Unable to allocate...",
+    ),
+    "complete-n-index": Case(
+        ("quadratic", "source = five-agent-pair -> source = complete\nn = 100000000000000000000"),
+        "cannot allocate a 100000000000000000000-agent complete matrix: ...",
+    ),
+    "ring-n-index": Case(
+        ("quadratic", "source = five-agent-pair -> source = ring\nn = 100000000000000000000"),
+        "cannot allocate a 100000000000000000000-agent ring matrix: ...",
+    ),
+    "quadratic-n": Case(
+        ("quadratic", "n = 5 -> n = 100000000000000000000"),
+        "cannot allocate a problem of 100000000000000000000 agents in dimension 3: ...",
+    ),
+    "quadratic-d": Case(
+        ("quadratic", "d = 3 -> d = 100000000000000000000"),
+        "cannot allocate a problem of 5 agents in dimension 100000000000000000000: ...",
+    ),
+    # The candidates are drawn as blocks, so numpy refuses the size at the first draw.
+    "sampled-n-1e13": Case(("localization", "n = 5 -> n = 10000000000000"), "Unable to allocate..."),
+    "sampled-n-1e20": Case(
+        ("localization", "n = 5 -> n = 100000000000000000000"),
+        "cannot allocate 100000000000000000000 sampled positions: ...",
+    ),
+    "grid-resolution": Case(
+        None,
+        "cannot allocate a grid of resolution 100000000000000000000: ...",
+        {("grid", "--resolution", str(10**20)): 2},
+    ),
+    # At 2**63, numpy 2.4's linspace raises IndexError from an empty arange.
+    "grid-2-63": Case(
+        None, "cannot allocate a grid of resolution 9223372036854775808: ...", {("grid", "--resolution", str(2**63)): 2}
+    ),
+    "grid-rho-min-zero": Case(None, "range [0.0, 0.95] must sit inside (0, 1)", {("grid", "--rho-min", "0.0"): 2}),
+    "grid-resolution-one": Case(None, "resolution must be >= 2, got 1", {("grid", "--resolution", "1"): 2}),
+    # sigma0(5e-324) underflows to 0, which has no round count.
+    "grid-denormal-rho": Case(
+        None,
+        "no round count at rho = 4.9406564584124654e-324, sigma = 0.5: sigma0 underflows to 0 at rho = 5e-324, so no "
+        "round count reaches it",
+        {("grid", "--rho-min", "5e-324", "--rho-max", "0.5", "--sigma-min", "0.5", "--resolution", "2"): 2},
+    ),
+    "unwritable-output": Case(
+        ("quadratic",),
+        "cannot write output missing-dir/x.csv: No such file or directory",
+        {("run", "--output", "missing-dir/x.csv"): 2},
+    ),
+    # Ill-conditioned curvature: the solved optimizer passes its own gradient-sum check but not the fixed point's
+    # cancellation check (at L = 3 or 1), or fails both.
+    "fixed-point": Case(("quadratic", "mu = 1.0 -> mu = 1e-8"), *FIXED_POINT),
+    "fixed-point-L1": Case(("quadratic", "mu = 1.0 -> mu = 1e-8", "L = 3.0 -> L = 1.0"), *FIXED_POINT),
+    "optimizer-check": Case(
+        ("quadratic", "mu = 1.0 -> mu = 1e-6", "L = 3.0 -> L = 1e6"),
+        "the solved optimizer is not exact: local gradients do not sum to zero at the declared optimizer...",
+        {RUN: 3, VALIDATE: 3},
+    ),
+    "overflow-x0": Case(
+        ("quadratic", "x0 = random -> x0 = 1e308, 1e308, 1e308"),
+        "the run produced non-finite errors or energies",
+        {RUN: 3, NETSIM: 3},
+    ),
+    # Every agent starts at agent 2's anchor, and mixing keeps the consensus, so agent 2's gradient is taken there.
+    "singular": Case(
+        (
+            "localization",
+            "n = 5\nseed = 293 -> positions = 0.2, 0.1; 1.6, 0.3; 0.5, 1.7; 1.9, 1.4; 0.4, 0.9",
+            "x0 = positions -> x0 = 0.5, 1.7",
+            "m = 6\n -> ",
+        ),
+        "gradient undefined at the anchor [0.5 1.7]",
+        {RUN: 3, NETSIM: 3},
+    ),
+}
+
+
+def write_config(path, config):
+    """Writes a row's config at ``path`` (see Case) and returns ``path``."""
+    if config in (None, MISSING):
+        return path
+    if config == DIRECTORY:
+        path.mkdir()
+    elif isinstance(config, str):
+        path.write_text(config)
+    else:
+        name, *edits = config
+        text, tail = (CONFIGS / f"{name}.ini").read_text(), b""
+        for edit in edits:
+            if isinstance(edit, bytes):
+                tail += edit
+                continue
+            old, new = edit.split(" -> ")
+            assert text.count(old) == 1, (name, old)
+            text = text.replace(old, new)
+        path.write_bytes(text.encode() + tail)
+    return path
+
+
+def case_argv(case_id, command):
+    name, *flags = command
+    config = [] if name in ("grid", "rates") else [f"{case_id}.ini"]
+    output = [] if name == "validate" or "--output" in flags else ["--output", "x.csv"]
+    return [name, *config, *flags, *output]
+
+
+def matches(text, want):
+    return text.startswith(want[:-3]) if want.endswith("...") else text == want
+
+
+@pytest.fixture
+def exit_case(tmp_path, capsys, monkeypatch):
+    """Runs rows of CASES by id through main, each command with the checks that every row gets."""
+    monkeypatch.chdir(tmp_path)
+
+    def check(case_id, *commands):
+        case = CASES[case_id]
+        write_config(tmp_path / f"{case_id}.ini", case.config)
+        for command in commands or case.codes:
+            where = f"{case_id}: {' '.join(command)}"
+            start = time.perf_counter()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(case_argv(case_id, command))
+            assert time.perf_counter() - start < 30.0, where
+            out, err = capsys.readouterr()
+            assert code == case.codes[command], (where, code, err)
+            assert "Traceback" not in err and not [w for w in caught if issubclass(w.category, RuntimeWarning)], where
+            if code in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL):
+                prefix = "config error: " if code == cli.EXIT_CONFIG else "numerical failure: "
+                assert err.startswith(prefix) and err.count("\n") == 1 and out == "", (where, err, out)
+                assert matches(err[len(prefix) : -1], case.err), (where, err)
+            else:
+                assert err == "", where
+            if command == VALIDATE and code in (cli.EXIT_OK, cli.EXIT_VALIDATION):
+                lines = out.splitlines()
+                assert [line[6 : line.index(":")] for line in lines] == VALIDATE_CHECKS, where
+                assert all(line[:6] in ("PASS  ", "FAIL  ") for line in lines), where
+                assert any(line.startswith("FAIL") for line in lines) == (code == cli.EXIT_VALIDATION), where
+                assert not case.out or any(matches(line, case.out) for line in lines), (where, out)
+            if code != cli.EXIT_OK:
+                assert not list(tmp_path.rglob("*.csv")), where
+
+    return check
+
+
+# Rows of CASES that a test kept under an earlier test's name runs; test_exit_case runs the others.
+OLDER_ROWS = set()
+
+
+def older_test(*items, ids=None):
+    """A test under the name of an earlier one-case test, running its rows of CASES with exit_case.
+
+    Each item is a row id, or a row id and the one command of that row to run. The test is one item that runs
+    them all; or, given ids (True for the row ids), one parametrized item per row.
+    """
+    items = [(item,) if isinstance(item, str) else item for item in items]
+    OLDER_ROWS.update(case_id for case_id, *_ in items)
+    if ids is None:
+
+        def test(self, exit_case):
+            for item in items:
+                exit_case(*item)
+
+        return test
+
+    @pytest.mark.parametrize("item", items, ids=[item[0] for item in items] if ids is True else ids)
+    def test(self, exit_case, item):
+        exit_case(*item)
+
+    return test
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
-
-
-def write_quadratic_config(path, mu=1.0, L=3.0, iterations=40, extra_algorithm=""):
-    path.write_text(
-        f"""
-[problem]
-kind = quadratic
-n = 5
-d = 3
-mu = {mu}
-L = {L}
-seed = 7
-
-[schedule]
-kind = random
-source = five-agent-pair
-seed = 42
-
-[algorithm]
-alpha = auto
-rho = auto
-sigma = auto
-{extra_algorithm}
-
-[run]
-iterations = {iterations}
-seed = 1
-x0 = random
-"""
-    )
-    return path
 
 
 class TestParsing:
@@ -190,10 +571,24 @@ class TestParser:
         assert calls == [absent]
         assert capsys.readouterr().err.startswith(f"config error: cannot read config {absent}: ")
 
+    def test_console_exit_status(self, tmp_path):
+        # The process exit status is main's return value, one row per exit code. The child imports this
+        # gossipgrad, so a mutated copy is the one tested.
+        src = str(Path(gg.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        rows = [("quadratic", VALIDATE), ("localization", VALIDATE), ("absent", VALIDATE), ("overflow-x0", RUN)]
+        for case_id, command in rows:
+            case = CASES[case_id]
+            write_config(tmp_path / f"{case_id}.ini", case.config)
+            argv = [sys.executable, "-m", "gossipgrad.cli", *case_argv(case_id, command)]
+            result = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert result.returncode == case.codes[command], (case_id, result.stderr)
+            assert result.stderr.count("\n") == int(result.returncode >= cli.EXIT_CONFIG), (case_id, result.stderr)
+
 
 class TestRunCommand:
     def test_quadratic_csv_structure(self, tmp_path):
-        config = write_quadratic_config(tmp_path / "q.ini")
+        config = write_config(tmp_path / "q.ini", ("quadratic", "iterations = 60 -> iterations = 40"))
         out = tmp_path / "trace.csv"
         assert main(["run", str(config), "--output", str(out)]) == 0
         header, rows = read_csv(out)
@@ -210,14 +605,14 @@ class TestRunCommand:
         assert float(agent_rows[-1][3]) < 1e-6 * float(agent_rows[0][3])
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
-        config = write_quadratic_config(tmp_path / "q.ini")
+        config = CONFIGS / "quadratic.ini"
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["run", str(config), "--output", str(out1)]) == 0
         assert main(["run", str(config), "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_netsim_mode_matches_vectorized(self, tmp_path):
-        config = write_quadratic_config(tmp_path / "q.ini", iterations=20)
+        config = write_config(tmp_path / "q.ini", ("quadratic", "iterations = 60 -> iterations = 20"))
         out_vec, out_net = tmp_path / "vec.csv", tmp_path / "net.csv"
         assert main(["run", str(config), "--output", str(out_vec), "--mode", "vectorized"]) == 0
         assert main(["run", str(config), "--output", str(out_net), "--mode", "netsim"]) == 0
@@ -245,7 +640,8 @@ class TestRunCommand:
         assert max(abs(float(rv[3]) - float(rn[3])) for rv, rn in zip(vec, net)) <= 1e-12
 
     def test_equal_curvature_bounds_converge_in_one_step(self, tmp_path):
-        config = write_quadratic_config(tmp_path / "q.ini", mu=2.0, L=2.0, iterations=6)
+        edits = ("mu = 1.0 -> mu = 2.0", "L = 3.0 -> L = 2.0", "iterations = 60 -> iterations = 6")
+        config = write_config(tmp_path / "q.ini", ("quadratic", *edits))
         out = tmp_path / "trace.csv"
         assert main(["run", str(config), "--output", str(out)]) == 0
         _, rows = read_csv(out)
@@ -289,132 +685,6 @@ class TestRunCommand:
         final = [float(r[3]) for r in rows if r[0] == "200" and r[2] != "centralized"]
         assert max(final) < 1e-6
 
-    @pytest.mark.parametrize(
-        "base,old,new",
-        [
-            (None, None, "[problem]\nkind = nosuch\n"),
-            ("quadratic", "iterations = 60", "iterations = sixty"),
-            ("quadratic", "mu = 1.0", "mu = one"),
-            ("localization", "target = 1.0, 1.0", "target = 1.0, a"),
-            ("quadratic", "alpha = auto", "alpha = nan"),
-            ("quadratic", "alpha = auto", "alpha = inf"),
-            ("quadratic", "L = 3.0", "L = inf"),
-            ("quadratic", "x0 = random", "x0 = 1.0, b, 0.0"),
-            ("quadratic", "x0 = random", "x0 = ;"),
-            ("quadratic", "source = five-agent-pair", "source = ring\nn = -1"),
-            ("quadratic", "source = five-agent-pair", "source = inline\nmatrix1 = nan, 0.5; 0.5, 0.5"),
-            ("quadratic", "x0 = random", "x0 = nan, 0, 0"),
-            ("quadratic", "alpha = auto", "alpha = 0.9"),
-            ("quadratic", "rho = auto", "rho = 0.4"),
-            ("quadratic", "source = five-agent-pair", f"source = inline\nmatrix1 = {DISCONNECTED}"),
-            ("quadratic", "kind = random", "kind = nosuch"),
-            (
-                "quadratic",
-                "kind = random\nsource = five-agent-pair\nseed = 42",
-                "kind = constant\nsource = five-agent-pair",
-            ),
-            ("quadratic", "n = 5", "n = 4"),
-            ("quadratic", "x0 = random", "x0 = 1, 2"),
-            ("quadratic", "x0 = random", "x0 = positions"),
-            ("quadratic", "iterations = 60", "iteration = 7"),
-            ("quadratic", "[run]", "[runs]"),
-            ("quadratic", "d = 3", "d = 0"),
-            ("quadratic", "iterations = 60", "iterations = 0"),
-            ("localization", "n = 5", "n = 0"),
-            ("quadratic", "seed = 7", "seed = -1"),
-            ("localization", "seed = 293", "seed = -1"),
-            ("quadratic", "seed = 42", "seed = -1"),
-            ("quadratic", "seed = 1", "seed = -1"),
-            ("quadratic", "source = five-agent-pair", f"source = inline\nmatrix1 = {PAIR[0]}\nmatrix3 = {PAIR[1]}"),
-            ("quadratic", "source = five-agent-pair", f"source = five-agent-pair\nmatrix1 = {PAIR[0]}"),
-            ("quadratic", "output = quadratic_trace.csv", "output = a%b.csv"),
-            ("quadratic", "d = 3\nmu = 1.0", "d = 1\nmu = 1e-20"),
-            ("quadratic", "[schedule]\nkind = random\nsource = five-agent-pair\nseed = 42\n", ""),
-            ("localization", "[localization]\nn = 5\nseed = 293\ntarget = 1.0, 1.0\n", ""),
-            ("quadratic", "[problem]\nkind = quadratic\n", "[problem]\n"),
-            ("quadratic", "[schedule]\nkind = random\n", "[schedule]\n"),
-            ("quadratic", "L = 3.0", "L = 0.5"),
-            ("quadratic", "mu = 1.0", "mu = 0"),
-            ("quadratic", "source = five-agent-pair", "source = inline"),
-            ("quadratic", "mode = vectorized", "mode = typo"),
-            ("localization", "rho = auto\nsigma = auto\nm = 6\n", "rho = -0.5\nsigma = auto\n"),
-            # Sampled positions: the target's shape is checked before sampling, as with positions set.
-            ("localization", "target = 1.0, 1.0", "target = 1.0, 1.0, 1.0"),
-        ]
-        + [row[:3] for row in UNREAD],
-        ids=[
-            "unknown-kind", "iterations", "mu", "target", "alpha-nan", "alpha-inf", "L-inf", "x0", "x0-empty",
-            "ring-n", "matrix-nan", "x0-nan", "alpha-expanding", "rho-below-factor", "disconnected",
-            "schedule-kind", "constant-pair", "problem-n-vs-pair", "x0-dimension", "x0-positions-quadratic",
-            "misspelled-key", "unknown-section", "d-zero", "iterations-zero", "localization-n-zero",
-            "problem-seed-negative", "localization-seed-negative", "schedule-seed-negative", "run-seed-negative",
-            "inline-matrix-gap", "matrix-without-inline",
-            "percent-in-value", "curvature-ratio", "schedule-section-missing", "localization-section-missing",
-            "problem-kind-missing", "schedule-kind-missing", "mu-above-L", "mu-zero", "inline-without-matrix",
-            "mode-typo", "rho-negative", "target-three-coordinates",
-        ]
-        + UNREAD_IDS,
-    )
-    def test_invalid_config_exits_2(self, tmp_path, capsys, base, old, new):
-        # run and validate assemble a config the same way, so both reject it.
-        bad = tmp_path / "bad.ini"
-        if base is None:
-            bad.write_text(new)
-        else:
-            text = (CONFIGS / f"{base}.ini").read_text()
-            assert text.count(old) == 1
-            bad.write_text(text.replace(old, new))
-        assert main(["run", str(bad), "--output", str(tmp_path / "x.csv")]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert main(["validate", str(bad)]) == 2
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        assert "PASS" not in captured.out
-
-    def test_unknown_key_is_named(self, tmp_path, capsys):
-        bad = tmp_path / "bad.ini"
-        bad.write_text((CONFIGS / "quadratic.ini").read_text().replace("iterations = 60", "iteration = 7"))
-        assert main(["run", str(bad), "--output", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err == "config error: unknown key 'iteration' in section [run]\n"
-        assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.parametrize(
-        "new,error",
-        [
-            (f"source = inline\nmatrix1 = {PAIR[0]}\nmatrix3 = {PAIR[1]}", "unknown key 'matrix3'"),
-            (f"source = five-agent-pair\nmatrix1 = {PAIR[0]}", "unknown key 'matrix1'"),
-        ],
-        ids=["inline-matrix-gap", "matrix-without-inline"],
-    )
-    def test_matrix_key_is_named(self, tmp_path, capsys, new, error):
-        bad = tmp_path / "bad.ini"
-        bad.write_text((CONFIGS / "quadratic.ini").read_text().replace("source = five-agent-pair", new))
-        for command in (["run", str(bad), "--output", str(tmp_path / "x.csv")], ["validate", str(bad)]):
-            assert main(command) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"config error: {error}") and err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "base,old,new,error",
-        UNREAD
-        + [
-            ("quadratic", "kind = quadratic", "kind = nosuch", "unknown problem kind 'nosuch'"),
-            ("quadratic", "kind = random", "kind = nosuch", "unknown schedule kind 'nosuch'"),
-            ("quadratic", "source = five-agent-pair", "source = nosuch", "unknown schedule source 'nosuch'"),
-        ],
-        ids=UNREAD_IDS + ["problem-kind", "schedule-kind", "schedule-source"],
-    )
-    def test_config_error_names_the_culprit(self, tmp_path, capsys, base, old, new, error):
-        # An unknown kind or source is named, not reported as the keys it would have read.
-        text = (CONFIGS / f"{base}.ini").read_text()
-        assert text.count(old) == 1
-        bad = tmp_path / "bad.ini"
-        bad.write_text(text.replace(old, new))
-        for command in (["run", str(bad), "--output", str(tmp_path / "x.csv")], ["validate", str(bad)]):
-            assert main(command) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"config error: {error}") and err.count("\n") == 1
-
     def test_x0_forms_and_stdout_output(self, tmp_path, capsys):
         # x0 = zeros and an explicit point per agent, each run once to a file and once to stdout.
         explicit = np.arange(15.0).reshape(5, 3) / 4 - 1
@@ -443,182 +713,6 @@ class TestRunCommand:
         assert main(["run", str(CONFIGS / "quadratic.ini"), "--output", str(outputs[0])]) == 0
         assert main(["run", str(inline), "--output", str(outputs[1])]) == 0
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
-
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, quadratic_config_path):
-        out = tmp_path / "missing-dir" / "x.csv"
-        assert main(["run", str(quadratic_config_path), "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: cannot write output") and err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "old,new,commands,error",
-        [
-            # A (10**13 + 1, 5, 3) trace stack: 1.07 PiB. validate never allocates a trace. Netsim
-            # also fails there, before its mixer draws the (10**13, 6) round table.
-            ("iterations = 60", "iterations = 10000000000000", BOTH_MODES, "Unable to allocate"),
-            # A 10**18-agent complete matrix: its row alone is 6.94 EiB.
-            (
-                "source = five-agent-pair",
-                "source = complete\nn = 1000000000000000000",
-                [["run"], ["validate"]],
-                "Unable to allocate",
-            ),
-            # Rows of 10**20 agents, and a quadratic of 10**20 agents or dimensions: past numpy's index range.
-            (
-                "source = five-agent-pair",
-                "source = complete\nn = 100000000000000000000",
-                [["run"], ["validate"]],
-                "cannot allocate a 100000000000000000000-agent complete matrix",
-            ),
-            (
-                "source = five-agent-pair",
-                "source = ring\nn = 100000000000000000000",
-                [["run"], ["validate"]],
-                "cannot allocate a 100000000000000000000-agent ring matrix",
-            ),
-            ("n = 5", "n = 100000000000000000000", [["run"], ["validate"]], "cannot allocate a problem of"),
-            ("d = 3", "d = 100000000000000000000", [["run"], ["validate"]], "cannot allocate a problem of"),
-            # Sizes numpy cannot even index, so it raises ValueError, not MemoryError: a trace stack of
-            # more than 2**63 bytes, then of more than 2**63 rows, and a (60, 10**17) round table.
-            ("iterations = 60", "iterations = 100000000000000000", BOTH_MODES, "cannot allocate the trace"),
-            ("iterations = 60", "iterations = 2305843009213693952", BOTH_MODES, "cannot allocate the trace"),
-            ("sigma = auto", "sigma = auto\nm = 100000000000000000", BOTH_MODES, "cannot allocate the round table"),
-            # (rho, sigma) grids of 10**20 and 2**63 points per axis, past numpy's index range (at 2**63,
-            # numpy 2.4's linspace raises IndexError from an empty arange); grid reads no config.
-            (None, None, [["grid", "--resolution", str(10**20)]], "cannot allocate a grid of resolution"),
-            (None, None, [["grid", "--resolution", str(2**63)]], "cannot allocate a grid of resolution"),
-        ],
-        ids=[
-            "iterations", "complete-n", "complete-n-index", "ring-n-index", "quadratic-n", "quadratic-d",
-            "iterations-bytes", "iterations-rows", "m", "grid-resolution", "grid-2-63",
-        ],
-    )
-    def test_unallocatable_size_exits_2(self, tmp_path, capsys, old, new, commands, error):
-        # Each size exceeds the address space, so numpy refuses it before touching memory.
-        bad = tmp_path / "huge.ini"
-        if old is not None:
-            text = (CONFIGS / "quadratic.ini").read_text()
-            assert text.count(old) == 1
-            bad.write_text(text.replace(old, new))
-        out = tmp_path / "x.csv"
-        for command, *flags in commands:
-            config = [] if command == "grid" else [str(bad)]
-            args = [command, *config, *flags] + (["--output", str(out)] if command != "validate" else [])
-            assert main(args) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"config error: {error}") and err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "n,error",
-        [(10**13, "Unable to allocate"), (10**20, "cannot allocate 100000000000000000000 sampled positions")],
-        ids=["n-1e13", "n-1e20"],
-    )
-    def test_unallocatable_sampled_positions_exit_2(self, tmp_path, capsys, n, error):
-        # The candidates are drawn as blocks, so numpy refuses the size at the first draw.
-        text = (CONFIGS / "localization.ini").read_text()
-        assert text.count("n = 5") == 1
-        bad = tmp_path / "huge.ini"
-        bad.write_text(text.replace("n = 5", f"n = {n}"))
-        out = tmp_path / "x.csv"
-        for command in (["run", str(bad), "--output", str(out)], ["validate", str(bad)]):
-            start = time.perf_counter()
-            assert main(command) == 2
-            assert time.perf_counter() - start < 30.0
-            err = capsys.readouterr().err
-            assert err.startswith(f"config error: {error}") and err.count("\n") == 1
-        assert not out.exists()
-
-    def test_unreadable_config_exits_2(self, tmp_path, capsys):
-        # A directory named like a config, and a path that does not exist: each is one error naming the path,
-        # not the missing [problem] section of a config read as empty.
-        folder = tmp_path / "not-a-file.ini"
-        folder.mkdir()
-        out = tmp_path / "x.csv"
-        for path in (folder, tmp_path / "absent.ini"):
-            for command in (["run", str(path), "--output", str(out)], ["validate", str(path)]):
-                assert main(command) == 2
-                err = capsys.readouterr().err
-                assert err.startswith(f"config error: cannot read config {path}: ") and err.count("\n") == 1
-        assert not out.exists()
-
-    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bytes.ini"
-        bad.write_bytes((CONFIGS / "quadratic.ini").read_bytes() + b"\xff")
-        out = tmp_path / "x.csv"
-        for command in (["run", str(bad), "--output", str(out)], ["validate", str(bad)]):
-            assert main(command) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"config error: cannot parse config {bad}: 'utf-8' codec") and err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "mu,L,reason",
-        [("1e-8", "1.0", "correction fixed point"), ("1e-6", "1e6", "solved optimizer is not exact")],
-        ids=["fixed-point", "optimizer-check"],
-    )
-    def test_inexact_optimizer_exits_3(self, tmp_path, capsys, mu, L, reason):
-        # Ill-conditioned curvature: the solved optimizer's local gradients do not cancel within tolerance.
-        config = write_quadratic_config(tmp_path / "q.ini", mu=mu, L=L)
-        out = tmp_path / "x.csv"
-        assert main(["run", str(config), "--output", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure:") and reason in err and err.count("\n") == 1
-        assert not out.exists()
-
-    def test_sigma_below_true_gap_exits_2(self, tmp_path, capsys, quadratic_config_path):
-        # m derived from sigma = 0.5 leaves the pair's true gap (0.7853) to the m above sigma0.
-        text = quadratic_config_path.read_text()
-        assert text.count("sigma = auto") == 1
-        path = tmp_path / "tight.ini"
-        path.write_text(text.replace("sigma = auto", "sigma = 0.5"))
-        out = tmp_path / "x.csv"
-        assert main(["run", str(path), "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == "config error: sigma = 0.5 is below the schedule's spectral gap 0.785334\n"
-        assert not out.exists()
-        assert main(["validate", str(path)]) == 1
-        assert "FAIL  spectral gap within bound: actual 0.785334 vs configured 0.500000" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "base,old,new,error",
-        [
-            ("quadratic", "sigma = auto", "sigma = 1.5", "sigma must be in [0, 1), got 1.5"),
-            (
-                "quadratic",
-                "source = five-agent-pair",
-                f"source = inline\nmatrix1 = {DISCONNECTED}",
-                "schedule spectral gap reads 1: at 5 agents a gap within 1.78e-14 of 1 cannot be told from 1, "
-                "so no round count can be derived",
-            ),
-            (
-                "localization",
-                "rho = auto\nsigma = auto\nm = 6\n",
-                "rho = -0.5\nsigma = auto\n",
-                "rho must be in (0, 1), got -0.5",
-            ),
-            (
-                "quadratic",
-                "sigma = auto",
-                "sigma = auto\nm = 2",
-                "m=2 leaves sigma^m above the consensus threshold 0.258819; need m >= 6",
-            ),
-        ],
-        ids=["sigma-explicit", "sigma-auto-disconnected", "rho-negative", "m-below-derived"],
-    )
-    def test_parameter_error_names_its_source(self, tmp_path, capsys, base, old, new, error):
-        # An explicit sigma is named as configured; under sigma = auto the schedule's gap is blamed.
-        # A too-small m override names the least valid m. Both commands print the same one line.
-        text = (CONFIGS / f"{base}.ini").read_text()
-        assert text.count(old) == 1
-        path = tmp_path / "bad.ini"
-        path.write_text(text.replace(old, new))
-        out = tmp_path / "x.csv"
-        for command in (["run", str(path), "--output", str(out)], ["validate", str(path)]):
-            assert main(command) == 2
-            captured = capsys.readouterr()
-            assert captured.err == f"config error: {error}\n" and captured.out == ""
-        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("sigma", ["auto", "0.79"])
@@ -675,65 +769,12 @@ class TestRunCommand:
         _, rows = read_csv(out)
         assert len(rows) == 3 * 5000 + 3
 
-    def test_million_agent_ring_fails_on_the_agent_count(self, tmp_path, capsys):
-        # A 10^6-agent ring over the 5-agent problem: its O(n) construction and sum check reach the
-        # agent-count check, where an n x n copy or scan would take 8 TB or 10^12 additions first.
-        text = (CONFIGS / "quadratic.ini").read_text()
-        assert text.count("source = five-agent-pair\n") == 1
-        path = tmp_path / "million.ini"
-        path.write_text(text.replace("source = five-agent-pair\n", "source = ring\nn = 1000000\n"))
-        out = tmp_path / "x.csv"
-        for command in (["run", str(path), "--output", str(out)], ["validate", str(path)]):
-            start = time.perf_counter()
-            assert main(command) == 2
-            assert time.perf_counter() - start < 30.0
-            err = capsys.readouterr().err
-            assert err == "config error: the problem has 5 agents but the schedule mixes 1000000\n"
-        assert not out.exists()
-
-    def test_ring_160000_gap_reads_1_and_exits_2(self, tmp_path, capsys):
-        # Its true gap, about 1 - 5.1e-10, is within GAP_ROUNDOFF * n = 5.68e-10 of 1, so it reads 1:
-        # the message names that roundoff allowance, not a network that never mixes.
-        path = tmp_path / "ring.ini"
-        path.write_text(RING_120.replace("n = 120", "n = 160000").replace("d = 3", "d = 1"))
-        out = tmp_path / "x.csv"
-        for command in (["run", str(path), "--output", str(out)], ["validate", str(path)]):
-            assert main(command) == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and captured.err == (
-                "config error: schedule spectral gap reads 1: at 160000 agents a gap within 5.68e-10 of 1 "
-                "cannot be told from 1, so no round count can be derived\n"
-            )
-        assert not out.exists()
-
-    def test_inline_circulant_off_by_2e_9_exits_2(self, tmp_path, capsys):
-        # Its rows and columns all sum to 1 + 2e-9; written out inline, it is dense, and every sum is read.
-        path = tmp_path / "off.ini"
-        path.write_text(INLINE_RING_5.replace("1/2", "0.500000002"))
-        assert main(["run", str(path), "--output", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: schedule matrix 0 is not doubly stochastic") and err.count("\n") == 1
-        assert err.endswith("(max row dev 2.000e-09, max col dev 2.000e-09)\n")
-
-    def test_validate_fails_where_run_cannot_cancel_gradients(self, tmp_path, capsys, quadratic_config_path):
-        # mu = 1e-8 passes the optimizer's own gradient-sum check but not the
-        # fixed point's cancellation check that run applies.
-        text = quadratic_config_path.read_text()
-        assert text.count("mu = 1.0\n") == 1
-        path = tmp_path / "flat.ini"
-        path.write_text(text.replace("mu = 1.0\n", "mu = 1e-8\n"))
-        assert main(["validate", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL  gradient sum zero at optimizer: correction fixed point does not average to zero" in out
-        assert main(["run", str(path), "--output", str(tmp_path / "x.csv")]) == 3
-
     def test_complete_graph_mixes_in_one_round(self, tmp_path):
         # Uniform averaging has gap exactly 0: one round reaches consensus, so m = 1.
         config = tmp_path / "complete.ini"
         text = (CONFIGS / "quadratic.ini").read_text().replace("n = 5", "n = 6")
-        pair = "kind = random\nsource = five-agent-pair\nseed = 42"
-        assert pair in text
-        config.write_text(text.replace(pair, "kind = constant\nsource = complete\nn = 6"))
+        assert RANDOM_PAIR in text
+        config.write_text(text.replace(RANDOM_PAIR, "kind = constant\nsource = complete\nn = 6"))
         tables = {}
         for mode in ("vectorized", "netsim"):
             out = tmp_path / f"{mode}.csv"
@@ -758,52 +799,58 @@ class TestRunCommand:
         assert not any(record.exceeds_tolerance for record in records)
         assert main(["run", str(config), "--output", str(tmp_path / "x.csv")]) == 0
 
-    @pytest.mark.parametrize("mode", ["vectorized", "netsim"])
-    def test_overflowing_run_exits_3(self, tmp_path, capsys, mode):
-        config = tmp_path / "overflow.ini"
-        config.write_text((CONFIGS / "quadratic.ini").read_text().replace("x0 = random", "x0 = 1e308, 1e308, 1e308"))
-        out = tmp_path / "x.csv"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["run", str(config), "--mode", mode, "--output", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "numerical failure" in err
-        assert "RuntimeWarning" not in err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not out.exists()
-
-    def test_singular_run_exits_3(self, tmp_path):
-        # All agents start at a consensus point equal to agent 2's anchor;
-        # doubly stochastic mixing preserves consensus, so agent 2 must
-        # evaluate its gradient exactly at its own anchor.
-        config = tmp_path / "singular.ini"
-        config.write_text(
-            """
-[problem]
-kind = localization
-
-[localization]
-target = 1.0, 1.0
-positions = 0.2, 0.1; 1.6, 0.3; 0.5, 1.7; 1.9, 1.4; 0.4, 0.9
-
-[schedule]
-kind = random
-source = five-agent-pair
-seed = 2
-
-[algorithm]
-alpha = auto
-rho = auto
-sigma = auto
-
-[run]
-iterations = 10
-seed = 0
-x0 = 0.5, 1.7
-"""
-        )
-        assert main(["run", str(config), "--output", str(tmp_path / "x.csv")]) == 3
-
+    # The earlier one-case tests of CASES rows, under their names and ids.
+    test_invalid_config_exits_2 = older_test(
+        "unknown-kind", "iterations", "mu", "target", "alpha-nan", "alpha-inf", "L-inf", "x0", "x0-empty", "ring-n",
+        "matrix-nan", "x0-nan", "alpha-expanding", "rho-below-factor", "disconnected", "schedule-kind",
+        "constant-pair", "problem-n-vs-pair", "x0-dimension", "x0-positions-quadratic", "misspelled-key",
+        "unknown-section", "d-zero", "iterations-zero", "localization-n-zero", "problem-seed-negative",
+        "localization-seed-negative", "schedule-seed-negative", "run-seed-negative", "inline-matrix-gap",
+        "matrix-without-inline", "percent-in-value", "curvature-ratio", "schedule-section-missing",
+        "localization-section-missing", "problem-kind-missing", "schedule-kind-missing", "mu-above-L", "mu-zero",
+        "inline-without-matrix", "mode-typo", "rho-negative", "target-three-coordinates", "schedule-n-under-pair",
+        "schedule-seed-under-cyclic", "problem-mu-under-localization", "problem-d-under-localization",
+        "localization-section-in-quadratic", "positions-beside-n-and-seed",
+        ids=True,
+    )
+    test_unknown_key_is_named = older_test("misspelled-key")
+    test_matrix_key_is_named = older_test("inline-matrix-gap", "matrix-without-inline", ids=True)
+    test_config_error_names_the_culprit = older_test(
+        "schedule-n-under-pair", "schedule-seed-under-cyclic", "problem-mu-under-localization",
+        "problem-d-under-localization", "localization-section-in-quadratic", "positions-beside-n-and-seed",
+        "problem-kind", "schedule-kind", "schedule-source",
+        ids=True,
+    )
+    test_unwritable_output_exits_2 = older_test("unwritable-output")
+    test_unallocatable_size_exits_2 = older_test(
+        "iterations-1e13", "complete-n", "complete-n-index", "ring-n-index", "quadratic-n", "quadratic-d",
+        "iterations-bytes", "iterations-rows", "m-1e17", "grid-resolution", "grid-2-63",
+        ids=[
+            "iterations", "complete-n", "complete-n-index", "ring-n-index", "quadratic-n", "quadratic-d",
+            "iterations-bytes", "iterations-rows", "m", "grid-resolution", "grid-2-63",
+        ],
+    )
+    test_unallocatable_sampled_positions_exit_2 = older_test(
+        "sampled-n-1e13", "sampled-n-1e20", ids=["n-1e13", "n-1e20"]
+    )
+    test_unreadable_config_exits_2 = older_test("not-a-file", "absent")
+    test_non_utf8_config_exits_2 = older_test("not-utf8")
+    test_inexact_optimizer_exits_3 = older_test(
+        "fixed-point-L1", "optimizer-check", ids=["fixed-point", "optimizer-check"]
+    )
+    test_sigma_below_true_gap_exits_2 = older_test("tight-sigma")
+    test_parameter_error_names_its_source = older_test(
+        "sigma-explicit", "disconnected", "rho-negative", "m-below-derived",
+        ids=["sigma-explicit", "sigma-auto-disconnected", "rho-negative", "m-below-derived"],
+    )
+    test_million_agent_ring_fails_on_the_agent_count = older_test("million-ring")
+    test_ring_160000_gap_reads_1_and_exits_2 = older_test("ring-160000")
+    test_inline_circulant_off_by_2e_9_exits_2 = older_test("off-by-2e-9")
+    test_validate_fails_where_run_cannot_cancel_gradients = older_test("fixed-point")
+    test_overflowing_run_exits_3 = older_test(
+        ("overflow-x0", RUN), ("overflow-x0", NETSIM), ids=["vectorized", "netsim"]
+    )
+    test_singular_run_exits_3 = older_test("singular")
 
 class TestCsvRendering:
     @pytest.mark.parametrize("mode", ["vectorized", "netsim"])
@@ -875,9 +922,7 @@ class TestGridCommands:
         _, rows = read_csv(out)
         assert all(int(r[2]) == 1 for r in rows)
 
-    def test_grid_rejects_bad_ranges(self, tmp_path):
-        assert main(["grid", "--rho-min", "0.0", "--output", str(tmp_path / "x.csv")]) == 2
-        assert main(["grid", "--resolution", "1", "--output", str(tmp_path / "x.csv")]) == 2
+    test_grid_rejects_bad_ranges = older_test("grid-rho-min-zero", "grid-resolution-one")
 
     def test_grid_takes_a_rho_far_below_the_difference_forms_cancellation(self, capsys):
         # (sqrt(1 + rho) - sqrt(1 - rho)) / 2 reads 0.0 in doubles at rho = 1e-20; sigma0 does not.
@@ -887,13 +932,7 @@ class TestGridCommands:
         assert captured.err == ""
         assert captured.out.splitlines()[1] == "9.9999999999999995e-21,0.5,68"
 
-    def test_grid_at_a_denormal_rho_is_a_config_error(self, capsys):
-        # sigma0(5e-324) underflows to 0, which has no round count: one config error line, exit 2.
-        argv = ["grid", "--rho-min", "5e-324", "--rho-max", "0.5", "--sigma-min", "0.5", "--resolution", "2"]
-        assert main([*argv, "--output", "-"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "sigma0 underflows to 0" in err
+    test_grid_at_a_denormal_rho_is_a_config_error = older_test("grid-denormal-rho")
 
     def test_rates_values(self, tmp_path):
         out = tmp_path / "rates.csv"
@@ -943,73 +982,17 @@ class TestGridCommands:
 
 
 class TestValidateCommand:
-    def test_quadratic_config_passes(self, tmp_path, capsys):
-        config = write_quadratic_config(tmp_path / "q.ini")
-        assert main(["validate", str(config)]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
+    test_quadratic_config_passes = older_test("quadratic")
+    test_pair_with_loose_sigma_passes = older_test("loose-sigma")
+    test_pair_with_tight_sigma_fails = older_test(("tight-sigma", VALIDATE))
+    test_identity_schedule_fails_gap_check = older_test("identity")
+    test_unbuildable_schedule_exits_2 = older_test(
+        "schedule-kind-unseeded", ("constant-pair", VALIDATE), ids=["schedule-kind", "constant-pair"]
+    )
+    test_localization_contraction_reported_not_certified = older_test("localization")
 
-    def test_pair_with_loose_sigma_passes(self, tmp_path):
-        config = write_quadratic_config(tmp_path / "q.ini", extra_algorithm="").read_text()
-        config = config.replace("sigma = auto", "sigma = 0.79")
-        path = tmp_path / "loose.ini"
-        path.write_text(config)
-        assert main(["validate", str(path)]) == 0
 
-    def test_pair_with_tight_sigma_fails(self, tmp_path, capsys):
-        config = write_quadratic_config(tmp_path / "q.ini").read_text()
-        config = config.replace("sigma = auto", "sigma = 0.5")
-        path = tmp_path / "tight.ini"
-        path.write_text(config)
-        assert main(["validate", str(path)]) == 1
-        assert "spectral gap" in capsys.readouterr().out
-
-    def test_identity_schedule_fails_gap_check(self, tmp_path, capsys):
-        path = tmp_path / "identity.ini"
-        path.write_text(
-            """
-[problem]
-kind = quadratic
-n = 3
-d = 2
-mu = 1.0
-L = 3.0
-seed = 0
-
-[schedule]
-kind = constant
-source = inline
-matrix1 = 1, 0, 0; 0, 1, 0; 0, 0, 1
-
-[algorithm]
-sigma = 0.9
-
-[run]
-iterations = 5
-"""
-        )
-        assert main(["validate", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "spectral gap" in out
-
-    @pytest.mark.parametrize("kind", ["nosuch", "constant"], ids=["schedule-kind", "constant-pair"])
-    def test_unbuildable_schedule_exits_2(self, tmp_path, capsys, kind):
-        # Neither schedule can be built over the five-agent pair, so run exits 2; validate must agree.
-        text = (CONFIGS / "quadratic.ini").read_text()
-        assert text.count("kind = random") == 1
-        bad = tmp_path / "bad.ini"
-        assert text.count("seed = 42\n") == 1
-        # Without the schedule seed, which only the random kind reads.
-        bad.write_text(text.replace("kind = random", f"kind = {kind}").replace("seed = 42\n", ""))
-        assert main(["validate", str(bad)]) == 2
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        assert "PASS" not in captured.out
-
-    def test_localization_contraction_reported_not_certified(self, capsys, localization_config_path):
-        # The residual objectives are nonconvex: the sampled check reports the
-        # honest failure and the command exits nonzero.
-        assert main(["validate", str(localization_config_path)]) == 1
-        out = capsys.readouterr().out
-        assert "sampled contraction" in out
-        assert "gradient sum zero at optimizer" in out
+# Defined last, once every older_test has claimed its rows: a new row runs here with no edit beyond CASES.
+@pytest.mark.parametrize("case_id", [case_id for case_id in CASES if case_id not in OLDER_ROWS])
+def test_exit_case(exit_case, case_id):
+    exit_case(case_id)
