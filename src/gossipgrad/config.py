@@ -231,6 +231,12 @@ def schedule_gap(matrices) -> float:
     return max(spectral_gap(W) for W in matrices)
 
 
+def check_contracting(alpha: float, factor: float, where: str) -> None:
+    """Refuses a stepsize whose gradient map does not contract: its factor ``where`` is 1 or more."""
+    if factor >= 1.0:
+        raise ConfigError(f"stepsize {alpha:.6g} gives contraction factor {factor:.6g} >= 1 {where}")
+
+
 def resolve_params(config: RunConfig, problem: Problem, gap: float) -> AlgorithmParams:
     """Fill in auto values: sigma from ``gap``, the schedule's ``schedule_gap``; alpha/rho from the problem."""
     sigma = gap if config.sigma == "auto" else config.sigma
@@ -245,8 +251,7 @@ def resolve_params(config: RunConfig, problem: Problem, gap: float) -> Algorithm
                 alpha, factor = derived.alpha, derived.rho
             else:
                 factor = max(abs(1.0 - alpha * mu), abs(1.0 - alpha * L))
-            if factor >= 1.0:
-                raise ConfigError(f"stepsize {alpha:.6g} gives contraction factor {factor:.6g} >= 1 on [mu, L]")
+            check_contracting(alpha, factor, "on [mu, L]")
             if rho == "auto":
                 rho = factor
             elif rho < factor:
@@ -254,10 +259,12 @@ def resolve_params(config: RunConfig, problem: Problem, gap: float) -> Algorithm
                     f"rho = {rho:.6g} is below the contraction factor {factor:.6g} of stepsize {alpha:.6g}"
                 )
         else:
+            target = config.localization.target
             if alpha == "auto":
-                alpha = optimal_stepsize(problem, config.localization.target)
-            if rho == "auto":
+                alpha = optimal_stepsize(problem, target)
+            if rho == "auto":  # the factor is linearized at the target, so an explicit rho is taken as given
                 rho = gd_contraction_factor(config.localization, alpha)
+                check_contracting(alpha, rho, f"at the target {target[0]:g}, {target[1]:g}")
         if config.sigma == "auto" and gap == 1.0:  # spectral_gap rounds a gap within GAP_ROUNDOFF * n of 1 to 1
             raise ConfigError(
                 f"schedule spectral gap reads 1: at {problem.n} agents a gap within {GAP_ROUNDOFF * problem.n:.3g} of 1 "

@@ -47,35 +47,19 @@ PARSER_ONLY = [
     ["run", "X", "--bogus"],
     ["rates", "--bogus"],
 ]
+# The 5-agent complete matrix, written out: uniform averaging, gap 0.
+COMPLETE_5 = "; ".join([", ".join(["1/5"] * 5)] * 5)
+
+
+def ring(n, *edits):
+    """configs/ring400.ini, a constant ring, at n agents in the problem and the ring, with further edits."""
+    return ("ring400", f"quadratic\nn = 400 -> quadratic\nn = {n}", f"ring\nn = 400 -> ring\nn = {n}", *edits)
+
+
 # A constant 120-agent ring: agent ids run to three digits and m = 1,479 rounds per iteration.
-RING_120 = """
-[problem]
-kind = quadratic
-n = 120
-d = 3
-mu = 1.0
-L = 3.0
-seed = 7
-
-[schedule]
-kind = constant
-source = ring
-n = 120
-
-[algorithm]
-alpha = auto
-rho = auto
-sigma = auto
-
-[run]
-iterations = 3
-seed = 1
-x0 = random
-"""
+RING_120 = ring(120, "iterations = 30 -> iterations = 3")
 # RING_120's config over RING_5, written out inline, in place of the generated 120-ring.
-INLINE_RING_5 = RING_120.replace("source = ring\nn = 120", f"source = inline\nmatrix1 = {RING_5}").replace(
-    "n = 120", "n = 5"
-)
+INLINE_RING_5 = ring(5, f"ring\nn = 5 -> inline\nmatrix1 = {RING_5}", "iterations = 30 -> iterations = 3")
 
 
 RUN, NETSIM, VALIDATE = ("run",), ("run", "--mode", "netsim"), ("validate",)
@@ -237,6 +221,20 @@ CASES = {
     "alpha-expanding": Case(
         ("quadratic", "alpha = auto -> alpha = 0.9"), "stepsize 0.9 gives contraction factor 1.7 >= 1 on [mu, L]"
     ),
+    # Under rho = auto, a localization stepsize is checked by its factor linearized at the target. Directions to a
+    # far target are collinear, so one eigenvalue of the average Hessian there is 0 and the factor is exactly 1.
+    "alpha-expanding-localization": Case(
+        ("localization", "alpha = auto -> alpha = 3.0"),
+        "stepsize 3 gives contraction factor 1.6654 >= 1 at the target 1, 1",
+    ),
+    "target-collinear": Case(
+        ("localization", "target = 1.0, 1.0 -> target = 1e150, 1.0"),
+        "stepsize 2 gives contraction factor 1 >= 1 at the target 1e+150, 1",
+    ),
+    "target-collinear-positions": Case(
+        ("localization", f"n = 5\nseed = 293 -> {POSITIONS}", "target = 1.0, 1.0 -> target = 1e150, 1.0"),
+        "stepsize 2 gives contraction factor 1 >= 1 at the target 1e+150, 1",
+    ),
     "rho-below-factor": Case(
         ("quadratic", "rho = auto -> rho = 0.4"), "rho = 0.4 is below the contraction factor 0.5 of stepsize 0.5"
     ),
@@ -283,13 +281,13 @@ CASES = {
     ),
     # Its true gap, about 1 - 5.1e-10, is within GAP_ROUNDOFF * n = 5.68e-10 of 1, so it reads 1.
     "ring-160000": Case(
-        RING_120.replace("n = 120", "n = 160000").replace("d = 3", "d = 1"),
+        ring(160000, "d = 3 -> d = 1"),
         "schedule spectral gap reads 1: at 160000 agents a gap within 5.68e-10 of 1 cannot be told "
         "from 1, so no round count can be derived",
     ),
     # Rows and columns that all sum to 1 + 2e-9: written out inline, the matrix is dense, and every sum is read.
     "off-by-2e-9": Case(
-        INLINE_RING_5.replace("1/2", "0.500000002"),
+        ring(5, f"ring\nn = 5 -> inline\nmatrix1 = {RING_5.replace('1/2', '0.500000002')}"),
         "schedule matrix 0 is not doubly stochastic (max row dev 2.000e-09, max col dev 2.000e-09)",
     ),
     # m derived from sigma = 0.5 would leave the pair's true gap (0.7853) above sigma0 after m rounds.
@@ -309,8 +307,30 @@ CASES = {
         codes={VALIDATE: 1},
         out="FAIL  spectral gap within bound: actual 1.000000 vs configured 0.900000",
     ),
-    "quadratic": Case(("quadratic",), codes={VALIDATE: 0}),
     "loose-sigma": Case(("quadratic", "sigma = auto -> sigma = 0.79"), codes={VALIDATE: 0}),
+    # The run configs, which CI writes from these rows (RUN_CONFIGS in .github/workflows/tests.yml) and runs in
+    # both modes.
+    "quadratic": Case(("quadratic",), codes={VALIDATE: 0}),
+    "ring400": Case(("ring400",), codes={VALIDATE: 0}),
+    # The pair cycled on the run's global round counter instead of drawn: a cyclic schedule takes no seed.
+    "cyclic": Case(("quadratic", "kind = random -> kind = cyclic", "seed = 42\n -> "), codes={VALIDATE: 0}),
+    # m = 1,351 random rounds per iteration, so a run draws 81,060 rounds instead of 360.
+    "slow-mixing": Case(("quadratic", "sigma = auto -> sigma = 0.999"), codes={VALIDATE: 0}),
+    # Inline matrices whose rows are 3 and 5 wide, so netsim rounds fold inbox slices of both widths.
+    "mixed-width": Case(
+        ("quadratic", f"source = five-agent-pair -> source = inline\nmatrix1 = {PAIR[0]}\nmatrix2 = {COMPLETE_5}"),
+        codes={VALIDATE: 0},
+    ),
+    # The pair's first matrix alone: m = 5 rounds of a matrix that is not circulant, so the vectorized run mixes
+    # by np.linalg.matrix_power. Its entries are dyadic, so its powers are exact.
+    "constant-inline": Case(
+        ("quadratic", f"{RANDOM_PAIR} -> kind = constant\nsource = inline\nmatrix1 = {PAIR[0]}"), codes={VALIDATE: 0}
+    ),
+    # A declared circulant, kept as its row, with gap 0 and m = 1.
+    "complete": Case(("quadratic", f"{RANDOM_PAIR} -> kind = constant\nsource = complete\nn = 5"), codes={VALIDATE: 0}),
+    # A constant 100-ring at m = 1,027: the vectorized mode mixes by the ring's spectrum to the m-th power, one
+    # FFT pair per iteration, and the netsim mode runs the 1,027 rounds.
+    "ring": Case(ring(100, "iterations = 30 -> iterations = 5"), codes={VALIDATE: 0}),
     # The nonconvex residuals fail the sampled contraction check.
     "localization": Case(("localization",), codes={VALIDATE: 1}, out="FAIL  sampled contraction: ..."),
     # Sizes numpy refuses before touching memory: one it can index but not allocate (a MemoryError), or one past
@@ -623,12 +643,8 @@ class TestRunCommand:
             assert float(rv[3]) == pytest.approx(float(rn[3]), abs=1e-12)
 
     def test_cyclic_config_runs_in_both_modes(self, tmp_path):
-        # configs/quadratic.ini with its pair cycled, not drawn: the schedule
-        # is built without m and follows the run's m = 6.
-        text = (CONFIGS / "quadratic.ini").read_text()
-        assert text.count("kind = random") == 1 and text.count("seed = 42\n") == 1
-        config = tmp_path / "cyclic.ini"
-        config.write_text(text.replace("kind = random", "kind = cyclic").replace("seed = 42\n", ""))
+        # The schedule is built without m and follows the run's m = 6.
+        config = write_config(tmp_path / "cyclic.ini", CASES["cyclic"].config)
         rows = {}
         for mode in ("vectorized", "netsim"):
             out = tmp_path / f"{mode}.csv"
@@ -670,12 +686,10 @@ class TestRunCommand:
         cen = np.array([central[k] for k in sorted(central)])
         assert abs(gg.fit_rate(dec) - gg.fit_rate(cen)) <= 0.05
 
-    def test_localization_without_override_uses_derived_rounds(self, tmp_path, localization_config_path):
+    def test_localization_without_override_uses_derived_rounds(self, tmp_path):
         # The checked-in config pins m = 6; the derived value for its
         # parameters is 4 and must converge as well.
-        text = localization_config_path.read_text().replace("m = 6\n", "")
-        config = tmp_path / "derived.ini"
-        config.write_text(text)
+        config = write_config(tmp_path / "derived.ini", ("localization", "m = 6\n -> "))
         cfg, _, params, _, _, _ = assemble(config)
         assert cfg.m_override is None
         assert params.m == 4
@@ -689,11 +703,8 @@ class TestRunCommand:
         # x0 = zeros and an explicit point per agent, each run once to a file and once to stdout.
         explicit = np.arange(15.0).reshape(5, 3) / 4 - 1
         rows = "; ".join(", ".join(map(str, row)) for row in explicit.tolist())
-        text = (CONFIGS / "quadratic.ini").read_text()
-        assert text.count("x0 = random") == 1
         for name, spec, want in [("zeros", "zeros", np.zeros((5, 3))), ("explicit", rows, explicit)]:
-            path = tmp_path / f"{name}.ini"
-            path.write_text(text.replace("x0 = random", f"x0 = {spec}"))
+            path = write_config(tmp_path / f"{name}.ini", ("quadratic", f"x0 = random -> x0 = {spec}"))
             x0 = assemble(path)[4]
             assert x0.shape == (5, 3) and np.array_equal(x0, want), name
             out = tmp_path / f"{name}.csv"
@@ -704,11 +715,8 @@ class TestRunCommand:
 
     def test_inline_pair_runs_as_the_builtin_pair(self, tmp_path):
         # matrix1..matrixK without gaps is read in number order.
-        text = (CONFIGS / "quadratic.ini").read_text()
-        inline = tmp_path / "inline.ini"
-        inline.write_text(
-            text.replace("source = five-agent-pair", f"source = inline\nmatrix2 = {PAIR[1]}\nmatrix1 = {PAIR[0]}")
-        )
+        edit = f"source = five-agent-pair -> source = inline\nmatrix2 = {PAIR[1]}\nmatrix1 = {PAIR[0]}"
+        inline = write_config(tmp_path / "inline.ini", ("quadratic", edit))
         outputs = [tmp_path / "builtin.csv", tmp_path / "inline.csv"]
         assert main(["run", str(CONFIGS / "quadratic.ini"), "--output", str(outputs[0])]) == 0
         assert main(["run", str(inline), "--output", str(outputs[1])]) == 0
@@ -716,7 +724,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("sigma", ["auto", "0.79"])
-    def test_one_spectral_gap_per_matrix(self, tmp_path, monkeypatch, quadratic_config_path, command, sigma):
+    def test_one_spectral_gap_per_matrix(self, tmp_path, monkeypatch, command, sigma):
         calls = []
 
         def counted(W):
@@ -726,8 +734,7 @@ class TestRunCommand:
         # Wherever a module binds the name, so that no call goes uncounted.
         for module in ("gossipgrad.config", "gossipgrad.cli"):
             monkeypatch.setattr(f"{module}.spectral_gap", counted, raising=False)
-        path = tmp_path / "q.ini"
-        path.write_text(quadratic_config_path.read_text().replace("sigma = auto", f"sigma = {sigma}"))
+        path = write_config(tmp_path / "q.ini", ("quadratic", f"sigma = auto -> sigma = {sigma}"))
         args = ["--output", str(tmp_path / "x.csv")] if command == "run" else []
         assert main([command, str(path), *args]) == 0
         assert len(calls) == 2  # the five-agent pair
@@ -744,20 +751,15 @@ class TestRunCommand:
             return spectra[-1]
 
         monkeypatch.setattr("gossipgrad.algorithm.circulant_spectrum_power", recorded)
-        ring = RING_120.replace("sigma = auto", f"sigma = {sigma}")
-        inline = INLINE_RING_5.replace("sigma = auto", f"sigma = {sigma}")
-        for text, declared in ((ring, True), (inline, False)):
-            path = tmp_path / "ring.ini"
-            path.write_text(text)
+        for config, declared in ((RING_120, True), (INLINE_RING_5, False)):
+            path = write_config(tmp_path / "ring.ini", (*config, f"sigma = auto -> sigma = {sigma}"))
             spectra.clear()
             assert main(["run", str(path), "--mode", "vectorized", "--output", str(tmp_path / "x.csv")]) == 0
             assert len(spectra) == 1 and (spectra[0] is not None) == declared
 
     def test_ring_5000_runs_in_linear_memory(self, tmp_path):
         # A dense 5,000-ring would take 200 MB; the run holds its row, its spectrum and O(n d) states.
-        path = tmp_path / "ring.ini"
-        text = RING_120.replace("n = 120", "n = 5000").replace("d = 3", "d = 1")
-        path.write_text(text.replace("iterations = 3", "iterations = 2"))
+        path = write_config(tmp_path / "ring.ini", ring(5000, "d = 3 -> d = 1", "iterations = 30 -> iterations = 2"))
         out = tmp_path / "x.csv"
         tracemalloc.start()
         try:
@@ -771,10 +773,8 @@ class TestRunCommand:
 
     def test_complete_graph_mixes_in_one_round(self, tmp_path):
         # Uniform averaging has gap exactly 0: one round reaches consensus, so m = 1.
-        config = tmp_path / "complete.ini"
-        text = (CONFIGS / "quadratic.ini").read_text().replace("n = 5", "n = 6")
-        assert RANDOM_PAIR in text
-        config.write_text(text.replace(RANDOM_PAIR, "kind = constant\nsource = complete\nn = 6"))
+        edits = ("n = 5 -> n = 6", f"{RANDOM_PAIR} -> kind = constant\nsource = complete\nn = 6")
+        config = write_config(tmp_path / "complete.ini", ("quadratic", *edits))
         tables = {}
         for mode in ("vectorized", "netsim"):
             out = tmp_path / f"{mode}.csv"
@@ -789,8 +789,7 @@ class TestRunCommand:
         assert float(vec[-1][3]) < 1e-6 * float(vec[0][3])
 
     def test_user_stepsize_resolves_its_true_contraction(self, tmp_path):
-        config = tmp_path / "alpha.ini"
-        config.write_text((CONFIGS / "quadratic.ini").read_text().replace("alpha = auto", "alpha = 0.4"))
+        config = write_config(tmp_path / "alpha.ini", ("quadratic", "alpha = auto -> alpha = 0.4"))
         _, problem, params, schedule, x0, _ = assemble(config)
         # max(|1 - 0.4 * 1|, |1 - 0.4 * 3|) = 0.6, not the auto (L - mu) / (L + mu) = 0.5
         assert params.rho == 0.6 and params.m == 5
@@ -858,10 +857,7 @@ class TestCsvRendering:
     def test_csv_equals_per_row_reference(self, tmp_path, name, mode):
         # The CSV is rendered row by row from the same trace, and the
         # centralized rows from gradient descent on a broadcast point.
-        path = CONFIGS / f"{name}.ini"
-        if name == "ring-120":
-            path = tmp_path / "ring.ini"
-            path.write_text(RING_120)
+        path = write_config(tmp_path / "ring.ini", RING_120) if name == "ring-120" else CONFIGS / f"{name}.ini"
         out = tmp_path / "run.csv"
         assert main(["run", str(path), "--mode", mode, "--output", str(out)]) == 0
         config, problem, params, schedule, x0, _ = assemble(path)
